@@ -1,37 +1,33 @@
 // Benchmark of the execution-strategy portfolio: --strategy auto (the
-// StrategyPlanner's cost-model pick) raced against every fixed DM-family
+// static rule in exec::plan_family) raced against every fixed DM-family
 // strategy on three circuit families (QFT, VQE ansatz, random-basis), plus
 // the adaptive trajectory budget's early-termination savings.
 //
 // Per family the bench records:
 //   fixed.{dm_exact,dm_fused,dm_fused_wide}_ms   best-of-reps sweep time
 //                                                per fixed strategy
-//   auto_ms / auto_pick / auto_vs_best           the warmed planner's sweep
-//                                                time, which strategy it
-//                                                settled on, and its ratio
-//                                                to the best fixed choice
-//   auto_cold_bit_identical                      a cold planner (no
-//                                                observations) must be
-//                                                bit-identical to its
-//                                                incumbent fixed strategy —
-//                                                the kFixedBudget contract
+//   auto_ms / auto_pick / auto_vs_best           the auto sweep's time,
+//                                                which strategy the rule
+//                                                picked, and its ratio to
+//                                                the best fixed choice
+//   auto_cold_bit_identical                      the auto sweep must be
+//                                                bit-identical to the fixed
+//                                                strategy it picked — the
+//                                                kFixedBudget contract
 //   rankings_match                               every DM strategy and the
-//                                                warmed auto sweep rank the
-//                                                gates identically
+//                                                auto sweep rank the gates
+//                                                identically
 //
 // The adaptive row runs the same trajectory sweep twice — fixed budget vs
 // BudgetMode::kAdaptive — and records the trajectory savings; the top-k
-// gate ranking must be unchanged.  The fixed runs double as cost-model
-// calibration: one shared planner observes every (strategy, shape) timing,
-// so the auto leg exercises exactly the warm-profile path a long-lived
-// session or charterd tenant sees.
+// gate ranking must be unchanged.
 //
 // Self-checks (exit 1): auto is never > 1.1x slower than the best fixed
 // strategy (plus a 0.5 ms absolute floor so sub-millisecond smoke sweeps
-// don't flake on scheduler jitter), the cold-planner auto sweep is
-// bit-identical to its incumbent,
-// rankings agree across the portfolio, and adaptive early termination
-// saves trajectories without touching the top-k ranking.
+// don't flake on scheduler jitter), the auto sweep is bit-identical to the
+// fixed strategy it picked, rankings agree across the portfolio, and
+// adaptive early termination saves trajectories without touching the top-k
+// ranking.
 //
 // Usage: bench_strategy_portfolio [--reps N] [--reversals N] [--max-gates N]
 //                                 [--smoke] [--out PATH]
@@ -206,11 +202,6 @@ FamilyRow bench_family(const std::string& name, const cb::FakeBackend& backend,
   options.exec.threads = 2;
   options.exec.caching = false;
 
-  // Fixed legs share one planner: every timed job feeds the cost model, so
-  // by the auto leg the EWMA has real observations for all three tape
-  // levels — the warmed-profile state a long-lived session converges to.
-  ex::StrategyPlanner planner;
-  options.exec.planner = &planner;
   co::CharterReport fixed_reports[3];
   for (int k = 0; k < 3; ++k) {
     options.strategy = kFixedKinds[k];
@@ -221,28 +212,20 @@ FamilyRow bench_family(const std::string& name, const cb::FakeBackend& backend,
   row.rankings_ok = rankings_match(fixed_reports[0], fixed_reports[1]) &&
                     rankings_match(fixed_reports[0], fixed_reports[2]);
 
-  // Cold auto: a planner with no observations must stay on its incumbent,
-  // bit for bit — the kFixedBudget determinism contract.
-  ex::StrategyPlanner cold;
-  options.exec.planner = &cold;
+  // Auto runs the static rule: it must be bit-identical to the fixed
+  // strategy it picked — the kFixedBudget determinism contract — and stay
+  // within 1.1x of the best fixed time.
   options.strategy = StrategyKind::kAuto;
-  co::CharterReport cold_report;
-  analyze_seconds(backend, program, options, 1, &cold_report);
-  const StrategyKind incumbent = dominant_dm(cold_report.exec_stats);
-  for (int k = 0; k < 3; ++k) {
-    if (kFixedKinds[k] == incumbent)
-      row.auto_cold_bit_identical =
-          reports_identical(cold_report, fixed_reports[k]);
-  }
-
-  // Warm auto: the shared planner has measured every strategy, so the
-  // sweep should land on the cheapest tape level and stay within 1.1x of
-  // the best fixed time (it runs the same code path, re-timed).
-  options.exec.planner = &planner;
   co::CharterReport auto_report;
   row.auto_ms =
       1e3 * analyze_seconds(backend, program, options, reps, &auto_report);
-  row.auto_pick = ex::strategy_name(dominant_dm(auto_report.exec_stats));
+  const StrategyKind pick = dominant_dm(auto_report.exec_stats);
+  row.auto_pick = ex::strategy_name(pick);
+  for (int k = 0; k < 3; ++k) {
+    if (kFixedKinds[k] == pick)
+      row.auto_cold_bit_identical =
+          reports_identical(auto_report, fixed_reports[k]);
+  }
   row.rankings_ok =
       row.rankings_ok && rankings_match(fixed_reports[0], auto_report);
 
@@ -427,7 +410,8 @@ int main(int argc, char** argv) {
     }
     if (!row.auto_cold_bit_identical) {
       std::fprintf(stderr,
-                   "FAIL: %s cold auto not bit-identical to its incumbent\n",
+                   "FAIL: %s auto not bit-identical to the strategy it "
+                   "picked\n",
                    row.name.c_str());
       ok = false;
     }

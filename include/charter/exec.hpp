@@ -3,7 +3,7 @@
 /// \file charter/exec.hpp
 /// Public module header: the batched execution layer (namespace
 /// charter::exec) — BatchRunner, run caching, the strategy portfolio
-/// (StrategyKind, StrategyPlanner, the online cost model), and the
+/// (StrategyKind and the static per-family rule, plan_family), and the
 /// per-run stats carried by every CharterReport.  Most callers never
 /// touch this directly; charter::Session drives it — select a strategy
 /// with SessionConfig::execution().strategy(...) and read the outcome
@@ -17,9 +17,10 @@ namespace charter::exec {
 
 /// The execution diagnostics every CharterReport carries
 /// (CharterReport::exec_stats): cache-tier hits, checkpoint vs full runs,
-/// per-strategy job classification (ExecStats::strategy_jobs), the cost
-/// model's predicted-vs-actual nanoseconds, and adaptive early-termination
-/// savings (trajectories_executed vs trajectories_budgeted).
+/// per-strategy job classification (ExecStats::strategy_jobs), the
+/// measured wall-clock of the executed routes (actual_ns), and adaptive
+/// early-termination savings (trajectories_executed vs
+/// trajectories_budgeted).
 using ExecStats = BatchRunner::Stats;
 
 }  // namespace charter::exec

@@ -23,7 +23,7 @@
 ///
 /// Jobs execute in submission order on one session worker thread; each
 /// job's sweep fans out across its own exec-layer worker pool sized by
-/// SessionConfig::threads.  JobHandles are cheap shared references: they
+/// ExecutionConfig::threads.  JobHandles are cheap shared references: they
 /// stay valid after the Session is destroyed (the destructor cancels
 /// queued jobs, flags the running one, and joins).
 
@@ -49,17 +49,16 @@
 namespace charter {
 
 /// Builder-style *execution* configuration: every knob that shapes how a
-/// sweep runs (parallelism, caching, checkpointing, tape optimization, and
-/// the strategy portfolio) without changing what it computes.  Lives inside
-/// SessionConfig as SessionConfig::execution(); the old flat SessionConfig
-/// setters forward here and are deprecated.
+/// sweep runs (parallelism, caching, checkpointing, and the execution
+/// strategy, which also selects the tape optimization level) without
+/// changing what it computes.  Lives inside SessionConfig as
+/// SessionConfig::execution().
 ///
 ///   charter::SessionConfig cfg;
 ///   cfg.shots(8192).seed(42);
 ///   cfg.execution()
 ///       .threads(8)
-///       .strategy(charter::exec::StrategyKind::kAuto)
-///       .cost_profile("charter.costs.json");
+///       .strategy(charter::exec::StrategyKind::kDmFused);
 ///
 /// Validation happens through SessionConfig::validate() — ExecutionConfig
 /// carries no invariants of its own beyond what the session checks.
@@ -84,9 +83,9 @@ class ExecutionConfig {
   }
 
   // -- tape optimization --------------------------------------------------
-  /// Fuse the lowered noise tape (faster, ~1e-12 agreement; the exact
-  /// tape is bit-reproducible).
-  ExecutionConfig& fused(bool on) { fused_ = on; return *this; }
+  // The tape level itself is chosen by strategy(): kDmFused fuses (faster,
+  // ~1e-12 agreement), kDmFusedWide fuses wide; the exact tape is
+  // bit-reproducible.
   /// Pin the wide-fusion window for this session's runs: 0 (default)
   /// defers to the process-global noise::fusion_width(); 2 or 3 pins it
   /// per run (part of the run's cache fingerprint).  Only meaningful for
@@ -128,11 +127,12 @@ class ExecutionConfig {
   }
 
   // -- strategy portfolio (exec/strategy.hpp) -----------------------------
-  /// Execution strategy for every sweep.  kAuto (default): the session's
-  /// planner picks per job family from its online cost model — with a
-  /// cold model this is exactly the historical fixed-rule behavior.  A
-  /// fixed kind (kDmExact, kDmFused, kDmFusedWide, kTrajectory) overrides
-  /// the engine/tape configuration for every run.
+  /// Execution strategy for every sweep.  kAuto (default): the static
+  /// rule (exec::plan_family) — the engine SessionConfig::engine()
+  /// resolves to (density matrix while the compacted program fits,
+  /// trajectories past the cap) with the exact tape.  A fixed kind
+  /// (kDmExact, kDmFused, kDmFusedWide, kTrajectory) overrides the
+  /// engine/tape configuration for every run.
   ExecutionConfig& strategy(exec::StrategyKind kind) {
     strategy_ = kind;
     return *this;
@@ -143,21 +143,11 @@ class ExecutionConfig {
   /// bit-identity contract is stated under; savings appear in
   /// exec_stats.trajectories_executed vs trajectories_budgeted.
   ExecutionConfig& adaptive(bool on) { adaptive_ = on; return *this; }
-  /// Persist the planner's cost model at this path: loaded (if present)
-  /// when the Session is constructed — a corrupt profile throws
-  /// InvalidArgument then — and saved (atomically, temp + rename) when
-  /// the Session is destroyed.  Empty (default): the model lives and
-  /// dies with the session.
-  ExecutionConfig& cost_profile(std::string path) {
-    cost_profile_ = std::move(path);
-    return *this;
-  }
 
   // -- getters ------------------------------------------------------------
   int threads() const { return threads_; }
   int workers() const { return workers_; }
   const std::string& worker_exe() const { return worker_exe_; }
-  bool fused() const { return fused_; }
   int fusion_width() const { return fusion_width_; }
   bool common_random_numbers() const { return crn_; }
   bool checkpointing() const { return checkpointing_; }
@@ -169,13 +159,11 @@ class ExecutionConfig {
   std::size_t cache_disk_bytes() const { return cache_disk_bytes_; }
   exec::StrategyKind strategy() const { return strategy_; }
   bool adaptive() const { return adaptive_; }
-  const std::string& cost_profile() const { return cost_profile_; }
 
  private:
   int threads_ = 0;
   int workers_ = 0;
   std::string worker_exe_;
-  bool fused_ = false;
   int fusion_width_ = 0;
   bool crn_ = false;
   bool checkpointing_ = true;
@@ -185,7 +173,6 @@ class ExecutionConfig {
   std::size_t cache_disk_bytes_ = 1ull << 30;
   exec::StrategyKind strategy_ = exec::StrategyKind::kAuto;
   bool adaptive_ = false;
-  std::string cost_profile_;
 };
 
 /// Validated, builder-style session configuration: the analysis protocol
@@ -194,11 +181,6 @@ class ExecutionConfig {
 /// setter returns *this for chaining; validate() reports *actionable*
 /// errors instead of silent fallbacks, and Session's constructor throws
 /// InvalidArgument listing them all.
-///
-/// The pre-ExecutionConfig flat execution setters (threads, workers,
-/// fused, ...) remain as deprecated forwarding shims — old code compiles
-/// and behaves identically, with a deprecation warning pointing at the
-/// replacement.
 class SessionConfig {
  public:
   // -- analysis protocol (paper Sec. IV) ----------------------------------
@@ -227,7 +209,7 @@ class SessionConfig {
 
   // -- execution ----------------------------------------------------------
   /// The nested execution configuration: parallelism, caching,
-  /// checkpointing, tape optimization, and the strategy portfolio.
+  /// checkpointing, and the execution strategy.
   /// Mutable access chains naturally:
   ///   cfg.execution().threads(8).strategy(exec::StrategyKind::kAuto);
   ExecutionConfig& execution() { return exec_; }
@@ -236,48 +218,6 @@ class SessionConfig {
   ///   SessionConfig().shots(1024).execution(ExecutionConfig().threads(4))
   SessionConfig& execution(ExecutionConfig exec) {
     exec_ = std::move(exec);
-    return *this;
-  }
-
-  // -- deprecated flat execution shims ------------------------------------
-  // Pre-ExecutionConfig spellings.  Each forwards to execution() and
-  // behaves identically; new code should use the nested builder.
-  [[deprecated("use execution().common_random_numbers()")]]
-  SessionConfig& common_random_numbers(bool on) {
-    exec_.common_random_numbers(on);
-    return *this;
-  }
-  [[deprecated("use execution().fused()")]]
-  SessionConfig& fused(bool on) { exec_.fused(on); return *this; }
-  [[deprecated("use execution().checkpointing()")]]
-  SessionConfig& checkpointing(bool on) {
-    exec_.checkpointing(on);
-    return *this;
-  }
-  [[deprecated("use execution().caching()")]]
-  SessionConfig& caching(bool on) { exec_.caching(on); return *this; }
-  [[deprecated("use execution().checkpoint_memory_bytes()")]]
-  SessionConfig& checkpoint_memory_bytes(std::size_t n) {
-    exec_.checkpoint_memory_bytes(n);
-    return *this;
-  }
-  [[deprecated("use execution().threads()")]]
-  SessionConfig& threads(int n) { exec_.threads(n); return *this; }
-  [[deprecated("use execution().workers()")]]
-  SessionConfig& workers(int n) { exec_.workers(n); return *this; }
-  [[deprecated("use execution().worker_exe()")]]
-  SessionConfig& worker_exe(std::string exe) {
-    exec_.worker_exe(std::move(exe));
-    return *this;
-  }
-  [[deprecated("use execution().cache_dir()")]]
-  SessionConfig& cache_dir(std::string dir) {
-    exec_.cache_dir(std::move(dir));
-    return *this;
-  }
-  [[deprecated("use execution().cache_disk_bytes()")]]
-  SessionConfig& cache_disk_bytes(std::size_t n) {
-    exec_.cache_disk_bytes(n);
     return *this;
   }
 
@@ -292,29 +232,6 @@ class SessionConfig {
   int trajectories() const { return trajectories_; }
   std::uint64_t seed() const { return seed_; }
   double drift() const { return drift_; }
-  // Deprecated flat getters (forward to execution()).
-  [[deprecated("use execution().common_random_numbers()")]]
-  bool common_random_numbers() const { return exec_.common_random_numbers(); }
-  [[deprecated("use execution().fused()")]]
-  bool fused() const { return exec_.fused(); }
-  [[deprecated("use execution().checkpointing()")]]
-  bool checkpointing() const { return exec_.checkpointing(); }
-  [[deprecated("use execution().caching()")]]
-  bool caching() const { return exec_.caching(); }
-  [[deprecated("use execution().checkpoint_memory_bytes()")]]
-  std::size_t checkpoint_memory_bytes() const {
-    return exec_.checkpoint_memory_bytes();
-  }
-  [[deprecated("use execution().threads()")]]
-  int threads() const { return exec_.threads(); }
-  [[deprecated("use execution().workers()")]]
-  int workers() const { return exec_.workers(); }
-  [[deprecated("use execution().worker_exe()")]]
-  const std::string& worker_exe() const { return exec_.worker_exe(); }
-  [[deprecated("use execution().cache_dir()")]]
-  const std::string& cache_dir() const { return exec_.cache_dir(); }
-  [[deprecated("use execution().cache_disk_bytes()")]]
-  std::size_t cache_disk_bytes() const { return exec_.cache_disk_bytes(); }
 
   /// Checks every knob and returns one actionable message per problem
   /// (empty = valid).  Session's constructor calls this and throws
@@ -429,7 +346,7 @@ class JobHandle {
 /// Thread-safety: submit/analyze/input_impact/compile may be called from
 /// any thread.  Jobs execute strictly in submission order on the
 /// session's worker thread; each sweep parallelizes internally across
-/// SessionConfig::threads exec workers.  Destroying the session cancels
+/// ExecutionConfig::threads exec workers.  Destroying the session cancels
 /// queued jobs, flags the in-flight one, and joins — handles already
 /// returned stay valid and resolve (to kCancelled if interrupted).
 class Session {
@@ -446,16 +363,6 @@ class Session {
 
   const backend::Backend& backend() const { return *backend_; }
   const SessionConfig& config() const { return config_; }
-
-  /// The session's strategy planner: the online cost model every sweep
-  /// feeds wall-clock observations into and (under StrategyKind::kAuto)
-  /// plans from.  Always present; shared across all of this session's
-  /// jobs and internally synchronized.  When
-  /// execution().cost_profile() names a path, the model is seeded from it
-  /// at construction (a corrupt profile throws InvalidArgument) and
-  /// persisted back on destruction (atomically; a failed save is noted on
-  /// stderr, never thrown — destructors stay quiet).
-  exec::StrategyPlanner& planner() const { return *planner_; }
 
   /// Compiles a logical circuit on the session's device.
   backend::CompiledProgram compile(
@@ -510,7 +417,6 @@ class Session {
 
   std::shared_ptr<const backend::Backend> backend_;
   SessionConfig config_;
-  std::shared_ptr<exec::StrategyPlanner> planner_;
   core::CharterOptions options_;  ///< config_.resolved(), computed once
 
   mutable std::mutex mu_;

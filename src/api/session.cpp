@@ -1,6 +1,5 @@
 #include "charter/session.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "util/error.hpp"
@@ -48,10 +47,6 @@ std::vector<std::string> SessionConfig::validate() const {
   if (!exec_.cache_dir().empty() && exec_.cache_disk_bytes() == 0)
     flag("cache_disk_bytes must be > 0 when cache_dir is set; drop "
          "cache_dir instead of zeroing its budget");
-  if (exec_.fused() && engine_ == backend::EngineKind::kTrajectory)
-    flag("fused tape optimization never applies to the trajectory engine "
-         "(fusing would reorder its stochastic draws); drop fused(true) or "
-         "use the density-matrix engine");
   if (exec_.fusion_width() != 0 &&
       (exec_.fusion_width() < 2 || exec_.fusion_width() > 3))
     flag("fusion_width must be 0 (process default) or in [2, 3]; got " +
@@ -60,10 +55,6 @@ std::vector<std::string> SessionConfig::validate() const {
     flag("checkpoint_splice is an execution classification, not a "
          "requestable strategy; use kAuto and let checkpoint sharing "
          "engage on its own");
-  if (exec_.strategy() == exec::StrategyKind::kTrajectory && exec_.fused())
-    flag("strategy kTrajectory conflicts with fused(true): the trajectory "
-         "engine never fuses its tape (fusing would reorder its stochastic "
-         "draws); drop one of the two");
   if ((exec_.strategy() == exec::StrategyKind::kDmExact ||
        exec_.strategy() == exec::StrategyKind::kDmFused ||
        exec_.strategy() == exec::StrategyKind::kDmFusedWide) &&
@@ -88,8 +79,6 @@ core::CharterOptions SessionConfig::resolved() const {
   o.run.trajectories = trajectories_;
   o.run.seed = seed_;
   o.run.drift = drift_;
-  o.run.opt =
-      exec_.fused() ? noise::OptLevel::kFused : noise::OptLevel::kExact;
   o.run.fusion_width = exec_.fusion_width();
   o.exec.checkpointing = exec_.checkpointing();
   o.exec.caching = exec_.caching();
@@ -97,9 +86,8 @@ core::CharterOptions SessionConfig::resolved() const {
   o.exec.threads = exec_.threads();
   o.exec.workers = exec_.workers();
   o.exec.worker_exe = exec_.worker_exe();
-  // A fixed strategy (or, with a planner, kAuto) reshapes engine/opt per
-  // job family at analyze() time via exec::plan_family; o.exec.planner is
-  // attached by the Session, which owns the model.
+  // The strategy reshapes engine/opt per job family at analyze() time via
+  // exec::plan_family.
   o.strategy = exec_.strategy();
   o.budget = exec_.adaptive() ? exec::BudgetMode::kAdaptive
                               : exec::BudgetMode::kFixedBudget;
@@ -246,11 +234,7 @@ Session::Session(std::shared_ptr<const backend::Backend> backend,
   require(backend_ != nullptr, "Session needs a backend");
   const std::vector<std::string> errors = config_.validate();
   if (!errors.empty()) throw InvalidArgument(join_errors(errors));
-  planner_ = std::make_shared<exec::StrategyPlanner>();
-  if (!config_.execution().cost_profile().empty())
-    planner_->load_profile(config_.execution().cost_profile());
   options_ = config_.resolved();
-  options_.exec.planner = planner_.get();
   if (!config_.execution().cache_dir().empty())
     exec::RunCache::global().set_disk_tier(
         config_.execution().cache_dir(),
@@ -269,16 +253,6 @@ Session::~Session() {
   }
   cv_.notify_all();
   worker_.join();
-  // Persist the learned cost model after the worker is quiet.  A failed
-  // save is reported but never thrown — destructors stay noexcept.
-  if (!config_.execution().cost_profile().empty()) {
-    try {
-      planner_->save_profile(config_.execution().cost_profile());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "charter: could not save cost profile '%s': %s\n",
-                   config_.execution().cost_profile().c_str(), e.what());
-    }
-  }
 }
 
 backend::CompiledProgram Session::compile(

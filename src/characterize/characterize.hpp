@@ -75,7 +75,7 @@ struct CharacterizeOptions {
   /// Exec-layer knobs (checkpointing is what the germ ladder feeds on).
   exec::BatchOptions exec;
   /// Strategy selection for the sequence sweeps, planned once per
-  /// characterization from the planner's model state at entry.  Adaptive
+  /// characterization (exec::plan_family).  Adaptive
   /// trajectory budgets never apply here — every depth of a decay curve
   /// must run its full budget or the fit would see a moving target.
   exec::StrategyKind strategy = exec::StrategyKind::kAuto;

@@ -52,7 +52,6 @@ void accumulate_stats(exec::BatchRunner::Stats& total,
   total.strategy_jobs.dm_fused_wide += s.strategy_jobs.dm_fused_wide;
   total.strategy_jobs.trajectory += s.strategy_jobs.trajectory;
   total.strategy_jobs.checkpoint_splice += s.strategy_jobs.checkpoint_splice;
-  total.predicted_ns += s.predicted_ns;
   total.actual_ns += s.actual_ns;
   total.trajectories_budgeted += s.trajectories_budgeted;
   total.trajectories_executed += s.trajectories_executed;
@@ -145,19 +144,14 @@ CharacterizationReport GateCharacterizer::characterize(
   out.severity_reversals = options_.severity_reversals;
 
   // One strategy decision for the whole characterization, like the
-  // analyzer's once-per-sweep planning.  The tape-length proxy is the base
-  // (deepest) sequence — that is what the checkpoint sweep walks.
+  // analyzer's once-per-sweep planning.
   exec::StrategyContext sctx;
   sctx.width = static_cast<int>(backend::used_qubits(program).size());
-  sctx.ops = c.size() + (options_.isolate ? 2 : 0) +
-             2 * static_cast<std::size_t>(scheduler.max_depth());
   sctx.jobs = k * scheduler.depths().size() + 3;
   sctx.run = options_.run;
-  sctx.duration_ns = backend_.duration_ns(program);
   sctx.lowering = backend_.supports_lowering();
-  const exec::StrategyPlanner::Decision decision =
-      exec::plan_family(options_.exec.planner, options_.strategy,
-                        exec::BudgetMode::kFixedBudget, sctx);
+  const exec::Decision decision = exec::plan_family(
+      options_.strategy, exec::BudgetMode::kFixedBudget, sctx);
 
   backend::RunOptions orig_run = decision.run;
   orig_run.seed = derive_seed(options_.run.seed, 0);

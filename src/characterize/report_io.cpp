@@ -16,7 +16,9 @@ namespace {
 // v1: initial schema — germ ladder, per-gate decay curves, channel fits,
 // bootstrap intervals, SPAM context, and the exec block shared with the
 // Charter report format.
-constexpr int kSchemaVersion = 1;
+// v2: exec drops the model-predicted nanoseconds (the Charter report's v4
+// change).
+constexpr int kSchemaVersion = 2;
 
 void append_double(std::string& out, double v) {
   char buf[40];
@@ -217,9 +219,7 @@ std::string characterization_to_json(const CharacterizationReport& report) {
          std::to_string(exec_stats.strategy_jobs.trajectory);
   out += ",\"checkpoint_splice\":" +
          std::to_string(exec_stats.strategy_jobs.checkpoint_splice);
-  out += "},\"predicted_ns\":";
-  append_double(out, exec_stats.predicted_ns);
-  out += ",\"actual_ns\":";
+  out += "},\"actual_ns\":";
   append_double(out, exec_stats.actual_ns);
   out += "}\n}\n";
   return out;
@@ -403,10 +403,6 @@ CharacterizationReport characterization_from_json(const std::string& json) {
           "characterization report: missing checkpoint_splice");
   out.exec_stats.strategy_jobs.checkpoint_splice = p.size();
   p.expect('}');
-  p.expect(',');
-  require(p.key() == "predicted_ns",
-          "characterization report: missing exec.predicted_ns");
-  out.exec_stats.predicted_ns = p.number();
   p.expect(',');
   require(p.key() == "actual_ns",
           "characterization report: missing exec.actual_ns");

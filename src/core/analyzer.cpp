@@ -138,7 +138,6 @@ void accumulate_stats(exec::BatchRunner::Stats& total,
   total.strategy_jobs.dm_fused_wide += s.strategy_jobs.dm_fused_wide;
   total.strategy_jobs.trajectory += s.strategy_jobs.trajectory;
   total.strategy_jobs.checkpoint_splice += s.strategy_jobs.checkpoint_splice;
-  total.predicted_ns += s.predicted_ns;
   total.actual_ns += s.actual_ns;
   total.trajectories_budgeted += s.trajectories_budgeted;
   total.trajectories_executed += s.trajectories_executed;
@@ -214,19 +213,15 @@ CharterReport CharterAnalyzer::analyze(const CompiledProgram& program,
       256, 8 * static_cast<std::size_t>(util::num_threads()));
   ProgressRelay relay(hooks, chosen.size() + 1);
 
-  // Plan the execution strategy once for the whole family, from the
-  // planner's model state at entry: every chunk of one sweep runs the same
-  // prepared RunOptions, and kAuto with no planner resolves to exactly the
-  // options the caller passed in (the historical fixed-rule behavior).
+  // Plan the execution strategy once for the whole family: every chunk of
+  // one sweep runs the same prepared RunOptions.
   exec::StrategyContext sctx;
   sctx.width = static_cast<int>(backend::used_qubits(program).size());
-  sctx.ops = c.size();
   sctx.jobs = chosen.size() + 1;
   sctx.run = options_.run;
-  sctx.duration_ns = backend_.duration_ns(program);
   sctx.lowering = backend_.supports_lowering();
-  const exec::StrategyPlanner::Decision decision = exec::plan_family(
-      options_.exec.planner, options_.strategy, options_.budget, sctx);
+  const exec::Decision decision =
+      exec::plan_family(options_.strategy, options_.budget, sctx);
 
   backend::RunOptions orig_run = decision.run;
   orig_run.seed = derive_seed(options_.run.seed, 0);
@@ -275,23 +270,10 @@ CharterReport CharterAnalyzer::analyze(const CompiledProgram& program,
     total_stats.trajectories_budgeted += ares.trajectories_budgeted;
     total_stats.trajectories_executed += ares.trajectories_executed;
     total_stats.gates_settled_early += ares.gates_settled_early;
-    if (exec::StrategyPlanner* planner = options_.exec.planner;
-        planner != nullptr) {
-      const double ns = std::chrono::duration<double, std::nano>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-      const double jobs_d = static_cast<double>(ajobs.size());
-      total_stats.strategy_jobs.trajectory += ajobs.size();
-      // Prediction is read before the observation so "predicted vs actual"
-      // compares the model against data it has not yet absorbed.
-      total_stats.predicted_ns +=
-          planner->predicted_ns(exec::StrategyKind::kTrajectory, sctx.width,
-                                sctx.ops) *
-          jobs_d;
-      total_stats.actual_ns += ns;
-      planner->observe(exec::StrategyKind::kTrajectory, sctx.width, sctx.ops,
-                       ns / jobs_d);
-    }
+    total_stats.strategy_jobs.trajectory += ajobs.size();
+    total_stats.actual_ns += std::chrono::duration<double, std::nano>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
 
     for (std::size_t k = 0; k < chosen.size(); ++k) {
       const std::size_t op_index = chosen[k];
@@ -387,13 +369,11 @@ double CharterAnalyzer::input_impact(const CompiledProgram& program,
   // only shapes the prepared RunOptions.
   exec::StrategyContext sctx;
   sctx.width = static_cast<int>(backend::used_qubits(program).size());
-  sctx.ops = program.physical.size();
   sctx.jobs = 2;
   sctx.run = options_.run;
-  sctx.duration_ns = backend_.duration_ns(program);
   sctx.lowering = backend_.supports_lowering();
-  const exec::StrategyPlanner::Decision decision = exec::plan_family(
-      options_.exec.planner, options_.strategy, options_.budget, sctx);
+  const exec::Decision decision =
+      exec::plan_family(options_.strategy, options_.budget, sctx);
 
   backend::RunOptions orig_run = decision.run;
   orig_run.seed = derive_seed(options_.run.seed, 0);

@@ -64,11 +64,9 @@ struct CharterOptions {
   exec::BatchOptions exec;
   /// Execution strategy for the sweep (exec/strategy.hpp).  A fixed kind
   /// (kDmExact, kDmFused, kDmFusedWide, kTrajectory) overrides run.engine /
-  /// run.opt for every circuit; kAuto (the default) lets the planner in
-  /// exec.planner choose per job family from its cost model — with no
-  /// planner attached, kAuto is exactly the historical fixed-rule behavior.
-  /// The decision is made once per analyze() call, from the planner's model
-  /// state at entry, so every chunk of one sweep runs the same strategy.
+  /// run.opt for every circuit; kAuto (the default) keeps the path run
+  /// resolves to (exec::plan_family).  The decision is made once per
+  /// analyze() call, so every chunk of one sweep runs the same strategy.
   exec::StrategyKind strategy = exec::StrategyKind::kAuto;
   /// Trajectory budget policy.  kFixedBudget (default): every trajectory
   /// run uses its full RunOptions::trajectories budget — the mode the

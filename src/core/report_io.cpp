@@ -15,10 +15,12 @@ namespace {
 // v2: exec gains the cache-tier split (cache_memory_hits/cache_disk_hits)
 // introduced with the two-tier RunCache.
 // v3: exec gains the strategy portfolio's accounting — the per-strategy
-// job classification (strategy_jobs), the cost model's predicted vs
-// measured nanoseconds, and adaptive early-termination savings
+// job classification (strategy_jobs), model-predicted vs measured
+// nanoseconds, and adaptive early-termination savings
 // (trajectories_budgeted/executed, gates_settled_early).
-constexpr int kSchemaVersion = 3;
+// v4: exec drops the model-predicted nanoseconds along with the model;
+// strategy_jobs and actual_ns are filled on every run.
+constexpr int kSchemaVersion = 4;
 
 void append_double(std::string& out, double v) {
   char buf[40];
@@ -165,9 +167,7 @@ std::string report_to_json(const CharterReport& report,
          std::to_string(exec_stats.strategy_jobs.trajectory);
   out += ",\"checkpoint_splice\":" +
          std::to_string(exec_stats.strategy_jobs.checkpoint_splice);
-  out += "},\"predicted_ns\":";
-  append_double(out, exec_stats.predicted_ns);
-  out += ",\"actual_ns\":";
+  out += "},\"actual_ns\":";
   append_double(out, exec_stats.actual_ns);
   out += ",\"trajectories_budgeted\":" +
          std::to_string(exec_stats.trajectories_budgeted);
@@ -287,10 +287,6 @@ GoldenReport report_from_json(const std::string& json) {
           "golden report: missing checkpoint_splice");
   out.exec.strategy_jobs.checkpoint_splice = p.size();
   p.expect('}');
-  p.expect(',');
-  require(p.key() == "predicted_ns",
-          "golden report: missing exec.predicted_ns");
-  out.exec.predicted_ns = p.number();
   p.expect(',');
   require(p.key() == "actual_ns", "golden report: missing exec.actual_ns");
   out.exec.actual_ns = p.number();

@@ -61,16 +61,6 @@ std::pair<noise::OptLevel, int> tape_key(const backend::RunOptions& run) {
                        : 0};
 }
 
-/// The full-DM-walk strategy a tape level classifies as.
-StrategyKind dm_kind(noise::OptLevel opt) {
-  switch (opt) {
-    case noise::OptLevel::kFused: return StrategyKind::kDmFused;
-    case noise::OptLevel::kFusedWide: return StrategyKind::kDmFusedWide;
-    case noise::OptLevel::kExact: break;
-  }
-  return StrategyKind::kDmExact;
-}
-
 void count_strategy(BatchRunner::Stats::StrategyCount& counts,
                     StrategyKind kind, std::size_t n) {
   switch (kind) {
@@ -238,14 +228,24 @@ std::vector<std::vector<double>> BatchRunner::run(
   std::atomic<std::size_t> mp_failures{0};  // worker deaths detected
   std::atomic<std::size_t> mp_retried{0};   // units retried in-process
 
-  // Driver harness for the multi-process routes: one driver thread per
-  // worker child, claiming unit indices from a shared counter — the
-  // multi-process analogue of pool().run.  Results still land by
-  // submission index, so claim order never reaches the numbers.  The
-  // first driver exception wins and is rethrown after the join.
-  const auto run_drivers =
+  // Runs body(u, w, wp) for every unit u in [0, num_units).  In-process,
+  // units are pool tasks (w = pool worker, wp = nullptr).  In
+  // multi-process mode there is one driver thread per worker child,
+  // claiming unit indices from a shared counter (w = child index, wp =
+  // that child); the first driver exception wins and is rethrown after the
+  // join.  Results land by submission index either way, so claim order
+  // never reaches the numbers.
+  const auto run_units =
       [&](std::size_t num_units,
-          const std::function<void(std::size_t, int, WorkerProcess&)>& body) {
+          const std::function<void(std::size_t, int, WorkerProcess*)>& body) {
+        if (options_.workers == 0) {
+          pool().run(static_cast<std::int64_t>(num_units),
+                     [&](std::int64_t u, int worker) {
+                       body(static_cast<std::size_t>(u), worker, nullptr);
+                     },
+                     cancel);
+          return;
+        }
         WorkerSet& ws = worker_set();
         std::atomic<std::size_t> next{0};
         std::mutex err_mu;
@@ -261,7 +261,7 @@ std::vector<std::vector<double>> BatchRunner::run(
                 const std::size_t u =
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (u >= num_units) return;
-                body(u, w, wp);
+                body(u, w, &wp);
               }
             } catch (...) {
               const std::lock_guard<std::mutex> lock(err_mu);
@@ -273,11 +273,20 @@ std::vector<std::vector<double>> BatchRunner::run(
         if (first_error) std::rethrow_exception(first_error);
       };
 
-  // Bookkeeping one worker attempt: nullopt means the unit must be redone
-  // in-process; a flipped alive() additionally means the child died.
-  const auto note_worker_miss = [&](const WorkerProcess& wp) {
-    mp_retried.fetch_add(1, std::memory_order_relaxed);
-    if (!wp.alive()) mp_failures.fetch_add(1, std::memory_order_relaxed);
+  // One unit on a worker child: nullopt — the caller redoes the unit
+  // in-process — when there is no live child or the attempt failed (a
+  // flipped alive() additionally means the child died).
+  const auto offload = [&](WorkerProcess* wp, const auto& send)
+      -> std::optional<std::vector<double>> {
+    if (wp == nullptr || !wp->alive()) return std::nullopt;
+    std::optional<std::vector<double>> r = send(*wp);
+    if (r) {
+      mp_units.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      mp_retried.fetch_add(1, std::memory_order_relaxed);
+      if (!wp->alive()) mp_failures.fetch_add(1, std::memory_order_relaxed);
+    }
+    return r;
   };
 
   // Cancellation policy: workers stop claiming tasks once the flag is set
@@ -292,10 +301,8 @@ std::vector<std::vector<double>> BatchRunner::run(
   };
   throw_if_cancelled();
 
-  // Route timing for the cost model: coordinator-side steady_clock spans
-  // around each route, attributed evenly across the route's jobs.  Never
-  // touches the numerics; only collected when a planner is listening.
-  StrategyPlanner* const planner = options_.planner;
+  // Route timing for Stats::actual_ns: coordinator-side steady_clock spans
+  // around each route.  Never touches the numerics.
   const auto route_ns = [](std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double, std::nano>(
                std::chrono::steady_clock::now() - t0)
@@ -336,173 +343,110 @@ std::vector<std::vector<double>> BatchRunner::run(
     const std::vector<Shard> shards = make_shards(
         dm_idx, segments, default_max_shard_jobs(dm_idx.size(), fanout));
 
-    if (options_.workers > 0) {
-      // Multi-process dispatch: each driver claims whole shards, ships the
-      // prepared (spliced + optimized) tape and its snapshot to its worker
-      // child as serialized blobs, and reads back raw probability doubles.
-      // The child interprets exactly the bytes an in-process run_shared
-      // would interpret, so the results are bit-identical at any worker
-      // count.  A dead worker's unit is redone here from the same
-      // PreparedResume — never by calling run_shared again, which would
-      // double-count the plan's resumed/replayed stats.
-      WorkerEngines engines(options_.workers);
-      // Consecutive jobs in a shard resume from the same snapshot; cache
-      // its serialization per driver.
-      struct SnapCache {
-        const std::vector<math::cplx>* key = nullptr;
-        std::vector<std::uint8_t> bytes;
-      };
-      std::vector<SnapCache> snap_cache(
-          static_cast<std::size_t>(options_.workers));
-      std::once_flag base_tape_once;
-      std::vector<std::uint8_t> base_tape_bytes;
-      const auto base_fused_tape = [&]() -> const std::vector<std::uint8_t>& {
-        std::call_once(base_tape_once, [&] {
-          base_tape_bytes = noise::serialize_tape(executor.lower(lowered.local));
-        });
-        return base_tape_bytes;
-      };
-
-      run_drivers(shards.size(), [&](std::size_t s, int w, WorkerProcess& wp) {
-        for (const std::size_t i : shards[s].jobs) {
-          // One shard holds many jobs; honor cancellation between them.
-          if (cancelled()) return;
-          const AnalysisJob& job = jobs[i];
-          std::vector<double> probs;
-          if (job.program == base && opt == noise::OptLevel::kExact) {
-            // The exact sweep already ran the base to completion.
-            probs = plan.base_probabilities();
-          } else if (job.program == base) {
-            // Fused base: one full fused execution (executor.run ==
-            // lower().execute(), so the shipped tape matches it exactly).
-            std::optional<std::vector<double>> r;
-            if (wp.alive()) {
-              r = wp.run_tape(base_fused_tape(), 0, {});
-              if (r) mp_units.fetch_add(1, std::memory_order_relaxed);
-              else note_worker_miss(wp);
-            }
-            if (r) {
-              probs = std::move(*r);
-            } else {
-              sim::DensityMatrixEngine& engine =
-                  engines.get(w, lowered.local.num_qubits());
-              executor.run(lowered.local, engine);
-              probs = engine.probabilities();
-            }
-          } else {
-            const circ::Circuit derived =
-                backend::compact_to(job.program->physical, lowered.kept);
-            std::optional<CheckpointPlan::PreparedResume> prep =
-                plan.prepare_shared(derived, job.shared_prefix);
-            if (!prep) {
-              // Unprovable prefix: cold run, in-process (same as the
-              // run_shared fallback; prepare_shared bumped the stat).
-              sim::DensityMatrixEngine& engine =
-                  engines.get(w, lowered.local.num_qubits());
-              executor.run(derived, engine);
-              probs = engine.probabilities();
-            } else {
-              std::optional<std::vector<double>> r;
-              if (wp.alive()) {
-                SnapCache& sc = snap_cache[static_cast<std::size_t>(w)];
-                if (sc.key != prep->snapshot) {
-                  sc.bytes = sim::serialize_snapshot(
-                      lowered.local.num_qubits(), *prep->snapshot);
-                  sc.key = prep->snapshot;
-                }
-                r = wp.run_tape(noise::serialize_tape(prep->tape),
-                                prep->resume_pos, sc.bytes);
-                if (r) mp_units.fetch_add(1, std::memory_order_relaxed);
-                else note_worker_miss(wp);
-              }
-              if (r) {
-                probs = std::move(*r);
-              } else {
-                sim::DensityMatrixEngine& engine =
-                    engines.get(w, lowered.local.num_qubits());
-                engine.load_state(*prep->snapshot);
-                prep->tape.run(engine, prep->resume_pos, prep->tape.size());
-                probs = engine.probabilities();
-              }
-            }
-          }
-          results[i] = backend_.finalize(std::move(probs), lowered,
-                                         *job.program, job.run);
-          notify_done(i);
-        }
+    // One shard loop for both modes.  Every non-base job goes through
+    // prepare_shared; the prepared (spliced + optimized) tape then runs on
+    // the shard's worker child when one is alive — shipped with its
+    // snapshot as serialized blobs, read back as raw probability doubles —
+    // and locally otherwise.  The child interprets exactly the bytes a
+    // local run interprets, so the results are bit-identical at any worker
+    // count.  A dead worker's unit is redone here from the same
+    // PreparedResume, never by preparing again, which would double-count
+    // the plan's resumed/replayed stats.
+    WorkerEngines engines(fanout);
+    // Consecutive jobs in a shard resume from the same snapshot; cache its
+    // serialization per driver.
+    struct SnapCache {
+      const std::vector<math::cplx>* key = nullptr;
+      std::vector<std::uint8_t> bytes;
+    };
+    std::vector<SnapCache> snap_cache(static_cast<std::size_t>(fanout));
+    std::once_flag base_tape_once;
+    std::vector<std::uint8_t> base_tape_bytes;
+    const auto base_fused_tape = [&]() -> const std::vector<std::uint8_t>& {
+      std::call_once(base_tape_once, [&] {
+        base_tape_bytes = noise::serialize_tape(executor.lower(lowered.local));
       });
-    } else {
-      WorkerEngines engines(pool().num_workers());
-      pool().run(static_cast<std::int64_t>(shards.size()),
-               [&](std::int64_t s, int worker) {
-                 for (const std::size_t i :
-                      shards[static_cast<std::size_t>(s)].jobs) {
-                   // One shard holds many jobs; honor cancellation between
-                   // them, not just between shards.
-                   if (cancelled()) return;
-                   const AnalysisJob& job = jobs[i];
-                   std::vector<double> probs;
-                   if (job.program == base &&
-                       opt == noise::OptLevel::kExact) {
-                     // The exact sweep already ran the base to completion.
-                     probs = plan.base_probabilities();
-                   } else {
-                     sim::DensityMatrixEngine& engine =
-                         engines.get(worker, lowered.local.num_qubits());
-                     if (job.program == base) {
-                       // Fused mode: run the base as one full fused execution
-                       // so its distribution matches a standalone fused run
-                       // exactly (the checkpoint sweep is exact by design).
-                       executor.run(lowered.local, engine);
-                       probs = engine.probabilities();
-                     } else {
-                       probs = plan.run_shared(
-                           backend::compact_to(job.program->physical,
-                                               lowered.kept),
-                           job.shared_prefix, engine);
-                     }
-                   }
-                   results[i] = backend_.finalize(std::move(probs), lowered,
-                                                  *job.program, job.run);
-                   notify_done(i);
-                 }
-               }, cancel);
-    }
+      return base_tape_bytes;
+    };
+
+    const auto run_shard = [&](std::size_t s, int w, WorkerProcess* wp) {
+      for (const std::size_t i : shards[s].jobs) {
+        // One shard holds many jobs; honor cancellation between them.
+        if (cancelled()) return;
+        const AnalysisJob& job = jobs[i];
+        std::vector<double> probs;
+        if (job.program == base && opt == noise::OptLevel::kExact) {
+          // The exact sweep already ran the base to completion.
+          probs = plan.base_probabilities();
+        } else if (job.program == base) {
+          // Fused base: one full fused execution, so its distribution
+          // matches a standalone fused run exactly (executor.run ==
+          // lower().execute(), so the shipped tape matches it too).
+          std::optional<std::vector<double>> r =
+              offload(wp, [&](WorkerProcess& p) {
+                return p.run_tape(base_fused_tape(), 0, {});
+              });
+          if (r) {
+            probs = std::move(*r);
+          } else {
+            sim::DensityMatrixEngine& engine =
+                engines.get(w, lowered.local.num_qubits());
+            executor.run(lowered.local, engine);
+            probs = engine.probabilities();
+          }
+        } else {
+          const circ::Circuit derived =
+              backend::compact_to(job.program->physical, lowered.kept);
+          std::optional<CheckpointPlan::PreparedResume> prep =
+              plan.prepare_shared(derived, job.shared_prefix);
+          std::optional<std::vector<double>> r;
+          if (prep) {
+            r = offload(wp, [&](WorkerProcess& p) {
+              SnapCache& sc = snap_cache[static_cast<std::size_t>(w)];
+              if (sc.key != prep->snapshot) {
+                sc.bytes = sim::serialize_snapshot(lowered.local.num_qubits(),
+                                                   *prep->snapshot);
+                sc.key = prep->snapshot;
+              }
+              return p.run_tape(noise::serialize_tape(prep->tape),
+                                prep->resume_pos, sc.bytes);
+            });
+          }
+          if (r) {
+            probs = std::move(*r);
+          } else {
+            sim::DensityMatrixEngine& engine =
+                engines.get(w, lowered.local.num_qubits());
+            if (prep) {
+              engine.load_state(*prep->snapshot);
+              prep->tape.run(engine, prep->resume_pos, prep->tape.size());
+            } else {
+              // Unprovable prefix: cold run (prepare_shared bumped the
+              // fallback stat).
+              executor.run(derived, engine);
+            }
+            probs = engine.probabilities();
+          }
+        }
+        results[i] = backend_.finalize(std::move(probs), lowered,
+                                       *job.program, job.run);
+        notify_done(i);
+      }
+    };
+    run_units(shards.size(), run_shard);
     throw_if_cancelled();
     stats_.checkpoint_fallbacks += plan.stats().fallbacks;
     stats_.checkpointed = dm_idx.size() - plan.stats().fallbacks;
 
-    if (planner != nullptr) {
-      const double ns = route_ns(dm_t0);
-      stats_.actual_ns += ns;
-      const double per_job = ns / static_cast<double>(dm_idx.size());
-      const std::size_t ops = base->physical.size();
-      // Non-base jobs resume from shared prefix snapshots (splice); base
-      // jobs are full DM walks at the shared tape level.
-      std::size_t splice_jobs = 0;
-      for (const std::size_t i : dm_idx)
-        splice_jobs += (jobs[i].program != base);
-      const std::size_t full_jobs = dm_idx.size() - splice_jobs;
-      // Predictions are read before this run's observation lands, so
-      // predicted_ns vs actual_ns compares the model against fresh data.
-      if (splice_jobs > 0) {
-        count_strategy(stats_.strategy_jobs, StrategyKind::kCheckpointSplice,
-                       splice_jobs);
-        stats_.predicted_ns +=
-            static_cast<double>(splice_jobs) *
-            planner->predicted_ns(StrategyKind::kCheckpointSplice, base_width,
-                                  ops);
-        planner->observe(StrategyKind::kCheckpointSplice, base_width, ops,
-                         per_job);
-      }
-      if (full_jobs > 0) {
-        count_strategy(stats_.strategy_jobs, dm_kind(opt), full_jobs);
-        stats_.predicted_ns +=
-            static_cast<double>(full_jobs) *
-            planner->predicted_ns(dm_kind(opt), base_width, ops);
-        planner->observe(dm_kind(opt), base_width, ops, per_job);
-      }
-    }
+    stats_.actual_ns += route_ns(dm_t0);
+    // Non-base jobs resume from shared prefix snapshots (splice); base jobs
+    // are full DM walks at the shared tape level.
+    for (const std::size_t i : dm_idx)
+      count_strategy(stats_.strategy_jobs,
+                     jobs[i].program != base
+                         ? StrategyKind::kCheckpointSplice
+                         : classify_run(jobs[i].run, base_width),
+                     1);
   }
 
   if (!traj_idx.empty()) {
@@ -546,18 +490,9 @@ std::vector<std::vector<double>> BatchRunner::run(
     stats_.checkpoint_fallbacks += plan.stats().fallbacks;
     stats_.trajectory_checkpointed = traj_idx.size() - plan.stats().fallbacks;
 
-    if (planner != nullptr) {
-      const double ns = route_ns(traj_t0);
-      stats_.actual_ns += ns;
-      const std::size_t ops = base->physical.size();
-      count_strategy(stats_.strategy_jobs, StrategyKind::kTrajectory,
-                     traj_idx.size());
-      stats_.predicted_ns +=
-          static_cast<double>(traj_idx.size()) *
-          planner->predicted_ns(StrategyKind::kTrajectory, base_width, ops);
-      planner->observe(StrategyKind::kTrajectory, base_width, ops,
-                       ns / static_cast<double>(traj_idx.size()));
-    }
+    stats_.actual_ns += route_ns(traj_t0);
+    count_strategy(stats_.strategy_jobs, StrategyKind::kTrajectory,
+                   traj_idx.size());
   }
 
   if (!plain_idx.empty()) {
@@ -625,60 +560,36 @@ std::vector<std::vector<double>> BatchRunner::run(
       for (std::size_t k = 0; k < traj_plain.size(); ++k)
         for (std::size_t g = 0; g < runs[k].partial.size(); ++g)
           units.emplace_back(k, static_cast<int>(g));
-      if (options_.workers > 0) {
-        // Multi-process: ship each job's lowered tape (serialized once)
-        // with a (begin, end, seed) assignment; the child re-runs
-        // run_trajectory_group with an identically seeded Rng, so the
-        // partial sums carry the exact bits an in-process group produces.
-        std::vector<std::vector<std::uint8_t>> tapes(traj_plain.size());
+      // Multi-process mode ships each job's lowered tape (serialized once)
+      // with a (begin, end, seed) assignment; the child re-runs
+      // run_trajectory_group with an identically seeded Rng, so the partial
+      // sums carry the exact bits an in-process group produces.
+      std::vector<std::vector<std::uint8_t>> tapes(traj_plain.size());
+      if (options_.workers > 0)
         for (std::size_t k = 0; k < traj_plain.size(); ++k)
           tapes[k] = noise::serialize_tape(runs[k].tape);
-        run_drivers(units.size(),
-                    [&](std::size_t u, int /*w*/, WorkerProcess& wp) {
-          const auto [k, g] = units[u];
-          const std::size_t i = traj_plain[k];
-          TrajRun& r = runs[k];
-          const int total = jobs[i].run.trajectories;
-          const int begin = g * sim::kTrajectoryGroupSize;
-          const int end = std::min(begin + sim::kTrajectoryGroupSize, total);
-          const std::uint64_t seed =
-              jobs[i].run.seed ^ backend::kTrajectorySeedSalt;
-          std::optional<std::vector<double>> res;
-          if (wp.alive()) {
-            res = wp.run_trajectory_group(tapes[k], begin, end, seed);
-            if (res) mp_units.fetch_add(1, std::memory_order_relaxed);
-            else note_worker_miss(wp);
-          }
-          if (res) {
-            r.partial[static_cast<std::size_t>(g)] = std::move(*res);
-          } else {
-            const util::Rng seeder(seed);
-            r.partial[static_cast<std::size_t>(g)] =
-                sim::run_trajectory_group(
-                    r.lowered->local.num_qubits(), begin, end, seeder,
-                    [&](sim::NoisyEngine& engine) { r.tape.execute(engine); });
-          }
-        });
-      } else {
-        pool().run(static_cast<std::int64_t>(units.size()),
-                 [&](std::int64_t u, int /*worker*/) {
-                   const auto [k, g] = units[static_cast<std::size_t>(u)];
-                   const std::size_t i = traj_plain[k];
-                   TrajRun& r = runs[k];
-                   const int total = jobs[i].run.trajectories;
-                   const int begin = g * sim::kTrajectoryGroupSize;
-                   const int end =
-                       std::min(begin + sim::kTrajectoryGroupSize, total);
-                   const util::Rng seeder(jobs[i].run.seed ^
-                                          backend::kTrajectorySeedSalt);
-                   r.partial[static_cast<std::size_t>(g)] =
-                       sim::run_trajectory_group(
-                           r.lowered->local.num_qubits(), begin, end, seeder,
-                           [&](sim::NoisyEngine& engine) {
-                             r.tape.execute(engine);
-                           });
-                 }, cancel);
-      }
+      run_units(units.size(), [&](std::size_t u, int /*w*/,
+                                  WorkerProcess* wp) {
+        const auto [k, g] = units[u];
+        const std::size_t i = traj_plain[k];
+        TrajRun& r = runs[k];
+        const int begin = g * sim::kTrajectoryGroupSize;
+        const int end = std::min(begin + sim::kTrajectoryGroupSize,
+                                 jobs[i].run.trajectories);
+        const std::uint64_t seed =
+            jobs[i].run.seed ^ backend::kTrajectorySeedSalt;
+        std::optional<std::vector<double>> res =
+            offload(wp, [&](WorkerProcess& p) {
+              return p.run_trajectory_group(tapes[k], begin, end, seed);
+            });
+        r.partial[static_cast<std::size_t>(g)] =
+            res ? std::move(*res)
+                : sim::run_trajectory_group(
+                      r.lowered->local.num_qubits(), begin, end,
+                      util::Rng(seed), [&](sim::NoisyEngine& engine) {
+                        r.tape.execute(engine);
+                      });
+      });
       throw_if_cancelled();
       // Phase 3: fold in group order and finalize (one task per job).
       pool().run(static_cast<std::int64_t>(traj_plain.size()),
@@ -698,27 +609,15 @@ std::vector<std::vector<double>> BatchRunner::run(
     }
     stats_.full_runs = plain_idx.size();
 
-    if (planner != nullptr) {
-      const double ns = route_ns(plain_t0);
-      stats_.actual_ns += ns;
-      const double per_job = ns / static_cast<double>(plain_idx.size());
-      // Plain jobs are heterogeneous (that is why they are plain), so each
-      // is classified on its own width/ops.  Predictions are read for every
-      // job first; observations land afterwards.
-      std::vector<std::tuple<StrategyKind, int, std::size_t>> shapes;
-      shapes.reserve(plain_idx.size());
-      for (const std::size_t i : plain_idx) {
-        const int width = static_cast<int>(
-            backend::used_qubits(*jobs[i].program).size());
-        const std::size_t ops = jobs[i].program->physical.size();
-        const StrategyKind kind = classify_run(jobs[i].run, width, lowering);
-        count_strategy(stats_.strategy_jobs, kind, 1);
-        stats_.predicted_ns += planner->predicted_ns(kind, width, ops);
-        shapes.emplace_back(kind, width, ops);
-      }
-      for (const auto& [kind, width, ops] : shapes)
-        planner->observe(kind, width, ops, per_job);
-    }
+    stats_.actual_ns += route_ns(plain_t0);
+    // Plain jobs are heterogeneous (that is why they are plain), so each is
+    // classified on its own width.
+    for (const std::size_t i : plain_idx)
+      count_strategy(
+          stats_.strategy_jobs,
+          classify_run(jobs[i].run, static_cast<int>(backend::used_qubits(
+                                        *jobs[i].program).size())),
+          1);
   }
   throw_if_cancelled();
   stats_.worker_jobs = mp_units.load();

@@ -100,16 +100,6 @@ struct BatchOptions {
   /// CLI and charterd pass /proc/self/exe.  Empty: plain fork of the
   /// current image (the library/test path — no binary needed).
   std::string worker_exe;
-  /// Cost-model feedback target (non-owning; may be shared across runners
-  /// and threads — StrategyPlanner is internally synchronized).  When set,
-  /// every run() classifies its executed jobs by strategy, reports the
-  /// planner's cost predictions in Stats, and feeds measured per-job
-  /// wall-clock back via StrategyPlanner::observe.  The planner never
-  /// changes *what* a run() executes — strategy selection happens upstream
-  /// (the analyzer plans per job family before building its jobs), so
-  /// BatchRunner's bit-identity contract is untouched.  nullptr: no
-  /// classification feedback, predicted_ns stays 0.
-  StrategyPlanner* planner = nullptr;
 };
 
 /// Observation and cancellation hooks for one BatchRunner::run call.
@@ -177,9 +167,7 @@ class BatchRunner {
     /// How the executed (non-cache-hit) jobs were classified across the
     /// strategy portfolio (exec/strategy.hpp).  checkpoint_splice counts
     /// DM jobs resumed from a shared prefix snapshot; the dm_* counters
-    /// cover full DM walks at each tape level.  Only populated when
-    /// BatchOptions::planner is set — classification exists to feed and
-    /// audit the cost model.
+    /// cover full DM walks at each tape level.
     struct StrategyCount {
       std::size_t dm_exact = 0;
       std::size_t dm_fused = 0;
@@ -188,13 +176,10 @@ class BatchRunner {
       std::size_t checkpoint_splice = 0;
     };
     StrategyCount strategy_jobs;
-    /// Cost-model accounting (0 without a planner): the planner's summed
-    /// pre-run per-job predictions for the executed jobs, and the summed
-    /// measured wall-clock attributed to them.  Timing is taken on the
-    /// coordinating thread around each route — it never touches the
-    /// numerics — and is inherently machine-dependent: compare the two
-    /// against each other, never across fixtures.
-    double predicted_ns = 0.0;
+    /// Summed wall-clock of the executed (non-cache-hit) routes.  Timing is
+    /// taken on the coordinating thread around each route — it never
+    /// touches the numerics — and is inherently machine-dependent, so it is
+    /// excluded from fixture and bit-identity comparisons.
     double actual_ns = 0.0;
     /// Adaptive early-termination accounting.  BatchRunner itself always
     /// runs fixed budgets; the analyzer merges these in from

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "exec/batch.hpp"
 #include "noise/executor.hpp"
-#include "service/json.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/trajectory.hpp"
 #include "stats/stats.hpp"
@@ -21,8 +16,6 @@
 #include "util/rng.hpp"
 
 namespace charter::exec {
-
-namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
 // Names
@@ -56,137 +49,56 @@ const char* budget_mode_name(BudgetMode mode) {
 }
 
 // ---------------------------------------------------------------------------
-// Concrete strategies
+// Paths and the static rule
 // ---------------------------------------------------------------------------
-
-void Strategy::fingerprint(backend::FingerprintSink& sink) const {
-  sink.mix_string(name());
-  sink.mix(static_cast<std::uint64_t>(kind()));
-}
 
 namespace {
 
-/// Static cost priors share one scale (arbitrary ns-like units): a DM step
-/// touches 4^w density-matrix entries, a trajectory step 2^w amplitudes per
-/// unravelling.  Only the *ordering* matters — priors break ties before the
-/// cost model has measurements, and are never compared against measured ns.
-double dm_prior(const StrategyContext& ctx) {
-  return static_cast<double>(ctx.ops) * std::pow(4.0, ctx.width);
-}
-
-double trajectory_prior(const StrategyContext& ctx) {
-  return static_cast<double>(ctx.ops) *
-         static_cast<double>(std::max(1, ctx.run.trajectories)) *
-         std::pow(2.0, ctx.width);
-}
-
-bool dm_fits(const StrategyContext& ctx) {
+/// Whether \p kind can execute the family at all.
+bool applicable(StrategyKind kind, const StrategyContext& ctx) {
+  switch (kind) {
+    case StrategyKind::kTrajectory: return true;
+    case StrategyKind::kCheckpointSplice:
+      // Splicing needs the lower/finalize decomposition and >1 job sharing
+      // a prefix; a lone job has nothing to splice against.
+      if (!ctx.lowering || ctx.jobs <= 1) return false;
+      break;
+    default: break;
+  }
   return ctx.width <= sim::DensityMatrixEngine::kMaxQubits;
 }
 
-class DmExactStrategy final : public Strategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::kDmExact; }
-  bool applicable(const StrategyContext& ctx) const override {
-    return dm_fits(ctx);
-  }
-  double prior_cost_ns(const StrategyContext& ctx) const override {
-    return dm_prior(ctx);
-  }
-  void prepare(backend::RunOptions& run) const override {
-    run.engine = backend::EngineKind::kDensityMatrix;
-    run.opt = noise::OptLevel::kExact;
-  }
-};
-
-class DmFusedStrategy final : public Strategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::kDmFused; }
-  bool applicable(const StrategyContext& ctx) const override {
-    return dm_fits(ctx);
-  }
-  double prior_cost_ns(const StrategyContext& ctx) const override {
-    // Fusion shortens the tape; the fraction is a prior, measurements win.
-    return 0.7 * dm_prior(ctx);
-  }
-  void prepare(backend::RunOptions& run) const override {
-    run.engine = backend::EngineKind::kDensityMatrix;
-    run.opt = noise::OptLevel::kFused;
-  }
-};
-
-class DmFusedWideStrategy final : public Strategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::kDmFusedWide; }
-  bool applicable(const StrategyContext& ctx) const override {
-    return dm_fits(ctx);
-  }
-  double prior_cost_ns(const StrategyContext& ctx) const override {
-    return 0.55 * dm_prior(ctx);
-  }
-  void prepare(backend::RunOptions& run) const override {
-    run.engine = backend::EngineKind::kDensityMatrix;
-    run.opt = noise::OptLevel::kFusedWide;
-  }
-};
-
-class TrajectoryStrategy final : public Strategy {
- public:
-  StrategyKind kind() const override { return StrategyKind::kTrajectory; }
-  bool applicable(const StrategyContext&) const override { return true; }
-  double prior_cost_ns(const StrategyContext& ctx) const override {
-    return trajectory_prior(ctx);
-  }
-  void prepare(backend::RunOptions& run) const override {
-    run.engine = backend::EngineKind::kTrajectory;
-    // Trajectory runs downgrade kFused (fusing reorders the stochastic
-    // draws); kFusedWide's barrier discipline preserves the draw sequence.
-    if (run.opt == noise::OptLevel::kFused) run.opt = noise::OptLevel::kExact;
-  }
-};
-
-class CheckpointSpliceStrategy final : public Strategy {
- public:
-  StrategyKind kind() const override {
-    return StrategyKind::kCheckpointSplice;
-  }
-  bool applicable(const StrategyContext& ctx) const override {
-    // Splicing needs the lower/finalize decomposition and >1 job sharing a
-    // prefix; a lone job has nothing to splice against.
-    return dm_fits(ctx) && ctx.lowering && ctx.jobs > 1;
-  }
-  double prior_cost_ns(const StrategyContext& ctx) const override {
-    // Resumes from mid-tape snapshots: roughly half a full DM walk per job.
-    return 0.5 * dm_prior(ctx);
-  }
-  void prepare(backend::RunOptions& run) const override {
-    run.engine = backend::EngineKind::kDensityMatrix;
-    run.opt = noise::OptLevel::kExact;
-  }
-};
-
 }  // namespace
 
-const Strategy& strategy(StrategyKind kind) {
-  static const DmExactStrategy dm_exact;
-  static const DmFusedStrategy dm_fused;
-  static const DmFusedWideStrategy dm_fused_wide;
-  static const TrajectoryStrategy trajectory;
-  static const CheckpointSpliceStrategy splice;
-  switch (kind) {
-    case StrategyKind::kDmExact: return dm_exact;
-    case StrategyKind::kDmFused: return dm_fused;
-    case StrategyKind::kDmFusedWide: return dm_fused_wide;
-    case StrategyKind::kTrajectory: return trajectory;
-    case StrategyKind::kCheckpointSplice: return splice;
-    case StrategyKind::kAuto: break;
+void Strategy::prepare(backend::RunOptions& run) const {
+  switch (kind_) {
+    case StrategyKind::kTrajectory:
+      run.engine = backend::EngineKind::kTrajectory;
+      // Trajectory runs downgrade kFused (fusing reorders the stochastic
+      // draws); kFusedWide's barrier discipline preserves the draw sequence.
+      if (run.opt == noise::OptLevel::kFused) run.opt = noise::OptLevel::kExact;
+      return;
+    case StrategyKind::kDmFused:
+      run.opt = noise::OptLevel::kFused;
+      break;
+    case StrategyKind::kDmFusedWide:
+      run.opt = noise::OptLevel::kFusedWide;
+      break;
+    default:  // kDmExact, kCheckpointSplice
+      run.opt = noise::OptLevel::kExact;
+      break;
   }
-  throw InvalidArgument(
-      "strategy(): kAuto is a planner directive, not an execution path");
+  run.engine = backend::EngineKind::kDensityMatrix;
 }
 
-StrategyKind classify_run(const backend::RunOptions& run, int width,
-                          bool /*lowering*/) {
+Strategy strategy(StrategyKind kind) {
+  if (kind == StrategyKind::kAuto)
+    throw InvalidArgument(
+        "strategy(): kAuto is a planning directive, not an execution path");
+  return Strategy(kind);
+}
+
+StrategyKind classify_run(const backend::RunOptions& run, int width) {
   if (backend::resolve_engine(run, width) == backend::EngineKind::kTrajectory)
     return StrategyKind::kTrajectory;
   switch (run.opt) {
@@ -197,303 +109,19 @@ StrategyKind classify_run(const backend::RunOptions& run, int width,
   return StrategyKind::kDmExact;
 }
 
-// ---------------------------------------------------------------------------
-// CostModel
-// ---------------------------------------------------------------------------
-
-int CostModel::qubit_bucket(int width) {
-  if (width <= 8) return std::max(0, width);
-  return 8 + (width - 7) / 2;  // 9-10 -> 9, 11-12 -> 10, ...
-}
-
-int CostModel::tape_bucket(std::size_t ops) {
-  int b = 0;
-  while (ops > 1) {
-    ops >>= 1;
-    ++b;
-  }
-  return b;
-}
-
-void CostModel::observe(StrategyKind kind, int width, std::size_t ops,
-                        double ns) {
-  if (!(std::isfinite(ns)) || ns < 0.0) return;  // never poison the model
-  Cell& cell = cells_[Key{static_cast<std::uint8_t>(kind),
-                          qubit_bucket(width), tape_bucket(ops)}];
-  cell.ewma_ns =
-      cell.count == 0 ? ns : cell.ewma_ns + kAlpha * (ns - cell.ewma_ns);
-  ++cell.count;
-  ++observations_;
-}
-
-std::optional<double> CostModel::predict(StrategyKind kind, int width,
-                                         std::size_t ops) const {
-  const auto it = cells_.find(Key{static_cast<std::uint8_t>(kind),
-                                  qubit_bucket(width), tape_bucket(ops)});
-  if (it == cells_.end() || it->second.count == 0) return std::nullopt;
-  return it->second.ewma_ns;
-}
-
-namespace {
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-[[noreturn]] void profile_error(const std::string& what) {
-  throw InvalidArgument("cost profile: " + what);
-}
-
-/// Extracts a non-negative integral number field or rejects the profile.
-std::int64_t profile_int(const service::JsonValue& obj, const char* key,
-                         std::int64_t max) {
-  const service::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number())
-    profile_error(std::string("cell field '") + key +
-                  "' missing or not a number");
-  const double d = v->number;
-  if (!(d >= 0.0) || d > static_cast<double>(max) || d != std::floor(d))
-    profile_error(std::string("cell field '") + key +
-                  "' must be a non-negative integer");
-  return static_cast<std::int64_t>(d);
-}
-
-}  // namespace
-
-std::string CostModel::to_json() const {
-  std::ostringstream out;
-  out << "{\"magic\":\"CHCP\",\"version\":" << kProfileVersion
-      << ",\"alpha\":" << fmt_double(kAlpha) << ",\"cells\":[";
-  bool first = true;
-  for (const auto& [key, cell] : cells_) {
-    const auto [kind, qb, tb] = key;
-    if (!first) out << ',';
-    first = false;
-    out << "{\"strategy\":\""
-        << strategy_name(static_cast<StrategyKind>(kind))
-        << "\",\"qubits\":" << qb << ",\"tape\":" << tb
-        << ",\"ewma_ns\":" << fmt_double(cell.ewma_ns)
-        << ",\"count\":" << cell.count << '}';
-  }
-  out << "]}";
-  return out.str();
-}
-
-CostModel CostModel::from_json(const std::string& text) {
-  // Validate before parse, CHD/CHP-style: the magic/version header is
-  // checked first and every field is range-checked before anything is
-  // committed to the returned model — a bad profile is rejected whole.
-  service::JsonValue root;
-  try {
-    root = service::parse_json(text);
-  } catch (const InvalidArgument& e) {
-    profile_error(std::string("not valid JSON (") + e.what() + ")");
-  }
-  if (!root.is_object()) profile_error("top-level value must be an object");
-  const service::JsonValue* magic = root.find("magic");
-  if (magic == nullptr || !magic->is_string() || magic->string != "CHCP")
-    profile_error("missing or wrong magic (expected \"CHCP\")");
-  const service::JsonValue* version = root.find("version");
-  if (version == nullptr || !version->is_number() ||
-      version->number != static_cast<double>(kProfileVersion))
-    profile_error("unsupported version (expected " +
-                  std::to_string(kProfileVersion) + ")");
-  const service::JsonValue* alpha = root.find("alpha");
-  if (alpha != nullptr &&
-      (!alpha->is_number() || !(alpha->number > 0.0) || alpha->number > 1.0))
-    profile_error("'alpha' must be a number in (0, 1]");
-  const service::JsonValue* cells = root.find("cells");
-  if (cells == nullptr || !cells->is_array())
-    profile_error("'cells' must be an array");
-
-  CostModel model;
-  for (const service::JsonValue& entry : cells->array) {
-    if (!entry.is_object()) profile_error("every cell must be an object");
-    const service::JsonValue* name = entry.find("strategy");
-    if (name == nullptr || !name->is_string())
-      profile_error("cell field 'strategy' missing or not a string");
-    const std::optional<StrategyKind> kind = strategy_from_name(name->string);
-    if (!kind.has_value() || *kind == StrategyKind::kAuto)
-      profile_error("unknown strategy name '" + name->string + "'");
-    const std::int64_t qb = profile_int(entry, "qubits", 1 << 20);
-    const std::int64_t tb = profile_int(entry, "tape", 64);
-    const std::int64_t count =
-        profile_int(entry, "count", std::numeric_limits<std::int64_t>::max());
-    if (count < 1) profile_error("cell field 'count' must be >= 1");
-    const service::JsonValue* ewma = entry.find("ewma_ns");
-    if (ewma == nullptr || !ewma->is_number() || !std::isfinite(ewma->number) ||
-        ewma->number < 0.0)
-      profile_error("cell field 'ewma_ns' must be a finite number >= 0");
-    Cell& cell = model.cells_[Key{static_cast<std::uint8_t>(*kind),
-                                  static_cast<int>(qb), static_cast<int>(tb)}];
-    if (cell.count != 0)
-      profile_error("duplicate cell for strategy '" + name->string + "'");
-    cell.ewma_ns = ewma->number;
-    cell.count = static_cast<std::uint64_t>(count);
-    model.observations_ += cell.count;
-  }
-  return model;
-}
-
-// ---------------------------------------------------------------------------
-// StrategyPlanner
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Maps a fixed strategy request onto a concrete path, degrading gracefully
-/// when the request cannot run (a DM-family request on a program wider than
-/// the density-matrix cap falls back to trajectories — the same degradation
-/// EngineKind::kAuto performs).
-StrategyKind resolve_fixed(StrategyKind requested, const StrategyContext& ctx) {
-  if (strategy(requested).applicable(ctx)) return requested;
-  return StrategyKind::kTrajectory;
-}
-
-bool is_dm_family(StrategyKind kind) {
-  return kind == StrategyKind::kDmExact || kind == StrategyKind::kDmFused ||
-         kind == StrategyKind::kDmFusedWide;
-}
-
-}  // namespace
-
-StrategyPlanner::Decision StrategyPlanner::plan(
-    StrategyKind requested, BudgetMode budget,
-    const StrategyContext& ctx) const {
+Decision plan_family(StrategyKind requested, BudgetMode budget,
+                     const StrategyContext& ctx) {
   Decision d;
+  if (requested == StrategyKind::kAuto)
+    d.strategy = classify_run(ctx.run, ctx.width);
+  else if (applicable(requested, ctx))
+    d.strategy = requested;
+  else
+    d.strategy = StrategyKind::kTrajectory;
   d.run = ctx.run;
-
-  if (requested != StrategyKind::kAuto) {
-    d.strategy = resolve_fixed(requested, ctx);
-  } else {
-    // The incumbent is whatever the fixed rules pick for ctx.run — under
-    // kFixedBudget the planner only weighs same-family challengers against
-    // it (every DM tape level agrees to <= 1e-12, so the contract holds),
-    // and it never moves off the incumbent until the model has measured
-    // *both* sides.  A cold planner is therefore exactly the old behavior.
-    const StrategyKind incumbent =
-        classify_run(ctx.run, ctx.width, ctx.lowering);
-    d.strategy = incumbent;
-    std::vector<StrategyKind> challengers;
-    if (is_dm_family(incumbent)) {
-      for (const StrategyKind k :
-           {StrategyKind::kDmExact, StrategyKind::kDmFused,
-            StrategyKind::kDmFusedWide})
-        if (k != incumbent) challengers.push_back(k);
-      if (budget == BudgetMode::kAdaptive)
-        challengers.push_back(StrategyKind::kTrajectory);
-    } else if (budget == BudgetMode::kAdaptive) {
-      // Cross-family switching is opt-in: only the adaptive budget mode
-      // (which already trades bit-identity for speed) may move a
-      // trajectory family onto the DM engine.
-      for (const StrategyKind k :
-           {StrategyKind::kDmExact, StrategyKind::kDmFused,
-            StrategyKind::kDmFusedWide})
-        challengers.push_back(k);
-    }
-
-    const std::lock_guard<std::mutex> lock(mu_);
-    const std::optional<double> incumbent_ns =
-        model_.predict(incumbent, ctx.width, ctx.ops);
-    if (incumbent_ns.has_value()) {
-      double best_ns = *incumbent_ns;
-      for (const StrategyKind k : challengers) {
-        if (!strategy(k).applicable(ctx)) continue;
-        const std::optional<double> ns = model_.predict(k, ctx.width, ctx.ops);
-        if (ns.has_value() && *ns < best_ns) {
-          best_ns = *ns;
-          d.strategy = k;
-        }
-      }
-    }
-  }
-
   strategy(d.strategy).prepare(d.run);
   d.adaptive = budget == BudgetMode::kAdaptive &&
                d.strategy == StrategyKind::kTrajectory;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    d.predicted_ns =
-        model_.predict(d.strategy, ctx.width, ctx.ops).value_or(0.0);
-  }
-  return d;
-}
-
-void StrategyPlanner::observe(StrategyKind kind, int width, std::size_t ops,
-                              double ns) {
-  if (kind == StrategyKind::kAuto) return;
-  const std::lock_guard<std::mutex> lock(mu_);
-  model_.observe(kind, width, ops, ns);
-}
-
-double StrategyPlanner::predicted_ns(StrategyKind kind, int width,
-                                     std::size_t ops) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return model_.predict(kind, width, ops).value_or(0.0);
-}
-
-void StrategyPlanner::load_profile(const std::string& path) {
-  if (path.empty()) return;
-  std::error_code ec;
-  if (!fs::exists(path, ec)) return;  // a cold profile is normal
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cost profile: cannot read '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  if (in.bad()) throw Error("cost profile: read failed for '" + path + "'");
-  CostModel loaded = CostModel::from_json(text.str());
-  const std::lock_guard<std::mutex> lock(mu_);
-  model_ = std::move(loaded);
-}
-
-void StrategyPlanner::save_profile(const std::string& path) const {
-  if (path.empty()) return;
-  std::string text;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    text = model_.to_json();
-  }
-  // Atomic publish: a reader (or a crash) never sees a half-written file.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("cost profile: cannot write '" + tmp + "'");
-    out << text << '\n';
-    out.flush();
-    if (!out) throw Error("cost profile: write failed for '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    throw Error("cost profile: cannot rename '" + tmp + "' to '" + path + "'");
-  }
-}
-
-CostModel StrategyPlanner::snapshot() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return model_;
-}
-
-StrategyPlanner::Decision plan_family(const StrategyPlanner* planner,
-                                      StrategyKind requested,
-                                      BudgetMode budget,
-                                      const StrategyContext& ctx) {
-  if (planner != nullptr) return planner->plan(requested, budget, ctx);
-  StrategyPlanner::Decision d;
-  d.run = ctx.run;
-  if (requested != StrategyKind::kAuto) {
-    d.strategy = resolve_fixed(requested, ctx);
-    strategy(d.strategy).prepare(d.run);
-  } else {
-    // No planner + auto: leave the run options untouched (the historical
-    // fixed-rule behavior), but still report the path they resolve to.
-    d.strategy = classify_run(ctx.run, ctx.width, ctx.lowering);
-  }
-  d.adaptive = budget == BudgetMode::kAdaptive &&
-               classify_run(d.run, ctx.width, ctx.lowering) ==
-                   StrategyKind::kTrajectory;
   return d;
 }
 

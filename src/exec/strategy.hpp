@@ -1,30 +1,21 @@
 #pragma once
 
 /// \file strategy.hpp
-/// The execution-strategy portfolio: one interface over the distinct ways
-/// the exec layer can run an analysis job family, plus the planner that
-/// picks among them from measured cost.
+/// The execution-strategy portfolio: names for the distinct ways the exec
+/// layer can run an analysis job family, and the static rule that picks
+/// one per family.
 ///
-/// BatchRunner has always had several execution paths — DM-exact,
-/// fused-tape (narrow and wide), trajectory sweeps, and checkpoint-splice
-/// resumption — but the choice among them was hard-coded: fixed rules plus
-/// a plurality vote.  This file names each path as an exec::Strategy (a
-/// stable name(), an applicability test, a static cost prior, and the
-/// RunOptions rewrite that routes a job down that path) and adds:
+/// BatchRunner has several execution paths — DM-exact, fused-tape (narrow
+/// and wide), trajectory sweeps, and checkpoint-splice resumption.  This
+/// file names each path as a StrategyKind (stable strategy_name()s that
+/// appear in exec stats and on the CLI) and adds:
 ///
-///  - CostModel: an online EWMA of measured ns-per-job keyed by
-///    (strategy, qubit-bucket, tape-length-bucket), persisted as a
-///    versioned JSON cost profile ("CHCP") that is validated before it is
-///    trusted — the same discipline as the CHD/CHP binary headers;
-///  - StrategyPlanner: per-job-family selection.  Under the default
-///    BudgetMode::kFixedBudget the planner never crosses engine families
-///    (the fixed resolve_engine rule stands) and only chooses among
-///    same-family tape levels, all of which agree to <= 1e-12 — so
-///    `--strategy auto` preserves the existing bit-identity/tolerance
-///    contract and the golden fixtures.  It also refuses to move off the
-///    incumbent path until the model has *observations* for both sides of
-///    the comparison, so a cold planner is byte-for-byte the old fixed
-///    rule;
+///  - plan_family: the static per-family rule.  A fixed kind maps directly
+///    onto prepared RunOptions (degrading to trajectories past the
+///    density-matrix cap); kAuto keeps the path classify_run resolves the
+///    baseline options to.  Under the default BudgetMode::kFixedBudget
+///    `--strategy auto` therefore preserves the bit-identity contract and
+///    the golden fixtures;
 ///  - run_adaptive_trajectory_sweep: sequential-test early termination for
 ///    trajectory strategies (BudgetMode::kAdaptive).  Trajectory groups
 ///    are independently seeded (sim/trajectory.hpp), so a sweep can run
@@ -37,11 +28,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -51,11 +39,10 @@ namespace charter::exec {
 
 struct RunHooks;  // exec/batch.hpp
 
-/// The portfolio.  kAuto is a planner directive, not a path; the rest name
-/// a concrete execution path and appear in cost profiles and exec stats
-/// under strategy_name().
+/// The portfolio.  kAuto is a directive, not a path; the rest name a
+/// concrete execution path and appear in exec stats under strategy_name().
 enum class StrategyKind : std::uint8_t {
-  kAuto = 0,          ///< let the planner pick (per job family)
+  kAuto = 0,          ///< the static rule picks (per job family)
   kDmExact,           ///< density-matrix engine, exact tape (bit-reproducible)
   kDmFused,           ///< density-matrix engine, fused tape (~1e-12)
   kDmFusedWide,       ///< density-matrix engine, wide-fused tape (~1e-12)
@@ -63,8 +50,8 @@ enum class StrategyKind : std::uint8_t {
   kCheckpointSplice,  ///< DM job resumed from a shared prefix snapshot
 };
 
-/// Stable identifier ("dm_exact", "trajectory", ...) used in cost
-/// profiles, exec stats JSON, and logs.  Never renamed once shipped.
+/// Stable identifier ("dm_exact", "trajectory", ...) used in exec stats
+/// JSON and logs.  Never renamed once shipped.
 const char* strategy_name(StrategyKind kind);
 
 /// Parses a user-facing strategy spelling (CLI `--strategy`): "auto",
@@ -87,153 +74,53 @@ enum class BudgetMode : std::uint8_t {
 
 const char* budget_mode_name(BudgetMode mode);
 
-/// Everything the planner may condition a per-family decision on.
+/// What the static rule conditions a per-family decision on.
 struct StrategyContext {
   int width = 0;           ///< compacted qubit count of the base program
-  std::size_t ops = 0;     ///< physical op count (tape-length proxy)
   std::size_t jobs = 1;    ///< jobs in the family (original + reversed)
   backend::RunOptions run; ///< the family's baseline run options
-  double duration_ns = 0.0;  ///< Backend::duration_ns of the base program
   bool lowering = false;   ///< backend supports lower()/finalize()
 };
 
-/// One execution path behind a uniform interface.  Stateless singletons
-/// (see strategy()); the planner consults them, BatchRunner executes the
-/// RunOptions they prepare.
+/// One concrete execution path: the RunOptions rewrite that routes a job
+/// down it.  A plain value; see strategy().
 class Strategy {
  public:
-  virtual ~Strategy() = default;
-
-  virtual StrategyKind kind() const = 0;
-
-  /// Stable identifier, == strategy_name(kind()).
-  const char* name() const { return strategy_name(kind()); }
-
-  /// Whether this path can execute the family at all (engine width caps,
-  /// lowering requirements).
-  virtual bool applicable(const StrategyContext& ctx) const = 0;
-
-  /// Deterministic static cost estimate (ns-scale, flop-count based) used
-  /// only as a tie-free ordering prior before the cost model has
-  /// observations.  Never mixed with measured values in a comparison.
-  virtual double prior_cost_ns(const StrategyContext& ctx) const = 0;
+  constexpr explicit Strategy(StrategyKind kind) : kind_(kind) {}
 
   /// Rewrites \p run so the exec layer routes a job down this path.
-  virtual void prepare(backend::RunOptions& run) const = 0;
+  void prepare(backend::RunOptions& run) const;
 
-  /// Mixes the strategy identity into \p sink (cost-profile keys, cache
-  /// identities that want to be strategy-scoped).
-  void fingerprint(backend::FingerprintSink& sink) const;
+ private:
+  StrategyKind kind_;
 };
 
-/// The singleton for \p kind (kAuto is not a path and throws
+/// The path named by \p kind (kAuto is not a path and throws
 /// InvalidArgument).
-const Strategy& strategy(StrategyKind kind);
+Strategy strategy(StrategyKind kind);
 
 /// Classifies the path a (run, width) pair resolves to under the fixed
 /// rules: the engine family via backend::resolve_engine, then the tape
-/// level.  \p lowering gates the checkpoint/splice-capable paths.
-StrategyKind classify_run(const backend::RunOptions& run, int width,
-                          bool lowering);
+/// level.
+StrategyKind classify_run(const backend::RunOptions& run, int width);
 
-/// Online cost model: an EWMA of measured wall-clock ns per job, keyed by
-/// (strategy, qubit bucket, tape-length bucket).  Buckets keep the table
-/// small and let one observation generalize to neighboring job shapes.
-/// Not internally synchronized — StrategyPlanner serializes access.
-class CostModel {
- public:
-  struct Cell {
-    double ewma_ns = 0.0;
-    std::uint64_t count = 0;
-  };
-
-  /// Bucketing: qubit widths are exact up to 8 then pair-bucketed (9-10,
-  /// 11-12, ...); tape lengths bucket by log2.
-  static int qubit_bucket(int width);
-  static int tape_bucket(std::size_t ops);
-
-  /// Folds one measurement in (EWMA, alpha = kAlpha after warm-up).
-  void observe(StrategyKind kind, int width, std::size_t ops, double ns);
-
-  /// Model prediction for a job shape; nullopt when the bucket has no
-  /// observations (callers fall back to Strategy::prior_cost_ns or keep
-  /// the incumbent).
-  std::optional<double> predict(StrategyKind kind, int width,
-                                std::size_t ops) const;
-
-  std::size_t cells() const { return cells_.size(); }
-  std::uint64_t observations() const { return observations_; }
-
-  /// Versioned JSON cost profile ("CHCP" v1).  to_json() is what
-  /// --cost-profile persists; from_json() validates before it parses
-  /// (magic, version, known strategy names, finite non-negative values)
-  /// and throws charter::InvalidArgument with an actionable message on
-  /// any corruption — a bad profile is rejected, never half-loaded.
-  std::string to_json() const;
-  static CostModel from_json(const std::string& text);
-
-  static constexpr double kAlpha = 0.25;  ///< EWMA smoothing factor
-  static constexpr int kProfileVersion = 1;
-
- private:
-  using Key = std::tuple<std::uint8_t, int, int>;  // (kind, qb, tapeb)
-  std::map<Key, Cell> cells_;
-  std::uint64_t observations_ = 0;
+/// A resolved per-family decision.
+struct Decision {
+  StrategyKind strategy = StrategyKind::kDmExact;
+  backend::RunOptions run;  ///< prepared options for every job
+  bool adaptive = false;    ///< early-termination sweep active
 };
 
-/// Picks a strategy per job family and learns from execution feedback.
-/// Thread-safe: one planner may serve many concurrent BatchRunner::run
-/// calls (charterd shares one per tenant).
-class StrategyPlanner {
- public:
-  /// A resolved per-family decision.
-  struct Decision {
-    StrategyKind strategy = StrategyKind::kDmExact;
-    backend::RunOptions run;     ///< prepared options for every job
-    bool adaptive = false;       ///< early-termination sweep active
-    double predicted_ns = 0.0;   ///< model prediction per job (0 = none)
-  };
-
-  /// Resolves \p requested for a family.  Fixed kinds map directly onto
-  /// prepared RunOptions.  kAuto keeps the engine family the fixed
-  /// resolve_engine rule picks for ctx.run (under kFixedBudget this is
-  /// what preserves the bit-identity contract) and chooses among
-  /// same-family tape levels by model-predicted cost — moving off the
-  /// incumbent only when both incumbent and challenger have observations.
-  /// \p budget arms the adaptive sweep for trajectory-family decisions.
-  Decision plan(StrategyKind requested, BudgetMode budget,
-                const StrategyContext& ctx) const;
-
-  /// Feedback from the exec layer: one family of \p kind jobs of this
-  /// shape averaged \p ns wall-clock per job.
-  void observe(StrategyKind kind, int width, std::size_t ops, double ns);
-
-  /// Current model prediction (0.0 when the bucket is empty) — the value
-  /// exec stats report as "model-predicted ns".
-  double predicted_ns(StrategyKind kind, int width, std::size_t ops) const;
-
-  /// Profile persistence.  load_profile tolerates a missing file (a cold
-  /// profile is normal) but throws charter::InvalidArgument on corrupt
-  /// content and charter::Error when the path exists yet cannot be read.
-  /// save_profile writes atomically (temp + rename).
-  void load_profile(const std::string& path);
-  void save_profile(const std::string& path) const;
-
-  /// Snapshot for inspection/tests.
-  CostModel snapshot() const;
-
- private:
-  mutable std::mutex mu_;
-  CostModel model_;
-};
-
-/// Plans a family with an optional planner.  nullptr \p planner: fixed
-/// kinds still map onto RunOptions and kAdaptive still arms the adaptive
-/// sweep, but kAuto keeps ctx.run untouched (the historical behavior).
-StrategyPlanner::Decision plan_family(const StrategyPlanner* planner,
-                                      StrategyKind requested,
-                                      BudgetMode budget,
-                                      const StrategyContext& ctx);
+/// The static rule.  A fixed \p requested kind prepares ctx.run for that
+/// path, or for trajectories when the path does not apply: a DM-family
+/// request past the density-matrix cap (the same degradation
+/// EngineKind::kAuto performs), or a splice request without lowering or
+/// without a second job to share a prefix with.  kAuto prepares ctx.run
+/// for the path classify_run resolves it to, so the engine family and
+/// tape level the caller configured stand.  \p budget arms the adaptive
+/// sweep for trajectory-family decisions.
+Decision plan_family(StrategyKind requested, BudgetMode budget,
+                     const StrategyContext& ctx);
 
 // ---------------------------------------------------------------------------
 // Adaptive trajectory sweep (BudgetMode::kAdaptive)

@@ -1,7 +1,6 @@
 #include "service/scheduler.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "util/error.hpp"
@@ -326,31 +325,6 @@ void Scheduler::dispatcher_main() {
   }
 }
 
-exec::StrategyPlanner* Scheduler::tenant_planner(const std::string& tenant) {
-  std::shared_ptr<exec::StrategyPlanner> planner;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = planners_.try_emplace(tenant);
-    if (inserted) it->second = std::make_shared<exec::StrategyPlanner>();
-    else return it->second.get();
-    planner = it->second;
-  }
-  // First job for this tenant: seed the fresh model outside mu_ (profile
-  // parsing does file I/O).  A bad profile downgrades to a cold start —
-  // the daemon keeps serving; only this note records why.
-  if (!options_.cost_profile.empty()) {
-    try {
-      planner->load_profile(options_.cost_profile);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr,
-                   "charterd: cost profile '%s' ignored for tenant '%s': "
-                   "%s\n",
-                   options_.cost_profile.c_str(), tenant.c_str(), e.what());
-    }
-  }
-  return planner.get();
-}
-
 void Scheduler::run_job(Job& job) {
   job.transition(JobPhase::kRunning);
 
@@ -363,19 +337,16 @@ void Scheduler::run_job(Job& job) {
   };
 
   // Every tenant's sweep fans out on the one shared pool; the per-job
-  // thread knob is overridden so a client cannot widen the daemon.  The
-  // planner is tenant-scoped: each tenant's sweeps feed and plan from
-  // their own cost model.
+  // thread knob is overridden so a client cannot widen the daemon.
   core::CharterOptions options = job.options;
   options.exec.pool = &pool_;
   options.exec.threads = 0;
-  options.exec.planner = tenant_planner(job.tenant);
 
   try {
     const core::CharterAnalyzer analyzer(backend_, options);
     job.result = analyzer.analyze(job.program, &hooks);
     if (job.characterize_top_k > 0) {
-      // Same slot, same pool, same tenant planner: the ranking the
+      // Same slot, same pool: the ranking the
       // analysis just produced feeds straight into the germ ladders, so a
       // characterize job costs its tenant exactly one ring turn.
       characterize::CharacterizeOptions copts;

@@ -80,13 +80,6 @@ struct SchedulerOptions {
   /// Start with dispatching suspended (tests build a deterministic
   /// backlog, then release it with set_paused(false)).
   bool start_paused = false;
-  /// Read-only cost-model seed: every tenant's StrategyPlanner starts
-  /// from this profile (loaded lazily at the tenant's first job; an
-  /// unreadable or corrupt file is noted on stderr and the tenant starts
-  /// cold).  The daemon never writes the profile back — tenants evolve
-  /// their models independently in memory, and a shared file written by
-  /// concurrent tenants would be a lost-update race.  Empty: cold models.
-  std::string cost_profile;
 };
 
 /// Multi-tenant fair-share scheduler over one backend and one pool.
@@ -183,7 +176,6 @@ class Scheduler {
   std::shared_ptr<Job> pick_next_locked();
   void run_job(Job& job);
   std::shared_ptr<Job> find(std::uint64_t id) const;
-  exec::StrategyPlanner* tenant_planner(const std::string& tenant);
 
   const backend::Backend& backend_;
   const SchedulerOptions options_;
@@ -194,11 +186,6 @@ class Scheduler {
   mutable std::condition_variable drained_cv_;
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;  // under mu_
   std::map<std::string, std::deque<std::shared_ptr<Job>>> pending_;
-  /// One online cost model per tenant (under mu_; created lazily at the
-  /// tenant's first dispatched job, seeded from options_.cost_profile).
-  /// Per-tenant isolation keeps one tenant's exotic circuit mix from
-  /// skewing the latency model every other tenant plans from.
-  std::map<std::string, std::shared_ptr<exec::StrategyPlanner>> planners_;
   std::vector<std::string> ring_;  ///< tenants with pending work
   std::size_t cursor_ = 0;         ///< next ring slot to serve
   std::shared_ptr<Job> running_;   // under mu_

@@ -182,8 +182,14 @@ inline void apply_swap(cplx* a, std::uint64_t dim, int qa, int qb) {
   });
 }
 
-/// Squared norm of the state.  A scalar order-fixed reduction on every
-/// path, so sums never reassociate across dispatch changes.
+/// Squared norm of the state.  Scalar on every SIMD dispatch path, but not
+/// order-fixed across OpenMP widths: off-pool at dim >= 2 * grain,
+/// util::parallel_sum reduces through an OpenMP tree whose association
+/// depends on OMP_NUM_THREADS.  Inside util::ThreadPool workers and nested
+/// regions it is the serial left-to-right sum.  (parallel_sum_chunked
+/// would fix the association for every width, but it regroups sums past
+/// kChunkedSumLen entries and so changes bits on the pool-worker path —
+/// the 14-qubit trajectory renormalization included.)
 inline double norm_sq(const cplx* a, std::uint64_t dim) {
   return util::parallel_sum(static_cast<std::int64_t>(dim),
                             [=](std::int64_t i) { return std::norm(a[i]); });

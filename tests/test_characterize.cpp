@@ -529,13 +529,15 @@ TEST(CharacterizationGolden, Qft3) {
   const ch::CharacterizationReport report =
       quick_report(backend);
   ex::RunCache::global().clear();
-  const std::string json = ch::characterization_to_json(report);
 
   const std::string path = fixture_path("characterize_qft3");
   if (std::getenv("CHARTER_REGEN_FIXTURES") != nullptr) {
     std::ofstream out(path, std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << json << "\n";
+    // Wall-clock is machine-dependent; fixtures pin it to zero.
+    ch::CharacterizationReport pinned = report;
+    pinned.exec_stats.actual_ns = 0.0;
+    out << ch::characterization_to_json(pinned) << "\n";
     GTEST_SKIP() << "fixture regenerated: " << path;
   }
 

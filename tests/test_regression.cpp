@@ -103,7 +103,10 @@ void check_against_fixture(const std::string& name,
   if (std::getenv("CHARTER_REGEN_FIXTURES") != nullptr) {
     std::ofstream out(fixture_path(name));
     ASSERT_TRUE(out.good()) << "cannot write " << fixture_path(name);
-    out << co::report_to_json(actual.report, actual.exec);
+    // Wall-clock is machine-dependent; fixtures pin it to zero.
+    ex::BatchRunner::Stats exec = actual.exec;
+    exec.actual_ns = 0.0;
+    out << co::report_to_json(actual.report, exec);
     GTEST_SKIP() << "regenerated " << fixture_path(name);
   }
 

@@ -95,7 +95,7 @@ TEST(SessionConfig, ReportsEveryProblemActionably) {
 TEST(SessionConfig, FusedTrajectoryCombinationIsRejected) {
   charter::SessionConfig config =
       charter::SessionConfig().engine(cb::EngineKind::kTrajectory);
-  config.execution().fused(true);
+  config.execution().strategy(charter::exec::StrategyKind::kDmFused);
   const auto errors = config.validate();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("fused"), std::string::npos);

@@ -22,9 +22,8 @@
 //
 // Every subcommand accepts --help; the analysis ones accept
 // --backend lagos|guadalupe (default by size), --reversals, --shots,
-// --seed, --top, --threads, --fused, --strategy auto|dm|fused|fused-wide|
-// trajectory, --cost-profile <path>, and --adaptive.  An unknown --algo
-// key lists the valid keys and exits 2.
+// --seed, --top, --threads, --strategy auto|dm|fused|fused-wide|trajectory,
+// and --adaptive.  An unknown --algo key lists the valid keys and exits 2.
 
 #include <dirent.h>
 
@@ -74,8 +73,6 @@ void add_common_flags(Cli& cli) {
   cli.add_flag("top", std::int64_t{15}, "rows to print in rankings");
   cli.add_flag("max-gates", std::int64_t{0},
                "cap analyzed gates (0 = all eligible)");
-  cli.add_flag("fused", false,
-               "fuse the lowered noise tape (faster; ~1e-12 tolerance)");
   cli.add_flag("threads", std::int64_t{0},
                "analysis worker-pool width (0 = all hardware threads; "
                "results are identical at every value)");
@@ -86,11 +83,9 @@ void add_common_flags(Cli& cli) {
                "persistent run-cache directory (default $CHARTER_CACHE_DIR; "
                "empty = memory-only)");
   cli.add_flag("strategy", std::string("auto"),
-               "execution strategy: auto (cost-model planner), dm, fused, "
-               "fused-wide, or trajectory");
-  cli.add_flag("cost-profile", std::string(""),
-               "persisted cost-model path: loaded before the run, saved "
-               "after (empty = in-memory only)");
+               "execution strategy: auto (static rule), dm, fused (fuse "
+               "the noise tape; ~1e-12 tolerance), fused-wide, or "
+               "trajectory");
   cli.add_flag("adaptive", false,
                "adaptive trajectory budgets: stop unravelling a gate once "
                "its impact rank settles (fixed budgets by default)");
@@ -139,13 +134,11 @@ charter::SessionConfig make_config(const Cli& cli) {
       .shots(cli.get_int("shots"))
       .seed(static_cast<std::uint64_t>(cli.get_int("seed")));
   config.execution()
-      .fused(cli.get_bool("fused"))
       .threads(static_cast<int>(cli.get_int("threads")))
       .workers(workers)
       .cache_dir(cli.get_string("cache-dir"))
       .strategy(*strategy)
-      .adaptive(cli.get_bool("adaptive"))
-      .cost_profile(cli.get_string("cost-profile"));
+      .adaptive(cli.get_bool("adaptive"));
   // Workers fork+exec this very binary (`charter worker --fd N`): the
   // children get a fresh address space instead of a forked image.
   if (workers > 0) config.execution().worker_exe("/proc/self/exe");

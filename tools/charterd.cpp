@@ -105,11 +105,8 @@ int main(int argc, char** argv) {
   cli.add_flag("reversals", std::int64_t{5},
                "default reversed pairs per gate");
   cli.add_flag("strategy", std::string("auto"),
-               "execution strategy for every job: auto (per-tenant cost "
-               "model), dm, fused, fused-wide, or trajectory");
-  cli.add_flag("cost-profile", std::string(""),
-               "read-only cost-model seed each tenant's planner starts "
-               "from (never written back; empty = cold models)");
+               "execution strategy for every job: auto (static rule), dm, "
+               "fused, fused-wide, or trajectory");
   cli.add_flag("adaptive", false,
                "adaptive trajectory budgets: stop unravelling a gate once "
                "its impact rank settles (fixed budgets by default)");
@@ -157,12 +154,6 @@ int main(int argc, char** argv) {
     cs::SchedulerOptions sched_options;
     sched_options.threads = static_cast<int>(cli.get_int("threads"));
     sched_options.max_queued_jobs = limits.max_queued_jobs;
-    sched_options.cost_profile = cli.get_string("cost-profile");
-    // Validate the seed profile once, up front: a corrupt file should
-    // fail the daemon's startup loudly, not degrade every tenant quietly.
-    if (!sched_options.cost_profile.empty())
-      charter::exec::StrategyPlanner().load_profile(
-          sched_options.cost_profile);
     cs::Scheduler scheduler(backend, sched_options);
     cs::Service service(backend, base, limits, scheduler);
     cs::SocketServer server(service, scheduler, cli.get_string("socket"));

@@ -232,8 +232,8 @@ def check_strategy(path, data):
         if row.get("auto_cold_bit_identical") is not True:
             ok = fail(
                 path,
-                f"family '{name}': cold-planner auto sweep was not "
-                "bit-identical to its incumbent strategy",
+                f"family '{name}': auto sweep was not bit-identical to "
+                "the strategy it picked",
             )
         if row.get("rankings_match") is not True:
             ok = fail(
