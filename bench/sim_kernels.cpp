@@ -2,7 +2,8 @@
 // pipeline, now with per-ISA rows for the SIMD dispatch layer:
 //
 //  1. simd[]: for each of the dense kernels (1q unitary, fused 1q pair,
-//     CX pair, diagonal pair) the scalar path is timed against the
+//     CX pair, and the vec(rho) row x column diagonal kernel carrying a 1q
+//     phase and a static-ZZ 2q phase) the scalar path is timed against the
 //     process-active path (best available by default; a CHARTER_SIMD pin
 //     is honored so CI's per-path legs record honest rows) on the same
 //     vec(rho)-sized state, the speedup is reported, and scalar/SIMD
@@ -217,11 +218,28 @@ int main(int argc, char** argv) {
       json, first_row, best, "cx_pair", input, kernel_rounds, reps, [&](cplx* a) {
         cs::kernels::apply_cx_pair(a, dim, qa, qa + 1, qb, qb + 1);
       });
+  // Diagonal phases on vec(rho): an RZ-style phase on row qubit qa, and the
+  // static-ZZ phase exp(-i theta/2 Z(x)Z) on (qa, qa + 1) — the measured
+  // density-matrix hotspot.  Both run the row x column kernel on the
+  // factor tables the density-matrix engine builds per op.
+  const std::uint64_t len = 1ULL << qubits;
+  std::vector<cplx> row1(len), col1(len), row2(len), col2(len);
+  cs::kernels::fill_diag_tables(qubits, {ph0, ph1, ph0, ph1}, 1ULL << qa, 0,
+                                row1.data(), col1.data());
+  const cplx zz_even = std::exp(cplx(0.0, -0.01));
+  const cplx zz_odd = std::exp(cplx(0.0, 0.01));
+  cs::kernels::fill_diag_tables(
+      qubits, {zz_even, zz_odd, zz_odd, zz_even}, 1ULL << qa,
+      1ULL << ((qa + 1) % qubits), row2.data(), col2.data());
   const RowResult r_diag = bench_kernel_row(
       json, first_row, best, "diag_1q_pair", input, kernel_rounds, reps,
       [&](cplx* a) {
-        cs::kernels::apply_diag_1q_pair(a, dim, qa, ph0, ph1, qb,
-                                        std::conj(ph0), std::conj(ph1));
+        cs::kernels::apply_diag_rowcol(a, qubits, row1.data(), col1.data());
+      });
+  const RowResult r_zz = bench_kernel_row(
+      json, first_row, best, "diag_2q_pair", input, kernel_rounds, reps,
+      [&](cplx* a) {
+        cs::kernels::apply_diag_rowcol(a, qubits, row2.data(), col2.data());
       });
   json += "\n  ],\n";
   (void)r_1q;
@@ -279,8 +297,9 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "note: best-vs-scalar speedups — unitary_1q_pair %.2fx, "
-               "cx_pair %.2fx (path %s)\n",
-               r_pair.speedup, r_cx.speedup, simd::path_name(best));
+               "cx_pair %.2fx, diag_2q_pair %.2fx (path %s)\n",
+               r_pair.speedup, r_cx.speedup, r_zz.speedup,
+               simd::path_name(best));
 
   if (fused.size() >= exact.size()) {
     std::fprintf(stderr, "FAIL: fusion did not shrink the tape\n");

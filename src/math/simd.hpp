@@ -49,6 +49,9 @@ inline std::uint64_t insert_zero_bit(std::uint64_t x, std::uint64_t mask) {
 
 /// One kernel set.  Signatures mirror sim/kernels.hpp exactly; `dim` is the
 /// amplitude count (a power of two), qubit q maps to bit q of the index.
+/// The density-matrix entries see vec(rho) as 2n pseudo-qubits (row bits
+/// 0..n-1, column bits n..2n-1); apply_diag_rowcol alone takes n instead of
+/// dim, because it walks vec(rho) as 2^n contiguous column segments.
 struct KernelTable {
   const char* name;  ///< "scalar", "sse2"/"neon", "avx2", or "avx512"
 
@@ -66,13 +69,17 @@ struct KernelTable {
   // ---- fused density-matrix pair kernels --------------------------------
   void (*apply_1q_pair)(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
                         int qb, const Mat2& ub);
-  void (*apply_diag_1q_pair)(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                             cplx a1, int qb, cplx b0, cplx b1);
-  void (*apply_diag_2q_pair)(cplx* a, std::uint64_t dim, int qa, int qb,
-                             const std::array<cplx, 4>& da, int qc, int qd,
-                             const std::array<cplx, 4>& db);
   void (*apply_cx_pair)(cplx* a, std::uint64_t dim, int c1, int t1, int c2,
                         int t2);
+
+  /// Diagonal phase on vec(rho) of an n-qubit density matrix:
+  /// a[r + (c << n)] = (a[r + (c << n)] * row[r]) * col[c] for r, c in
+  /// [0, 2^n).  One entry serves every diagonal gate — the caller fills the
+  /// 2^n-entry factor tables (rows from d, columns from conj(d)) — and each
+  /// path performs the same two complex multiplies as its apply_diag_1q /
+  /// apply_diag_2q run once on the row and once on the column pseudo-qubits,
+  /// so it is bit-identical to that two-pass form on every path.
+  void (*apply_diag_rowcol)(cplx* a, int n, const cplx* row, const cplx* col);
 
   // ---- density-matrix channel blocks ------------------------------------
   // All operate on the 4-element groups {base, base|row, base|col,

@@ -244,42 +244,23 @@ void k_apply_1q_pair(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
   });
 }
 
-void k_apply_diag_1q_pair(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                          cplx a1, int qb, cplx b0, cplx b1) {
-  const std::uint64_t amask = 1ULL << qa;
-  const std::uint64_t bmask = 1ULL << qb;
-  // Two sequential multiplies with per-lane-selected factors — for masks
-  // >= 2 both lanes select the same value, so the vectors (and therefore
-  // the arithmetic) are bit-equal to two apply_diag_1q passes.
-  util::parallel_for(static_cast<std::int64_t>(dim >> 1), [=](std::int64_t k) {
-    const std::uint64_t i = static_cast<std::uint64_t>(k) << 1;
-    const CVec4d ma = CVec4d::set((i & amask) ? a1 : a0,
-                                  ((i + 1) & amask) ? a1 : a0);
-    const CVec4d mb = CVec4d::set((i & bmask) ? b1 : b0,
-                                  ((i + 1) & bmask) ? b1 : b0);
-    cmul(cmul(CVec4d::load(a + i), ma), mb).store(a + i);
-  });
-}
-
-void k_apply_diag_2q_pair(cplx* a, std::uint64_t dim, int qa, int qb,
-                          const std::array<cplx, 4>& da, int qc, int qd,
-                          const std::array<cplx, 4>& db) {
-  const std::uint64_t am = 1ULL << qa;
-  const std::uint64_t bm = 1ULL << qb;
-  const std::uint64_t cm = 1ULL << qc;
-  const std::uint64_t dm = 1ULL << qd;
-  util::parallel_for(static_cast<std::int64_t>(dim >> 1), [=](std::int64_t k) {
-    const std::uint64_t i = static_cast<std::uint64_t>(k) << 1;
-    const auto ia = [=](std::uint64_t u) {
-      return ((u & am) ? 1u : 0u) | ((u & bm) ? 2u : 0u);
-    };
-    const auto ib = [=](std::uint64_t u) {
-      return ((u & cm) ? 1u : 0u) | ((u & dm) ? 2u : 0u);
-    };
-    const CVec4d ma = CVec4d::set(da[ia(i)], da[ia(i + 1)]);
-    const CVec4d mb = CVec4d::set(db[ib(i)], db[ib(i + 1)]);
-    cmul(cmul(CVec4d::load(a + i), ma), mb).store(a + i);
-  });
+void k_apply_diag_rowcol(cplx* a, int n, const cplx* row, const cplx* col) {
+  // Column c is a contiguous 2^n-element segment (one register when n = 1),
+  // so the inner loop is two contiguous loads and two complex multiplies
+  // per register: row factor first, then the column factor broadcast once
+  // per column.  Lane-wise this is the arithmetic of apply_diag_1q /
+  // apply_diag_2q run on the row and then the column pseudo-qubits.
+  const std::uint64_t len = 1ULL << n;
+  util::parallel_for(
+      static_cast<std::int64_t>(len),
+      [=](std::int64_t c) {
+        cplx* seg = a + (static_cast<std::uint64_t>(c) << n);
+        const CVec4d f = CVec4d::bcast(col[c]);
+        for (std::uint64_t r = 0; r < len; r += 2)
+          cmul(cmul(CVec4d::load(seg + r), CVec4d::load(row + r)), f)
+              .store(seg + r);
+      },
+      /*grain=*/32);
 }
 
 void k_apply_cx_pair(cplx* a, std::uint64_t dim, int c1, int t1, int c2,
@@ -436,9 +417,8 @@ constexpr KernelTable kAvx2Table = {
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
     .apply_1q_pair = k_apply_1q_pair,
-    .apply_diag_1q_pair = k_apply_diag_1q_pair,
-    .apply_diag_2q_pair = k_apply_diag_2q_pair,
     .apply_cx_pair = k_apply_cx_pair,
+    .apply_diag_rowcol = k_apply_diag_rowcol,
     .thermal_block = k_thermal_block,
     .depol1q_block = k_depol1q_block,
     .bitflip_block = k_bitflip_block,

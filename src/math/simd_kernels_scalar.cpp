@@ -4,7 +4,9 @@
 // reference copies of these loops against it and asserts exact equality,
 // and the golden report fixtures were produced by (and replay on) this
 // arithmetic.  Do not "optimize" these bodies; change the vector paths
-// instead.
+// instead.  (The vec(rho) diagonal kernel walks columns instead of flat
+// indices, but every element still sees the historical two multiplies in
+// their historical order.)
 
 #include <utility>
 
@@ -124,35 +126,24 @@ void k_apply_1q_pair(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
   });
 }
 
-void k_apply_diag_1q_pair(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                          cplx a1, int qb, cplx b0, cplx b1) {
-  const std::uint64_t amask = 1ULL << qa;
-  const std::uint64_t bmask = 1ULL << qb;
-  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
-    const std::uint64_t ui = static_cast<std::uint64_t>(i);
-    cplx v = a[ui];
-    v *= (ui & amask) ? a1 : a0;
-    v *= (ui & bmask) ? b1 : b0;
-    a[ui] = v;
-  });
-}
-
-void k_apply_diag_2q_pair(cplx* a, std::uint64_t dim, int qa, int qb,
-                          const std::array<cplx, 4>& da, int qc, int qd,
-                          const std::array<cplx, 4>& db) {
-  const std::uint64_t am = 1ULL << qa;
-  const std::uint64_t bm = 1ULL << qb;
-  const std::uint64_t cm = 1ULL << qc;
-  const std::uint64_t dm = 1ULL << qd;
-  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
-    const std::uint64_t ui = static_cast<std::uint64_t>(i);
-    const unsigned ia = ((ui & am) ? 1u : 0u) | ((ui & bm) ? 2u : 0u);
-    const unsigned ib = ((ui & cm) ? 1u : 0u) | ((ui & dm) ? 2u : 0u);
-    cplx v = a[ui];
-    v *= da[ia];
-    v *= db[ib];
-    a[ui] = v;
-  });
+void k_apply_diag_rowcol(cplx* a, int n, const cplx* row, const cplx* col) {
+  // Column c is the contiguous segment a[c << n, (c + 1) << n); its entry r
+  // is rho_{rc}.  Row factor first, then column factor — the order of the
+  // historical diagonal pair loop (and of two apply_diag passes).
+  const std::uint64_t len = 1ULL << n;
+  util::parallel_for(
+      static_cast<std::int64_t>(len),
+      [=](std::int64_t c) {
+        cplx* seg = a + (static_cast<std::uint64_t>(c) << n);
+        const cplx f = col[c];
+        for (std::uint64_t r = 0; r < len; ++r) {
+          cplx v = seg[r];
+          v *= row[r];
+          v *= f;
+          seg[r] = v;
+        }
+      },
+      /*grain=*/32);
 }
 
 void k_apply_cx_pair(cplx* a, std::uint64_t dim, int c1, int t1, int c2,
@@ -244,9 +235,8 @@ constexpr KernelTable kScalarTable = {
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
     .apply_1q_pair = k_apply_1q_pair,
-    .apply_diag_1q_pair = k_apply_diag_1q_pair,
-    .apply_diag_2q_pair = k_apply_diag_2q_pair,
     .apply_cx_pair = k_apply_cx_pair,
+    .apply_diag_rowcol = k_apply_diag_rowcol,
     .thermal_block = k_thermal_block,
     .depol1q_block = k_depol1q_block,
     .bitflip_block = k_bitflip_block,

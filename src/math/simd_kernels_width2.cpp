@@ -108,38 +108,20 @@ void k_apply_1q_pair(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
   });
 }
 
-void k_apply_diag_1q_pair(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                          cplx a1, int qb, cplx b0, cplx b1) {
-  const std::uint64_t amask = 1ULL << qa;
-  const std::uint64_t bmask = 1ULL << qb;
-  // Two sequential multiplies, exactly as two apply_diag_1q passes would
-  // perform them — keeps the pair kernel bit-identical to the two-pass
-  // form within this path.
-  const CVec2d va0 = CVec2d::from(a0), va1 = CVec2d::from(a1);
-  const CVec2d vb0 = CVec2d::from(b0), vb1 = CVec2d::from(b1);
-  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
-    const std::uint64_t ui = static_cast<std::uint64_t>(i);
-    const CVec2d ma = (ui & amask) ? va1 : va0;
-    const CVec2d mb = (ui & bmask) ? vb1 : vb0;
-    cmul(cmul(CVec2d::load(a + ui), ma), mb).store(a + ui);
-  });
-}
-
-void k_apply_diag_2q_pair(cplx* a, std::uint64_t dim, int qa, int qb,
-                          const std::array<cplx, 4>& da, int qc, int qd,
-                          const std::array<cplx, 4>& db) {
-  const std::uint64_t am = 1ULL << qa;
-  const std::uint64_t bm = 1ULL << qb;
-  const std::uint64_t cm = 1ULL << qc;
-  const std::uint64_t dm = 1ULL << qd;
-  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
-    const std::uint64_t ui = static_cast<std::uint64_t>(i);
-    const unsigned ia = ((ui & am) ? 1u : 0u) | ((ui & bm) ? 2u : 0u);
-    const unsigned ib = ((ui & cm) ? 1u : 0u) | ((ui & dm) ? 2u : 0u);
-    cmul(cmul(CVec2d::load(a + ui), CVec2d::from(da[ia])),
-         CVec2d::from(db[ib]))
-        .store(a + ui);
-  });
+void k_apply_diag_rowcol(cplx* a, int n, const cplx* row, const cplx* col) {
+  // Row factor first, then column factor: the two multiplies of two
+  // apply_diag passes, so this path stays bit-identical to that form.
+  const std::uint64_t len = 1ULL << n;
+  util::parallel_for(
+      static_cast<std::int64_t>(len),
+      [=](std::int64_t c) {
+        cplx* seg = a + (static_cast<std::uint64_t>(c) << n);
+        const CVec2d f = CVec2d::load(col + c);
+        for (std::uint64_t r = 0; r < len; ++r)
+          cmul(cmul(CVec2d::load(seg + r), CVec2d::load(row + r)), f)
+              .store(seg + r);
+      },
+      /*grain=*/32);
 }
 
 void k_thermal_block(cplx* a, std::uint64_t dim, std::uint64_t row,
@@ -215,9 +197,8 @@ const KernelTable kWidth2Table = {
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
     .apply_1q_pair = k_apply_1q_pair,
-    .apply_diag_1q_pair = k_apply_diag_1q_pair,
-    .apply_diag_2q_pair = k_apply_diag_2q_pair,
     .apply_cx_pair = nullptr,
+    .apply_diag_rowcol = k_apply_diag_rowcol,
     .thermal_block = k_thermal_block,
     .depol1q_block = k_depol1q_block,
     .bitflip_block = k_bitflip_block,

@@ -25,7 +25,7 @@ const char* job_phase_name(JobPhase phase) {
 struct Scheduler::Job {
   std::uint64_t id = 0;
   std::string tenant;
-  backend::CompiledProgram program;
+  backend::CompiledProgram program;  ///< moved out when the job starts
   core::CharterOptions options;
   bool detached = false;
   int characterize_top_k = 0;  ///< > 0: characterize after the analysis
@@ -326,6 +326,10 @@ void Scheduler::dispatcher_main() {
 }
 
 void Scheduler::run_job(Job& job) {
+  // The job owns its compiled program only while it runs.  Finished jobs
+  // stay in jobs_ for status/fetch, and every retained circuit would grow
+  // the daemon by a few KiB per job served.
+  const backend::CompiledProgram program = std::move(job.program);
   job.transition(JobPhase::kRunning);
 
   core::AnalysisHooks hooks;
@@ -344,7 +348,7 @@ void Scheduler::run_job(Job& job) {
 
   try {
     const core::CharterAnalyzer analyzer(backend_, options);
-    job.result = analyzer.analyze(job.program, &hooks);
+    job.result = analyzer.analyze(program, &hooks);
     if (job.characterize_top_k > 0) {
       // Same slot, same pool: the ranking the
       // analysis just produced feeds straight into the germ ladders, so a
@@ -359,7 +363,7 @@ void Scheduler::run_job(Job& job) {
       copts.strategy = options.strategy;
       const characterize::GateCharacterizer characterizer(backend_, copts);
       job.characterization =
-          characterizer.characterize(job.program, job.result, &hooks);
+          characterizer.characterize(program, job.result, &hooks);
     }
     job.transition(JobPhase::kDone);
   } catch (const Cancelled&) {

@@ -42,6 +42,8 @@ DensityMatrixEngine::DensityMatrixEngine(int num_qubits)
           "density matrix engine supports 1..14 qubits");
   rho_.assign(dim2(), cplx(0.0));
   rho_[0] = 1.0;
+  diag_row_.resize(dim());
+  diag_col_.resize(dim());
 }
 
 void DensityMatrixEngine::reset() {
@@ -63,9 +65,18 @@ void DensityMatrixEngine::apply_unitary_1q(const Mat2& u, int q) {
                          conj2(u));
 }
 
+void DensityMatrixEngine::apply_diag(const std::array<cplx, 4>& d,
+                                     std::uint64_t amask,
+                                     std::uint64_t bmask) {
+  kernels::fill_diag_tables(num_qubits_, d, amask, bmask, diag_row_.data(),
+                            diag_col_.data());
+  kernels::apply_diag_rowcol(rho_.data(), num_qubits_, diag_row_.data(),
+                             diag_col_.data());
+}
+
 void DensityMatrixEngine::apply_diag_1q(cplx d0, cplx d1, int q) {
-  kernels::apply_diag_1q_pair(rho_.data(), dim2(), q, d0, d1,
-                              q + num_qubits_, std::conj(d0), std::conj(d1));
+  // A one-qubit diagonal is a two-qubit one whose second bit never sets.
+  apply_diag({d0, d1, d0, d1}, 1ULL << q, 0);
 }
 
 void DensityMatrixEngine::apply_cx(int c, int t) {
@@ -75,9 +86,7 @@ void DensityMatrixEngine::apply_cx(int c, int t) {
 
 void DensityMatrixEngine::apply_diag_2q(const std::array<cplx, 4>& d, int qa,
                                         int qb) {
-  kernels::apply_diag_2q_pair(
-      rho_.data(), dim2(), qa, qb, d, qa + num_qubits_, qb + num_qubits_,
-      {std::conj(d[0]), std::conj(d[1]), std::conj(d[2]), std::conj(d[3])});
+  apply_diag(d, 1ULL << qa, 1ULL << qb);
 }
 
 void DensityMatrixEngine::apply_unitary_2q(const math::Mat4& u, int qa,

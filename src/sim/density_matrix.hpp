@@ -7,8 +7,9 @@
 /// r + 2^n * c holds rho_{rc}.  A unitary U on qubit q becomes
 /// U on pseudo-qubit q and conj(U) on pseudo-qubit q+n; the row and column
 /// updates are fused into a single pass by the pair kernels
-/// (kernels::apply_*_pair), bit-identical to the sequential two-pass forms
-/// but with half the memory traffic.  Noise channels use fused single-pass
+/// (kernels::apply_*_pair, and kernels::apply_diag_rowcol for diagonal
+/// gates), bit-identical to the sequential two-pass forms but with half the
+/// memory traffic.  Noise channels use fused single-pass
 /// closed forms (see DESIGN.md):
 ///  - thermal relaxation mixes the 2x2 qubit blocks directly,
 ///  - depolarizing mixes diagonal entries toward the block average and
@@ -81,8 +82,16 @@ class DensityMatrixEngine final : public NoisyEngine {
   std::uint64_t dim() const { return std::uint64_t{1} << num_qubits_; }
   std::uint64_t dim2() const { return std::uint64_t{1} << (2 * num_qubits_); }
 
+  /// diag(d) on the row pseudo-qubits and diag(conj(d)) on the column ones
+  /// (index convention as in kernels::fill_diag_tables).
+  void apply_diag(const std::array<math::cplx, 4>& d, std::uint64_t amask,
+                  std::uint64_t bmask);
+
   int num_qubits_;
   std::vector<math::cplx> rho_;
+  // 2^n-entry row / column factor tables of the current diagonal op.
+  std::vector<math::cplx> diag_row_;
+  std::vector<math::cplx> diag_col_;
   // Scratch buffers for the generic Kraus path.
   std::vector<math::cplx> scratch_;
   std::vector<math::cplx> accum_;

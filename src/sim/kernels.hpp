@@ -20,12 +20,25 @@
 /// Pair kernels.  Every coherent density-matrix update is a *pair* of
 /// single-qubit-style updates — U on pseudo-qubit q and conj(U) on q+n —
 /// which the plain kernels would realize as two full passes over 16*4^n
-/// bytes.  The apply_*_pair kernels fuse the two into one pass: each
+/// bytes.  apply_1q_pair and apply_cx_pair fuse the two into one pass: each
 /// 4-amplitude group is loaded once, the first update's arithmetic is applied
 /// and then the second's, so the results match the sequential two-pass forms
-/// (bit-identically on the scalar path) while halving memory traffic.  They
-/// are what the NoiseProgram tape interpreter dispatches to (see
-/// noise/program.hpp).
+/// (bit-identically on the scalar path) while halving memory traffic.
+///
+/// Diagonal gates need no groups at all: the factor for rho_{rc} is
+/// row[r] * col[c], so apply_diag_rowcol takes two 2^n-entry tables (built
+/// per op by the density-matrix engine from d and conj(d)) and walks
+/// vec(rho) column by column — each column a contiguous 2^n-element segment
+/// scaled by the row table, then by one broadcast column factor.  No bit
+/// tests or gathers remain in the inner loop, and each path performs the
+/// same two multiplies in the same order as the two-pass form, so the
+/// result is bit-identical to it on every path.  It parallelizes over
+/// columns with grain 32, i.e. from n = 6 on: the width at which the
+/// per-amplitude diagonal loops went parallel, so the coordinator's
+/// OpenMP-wide checkpoint base sweep does not turn serial.
+///
+/// These kernels are what the NoiseProgram tape interpreter dispatches to
+/// through the engine (see noise/program.hpp).
 ///
 /// Iteration order is cache-blocked by construction: groups are enumerated
 /// by inserting zero bits into an ascending counter, so the 2 (or 4) strided
@@ -69,19 +82,28 @@ inline void apply_1q_pair(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,
   math::simd::active().apply_1q_pair(a, dim, qa, ua, qb, ub);
 }
 
-/// Applies two diagonal one-qubit gates in one pass: diag(a0, a1) on \p qa,
-/// then diag(b0, b1) on \p qb.
-inline void apply_diag_1q_pair(cplx* a, std::uint64_t dim, int qa, cplx a0,
-                               cplx a1, int qb, cplx b0, cplx b1) {
-  math::simd::active().apply_diag_1q_pair(a, dim, qa, a0, a1, qb, b0, b1);
+/// Applies a diagonal phase to vec(rho) of an \p n-qubit density matrix:
+/// rho_{rc} = (rho_{rc} * row[r]) * col[c], with 2^n-entry factor tables.
+/// Bit-identical, on every path, to apply_diag_1q / apply_diag_2q on the row
+/// pseudo-qubits followed by the conjugate gate on the column ones.
+inline void apply_diag_rowcol(cplx* a, int n, const cplx* row,
+                              const cplx* col) {
+  math::simd::active().apply_diag_rowcol(a, n, row, col);
 }
 
-/// Applies two diagonal two-qubit gates in one pass: \p da on (qa, qb), then
-/// \p db on (qc, qd); 2-bit index conventions as in apply_diag_2q.
-inline void apply_diag_2q_pair(cplx* a, std::uint64_t dim, int qa, int qb,
-                               const std::array<cplx, 4>& da, int qc, int qd,
-                               const std::array<cplx, 4>& db) {
-  math::simd::active().apply_diag_2q_pair(a, dim, qa, qb, da, qc, qd, db);
+/// Fills apply_diag_rowcol's 2^n-entry tables for diag(d) on an n-qubit
+/// density matrix: row[k] = d[i], col[k] = conj(d[i]) with i = bit(amask) +
+/// 2*bit(bmask) of k (bmask 0 for a one-qubit gate).
+inline void fill_diag_tables(int n, const std::array<cplx, 4>& d,
+                             std::uint64_t amask, std::uint64_t bmask,
+                             cplx* row, cplx* col) {
+  const std::array<cplx, 4> dc = {std::conj(d[0]), std::conj(d[1]),
+                                  std::conj(d[2]), std::conj(d[3])};
+  for (std::uint64_t k = 0; k < (std::uint64_t{1} << n); ++k) {
+    const unsigned i = ((k & amask) ? 1u : 0u) | ((k & bmask) ? 2u : 0u);
+    row[k] = d[i];
+    col[k] = dc[i];
+  }
 }
 
 /// Applies two CX gates with disjoint bit sets in one pass: control \p c1 /

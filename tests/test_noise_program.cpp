@@ -8,6 +8,11 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "circuit/circuit.hpp"
 #include "core/reversal.hpp"
@@ -101,6 +106,44 @@ TEST(NoiseProgram, ExactTapeMatchesStreamingWalkBitExactly) {
   executor.finish(c, stream, stepped);
 
   EXPECT_EQ(max_abs_diff(whole.raw(), stepped.raw()), 0.0);
+}
+
+// Called off the thread pool, as by the coordinator's checkpoint base sweep,
+// the diagonal kernel runs OpenMP-parallel from n = 6 and every
+// density-matrix kernel by n = 8.  None of them reduces across iterations,
+// so an exact tape must leave a byte-identical vec(rho) at every OpenMP
+// width.
+TEST(NoiseProgram, ExactTapeIsBitIdenticalAcrossOpenMpWidths) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  const int original = omp_get_max_threads();
+  for (const int n : {6, 8}) {
+    const cn::NoiseModel m = line_model(n, 40 + static_cast<std::uint64_t>(n));
+    const cc::Circuit c =
+        random_basis_circuit(n, 10 * n, static_cast<std::uint64_t>(n));
+    const cn::NoiseProgram tape = cn::lower(m, c);
+    std::size_t diag_ops = 0;
+    for (std::size_t i = 0; i < tape.size(); ++i)
+      diag_ops += tape.op(i).kind == cn::TapeOpKind::kDiag1q ||
+                  tape.op(i).kind == cn::TapeOpKind::kDiag2q;
+    ASSERT_GT(diag_ops, 0u);
+
+    std::vector<charter::math::cplx> states[2];
+    const int widths[2] = {1, 4};
+    for (int k = 0; k < 2; ++k) {
+      omp_set_num_threads(widths[k]);
+      cs::DensityMatrixEngine engine(n);
+      tape.execute(engine);
+      states[k] = engine.raw();
+    }
+    omp_set_num_threads(original);
+    ASSERT_EQ(std::memcmp(states[0].data(), states[1].data(),
+                          states[0].size() * sizeof(charter::math::cplx)),
+              0)
+        << "n=" << n;
+  }
+#endif
 }
 
 TEST(NoiseProgram, BoundariesPartitionTheTape) {

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "circuit/circuit.hpp"
+#include "math/simd_dispatch.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/kernels.hpp"
 #include "sim/measurement.hpp"
@@ -102,30 +104,62 @@ TEST(PairKernels, Fused1qPairIsBitIdenticalToTwoPasses) {
   }
 }
 
+// The engine's diagonal ops (one row x column pass over vec(rho)) must equal
+// two sequential single-diagonal passes — diag(d) on the row pseudo-qubits,
+// then diag(conj(d)) on the column ones — bit for bit on every dispatch path
+// and every density-matrix width, including the parallel ones (n >= 6).
 TEST(PairKernels, FusedDiagPairsAreBitIdenticalToTwoPasses) {
+  namespace ms = charter::math::simd;
   charter::util::Rng rng(7);
-  const std::uint64_t dim = 1ULL << 6;
   const cplx d0 = std::exp(cplx(0.0, 0.3));
   const cplx d1 = std::exp(cplx(0.0, -0.3));
   const std::array<cplx, 4> zz = {std::exp(cplx(0.0, -0.01)),
                                   std::exp(cplx(0.0, 0.01)),
-                                  std::exp(cplx(0.0, 0.01)),
-                                  std::exp(cplx(0.0, -0.01))};
-  std::vector<cplx> fused = random_state(dim, rng);
-  std::vector<cplx> twopass = fused;
-  cs::kernels::apply_diag_1q_pair(fused.data(), dim, 1, d0, d1, 4,
-                                  std::conj(d0), std::conj(d1));
-  cs::kernels::apply_diag_1q(twopass.data(), dim, 1, d0, d1);
-  cs::kernels::apply_diag_1q(twopass.data(), dim, 4, std::conj(d0),
-                             std::conj(d1));
-  for (std::uint64_t i = 0; i < dim; ++i) ASSERT_EQ(fused[i], twopass[i]);
-
-  fused = random_state(dim, rng);
-  twopass = fused;
-  cs::kernels::apply_diag_2q_pair(fused.data(), dim, 0, 2, zz, 3, 5, zz);
-  cs::kernels::apply_diag_2q(twopass.data(), dim, 0, 2, zz);
-  cs::kernels::apply_diag_2q(twopass.data(), dim, 3, 5, zz);
-  for (std::uint64_t i = 0; i < dim; ++i) ASSERT_EQ(fused[i], twopass[i]);
+                                  std::exp(cplx(0.0, 0.02)),
+                                  std::exp(cplx(0.0, -0.03))};
+  const std::array<cplx, 4> zzc = {std::conj(zz[0]), std::conj(zz[1]),
+                                   std::conj(zz[2]), std::conj(zz[3])};
+  const ms::SimdPath original = ms::active_path();
+  for (const ms::SimdPath p : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
+                               ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
+    if (!ms::set_path(p)) continue;
+    for (int n = 1; n <= 8; ++n) {
+      const std::uint64_t dim = 1ULL << (2 * n);
+      const auto check = [&](const auto& engine_op, const auto& two_pass,
+                             const char* what) {
+        const std::vector<cplx> input = random_state(dim, rng);
+        cs::DensityMatrixEngine engine(n);
+        engine.load_state(input);
+        engine_op(engine);
+        std::vector<cplx> want = input;
+        two_pass(want.data());
+        ASSERT_EQ(std::memcmp(engine.raw().data(), want.data(),
+                              dim * sizeof(cplx)),
+                  0)
+            << what << " path=" << ms::path_name(p) << " n=" << n;
+      };
+      for (int q = 0; q < n; ++q) {
+        check([&](cs::DensityMatrixEngine& e) { e.apply_diag_1q(d0, d1, q); },
+              [&](cplx* a) {
+                cs::kernels::apply_diag_1q(a, dim, q, d0, d1);
+                cs::kernels::apply_diag_1q(a, dim, q + n, std::conj(d0),
+                                           std::conj(d1));
+              },
+              "apply_diag_1q");
+        for (int qb = 0; qb < n; ++qb) {
+          if (qb == q) continue;
+          check(
+              [&](cs::DensityMatrixEngine& e) { e.apply_diag_2q(zz, q, qb); },
+              [&](cplx* a) {
+                cs::kernels::apply_diag_2q(a, dim, q, qb, zz);
+                cs::kernels::apply_diag_2q(a, dim, q + n, qb + n, zzc);
+              },
+              "apply_diag_2q");
+        }
+      }
+    }
+  }
+  ms::set_path(original);
 }
 
 TEST(PairKernels, FusedCxPairIsBitIdenticalToTwoPasses) {

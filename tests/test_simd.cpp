@@ -4,7 +4,10 @@
 //     copies of the historical loops live in this file (serial, verbatim
 //     arithmetic); the scalar table must reproduce them exactly — double ==,
 //     not a tolerance — for every kernel, every qubit position, and every
-//     width 1..7.
+//     width 1..7.  The vec(rho) diagonal kernel (apply_diag_rowcol) must
+//     reproduce the historical diagonal pair loops, whose reference copies
+//     it is checked against at density-matrix widths 1..7 (2 to 14
+//     pseudo-qubits).
 //  2. Every available path agrees with scalar to <= 1e-12 in max-abs
 //     amplitude difference over the same randomized sweep.
 //  3. Each path is deterministic: repeating a kernel on the same input is
@@ -21,6 +24,7 @@
 #include <array>
 #include <complex>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -295,10 +299,6 @@ void sweep_against_reference(const ms::KernelTable& table, int n, Rng& rng,
       if (qa == qb) continue;
       const Mat2 ua = random_mat2(rng), ub = random_mat2(rng);
       const std::array<cplx, 4> d = random_diag4(rng);
-      const std::array<cplx, 4> da = random_diag4(rng);
-      const std::array<cplx, 4> db = random_diag4(rng);
-      const cplx a0(rng.uniform(-1.0, 1.0), 0.3), a1(0.1, rng.uniform());
-      const cplx b0(rng.uniform(), -0.2), b1(rng.uniform(), 0.7);
       run("apply_cx", [&](cplx* a) { ref_apply_cx(a, dim, qa, qb); },
           [&](cplx* a) { table.apply_cx(a, dim, qa, qb); });
       // Dense 4x4 (fused-wide tape op) — exercised at every (qa, qb)
@@ -314,26 +314,6 @@ void sweep_against_reference(const ms::KernelTable& table, int n, Rng& rng,
       run("apply_1q_pair",
           [&](cplx* a) { ref_apply_1q_pair(a, dim, qa, ua, qb, ub); },
           [&](cplx* a) { table.apply_1q_pair(a, dim, qa, ua, qb, ub); });
-      run("apply_diag_1q_pair",
-          [&](cplx* a) {
-            ref_apply_diag_1q_pair(a, dim, qa, a0, a1, qb, b0, b1);
-          },
-          [&](cplx* a) {
-            table.apply_diag_1q_pair(a, dim, qa, a0, a1, qb, b0, b1);
-          });
-      // Two diagonal pairs, arbitrary (possibly overlapping) supports.
-      const int qc = static_cast<int>(rng.uniform_int(n));
-      int qd = static_cast<int>(rng.uniform_int(n));
-      if (qd == qc) qd = (qc + 1) % n;
-      if (qc != qd) {
-        run("apply_diag_2q_pair",
-            [&](cplx* a) {
-              ref_apply_diag_2q_pair(a, dim, qa, qb, da, qc, qd, db);
-            },
-            [&](cplx* a) {
-              table.apply_diag_2q_pair(a, dim, qa, qb, da, qc, qd, db);
-            });
-      }
       // Channel blocks: row < col per the vec(rho) layout contract.
       if (qa < qb) {
         const std::uint64_t row = 1ULL << qa;
@@ -383,6 +363,52 @@ void sweep_against_reference(const ms::KernelTable& table, int n, Rng& rng,
   }
 }
 
+/// Runs the vec(rho) diagonal kernel over every one-qubit and every ordered
+/// two-qubit support of an m-qubit density matrix (2m pseudo-qubits; m = 1
+/// makes each column a single AVX2 register) and compares against the
+/// serial reference pair loops — diag(d) on the row pseudo-qubits, then
+/// diag(conj(d)) on the column ones — via \p check.
+template <typename Check>
+void sweep_diag_rowcol(const ms::KernelTable& table, int m, Rng& rng,
+                       Check&& check) {
+  const std::uint64_t dim = 1ULL << (2 * m);
+  const std::uint64_t len = 1ULL << m;
+  // qb < 0: one-qubit diag(d[0], d[1]) on qa.
+  const auto run = [&](int qa, int qb, const std::array<cplx, 4>& d) {
+    const std::array<cplx, 4> dc = {std::conj(d[0]), std::conj(d[1]),
+                                    std::conj(d[2]), std::conj(d[3])};
+    const std::uint64_t am = 1ULL << qa;
+    const std::uint64_t bm = qb < 0 ? 0 : 1ULL << qb;
+    std::vector<cplx> row(len), col(len);
+    for (std::uint64_t k = 0; k < len; ++k) {
+      const unsigned idx = ((k & am) ? 1u : 0u) | ((k & bm) ? 2u : 0u);
+      row[k] = d[idx];
+      col[k] = dc[idx];
+    }
+    std::vector<cplx> want = random_state(dim, rng);
+    const std::vector<cplx> input = want;
+    if (qb < 0)
+      ref_apply_diag_1q_pair(want.data(), dim, qa, d[0], d[1], qa + m, dc[0],
+                             dc[1]);
+    else
+      ref_apply_diag_2q_pair(want.data(), dim, qa, qb, d, qa + m, qb + m, dc);
+    std::vector<cplx> got = input;
+    table.apply_diag_rowcol(got.data(), m, row.data(), col.data());
+    const std::string label = "apply_diag_rowcol qa=" + std::to_string(qa) +
+                              " qb=" + std::to_string(qb);
+    check(want, got, label.c_str());
+    std::vector<cplx> again = input;
+    table.apply_diag_rowcol(again.data(), m, row.data(), col.data());
+    EXPECT_TRUE(bit_identical(got, again)) << label << " nondeterministic";
+  };
+  for (int qa = 0; qa < m; ++qa) {
+    const cplx d0(rng.uniform(-1.0, 1.0), 0.3), d1(0.1, rng.uniform());
+    run(qa, -1, {d0, d1, d0, d1});
+    for (int qb = 0; qb < m; ++qb)
+      if (qb != qa) run(qa, qb, random_diag4(rng));
+  }
+}
+
 }  // namespace
 
 TEST(SimdDispatch, ScalarAlwaysAvailable) {
@@ -427,6 +453,16 @@ TEST(SimdKernels, ScalarPathBitIdenticalToPreChangeKernels) {
               << label << " diverged from the pre-change kernels at n=" << n;
         });
   }
+  for (int m = 1; m <= 7; ++m) {
+    sweep_diag_rowcol(
+        *ms::table_scalar(), m, rng,
+        [&](const std::vector<cplx>& want, const std::vector<cplx>& got,
+            const char* label) {
+          ASSERT_TRUE(bit_identical(want, got))
+              << label << " diverged from the pre-change pair loops at "
+              << "density-matrix width " << m;
+        });
+  }
 }
 
 // Every vector path agrees with the reference (== scalar) to <= 1e-12 over
@@ -453,6 +489,16 @@ TEST(SimdKernels, AllPathsAgreeWithinTolerance) {
               const char* label) {
             ASSERT_LE(max_abs_diff(want, got), 1e-12)
                 << label << " path=" << table->name << " n=" << n;
+          });
+    }
+    for (int m = 1; m <= 7; ++m) {
+      sweep_diag_rowcol(
+          *table, m, rng,
+          [&](const std::vector<cplx>& want, const std::vector<cplx>& got,
+              const char* label) {
+            ASSERT_LE(max_abs_diff(want, got), 1e-12)
+                << label << " path=" << table->name
+                << " density-matrix width " << m;
           });
     }
   }

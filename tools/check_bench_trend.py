@@ -90,7 +90,13 @@ def check_kernels(path, data):
         if not isinstance(data.get(key), str) or not data[key]:
             ok = fail(path, f"metric '{key}' missing")
     rows = data.get("simd")
-    expected = {"unitary_1q", "unitary_1q_pair", "cx_pair", "diag_1q_pair"}
+    expected = {
+        "unitary_1q",
+        "unitary_1q_pair",
+        "cx_pair",
+        "diag_1q_pair",
+        "diag_2q_pair",
+    }
     if not isinstance(rows, list) or not rows:
         ok = fail(path, "per-ISA 'simd' rows missing")
         rows = []
@@ -352,6 +358,7 @@ def summarize(path, data):
             f"1q={rows.get('unitary_1q', 0):.2f}x "
             f"1q_pair={rows.get('unitary_1q_pair', 0):.2f}x "
             f"cx_pair={rows.get('cx_pair', 0):.2f}x "
+            f"diag_2q_pair={rows.get('diag_2q_pair', 0):.2f}x "
             f"tape_fused={data['tape_fused_speedup']:.2f}x"
         )
 
