@@ -11,8 +11,7 @@
 //     equivalence check on real workload shapes.
 //  2. The fused pair kernels vs. the sequential two-pass forms they
 //     replaced (on the active path).
-//  3. Fused-tape vs. exact-tape end-to-end execution on the density-matrix
-//     engine.
+//  3. Exact-tape end-to-end execution on the density-matrix engine.
 //
 // Emits JSON (like bench_exec_batching) so the perf trajectory can be
 // tracked across commits; CI uploads the --smoke output as the
@@ -162,8 +161,8 @@ RowResult bench_kernel_row(std::string& json, bool& first_row,
 
 int main(int argc, char** argv) {
   charter::util::Cli cli(
-      "bench_sim_kernels: per-ISA kernel rows, pair kernels, and "
-      "fused-vs-exact tape execution");
+      "bench_sim_kernels: per-ISA kernel rows, pair kernels, and exact "
+      "tape execution");
   cli.add_flag("qubits", std::int64_t{8}, "density-matrix width");
   cli.add_flag("rounds", std::int64_t{12}, "workload rounds (depth scale)");
   cli.add_flag("reps", std::int64_t{5}, "timed repetitions (best-of)");
@@ -258,37 +257,27 @@ int main(int argc, char** argv) {
     cs::kernels::apply_1q_pair(state.data(), dim, qa, u, qb, v);
   });
 
-  // ---- tape pipeline: exact vs fused end-to-end -------------------------
+  // ---- tape pipeline: exact tape end-to-end -----------------------------
   const cn::NoiseModel model = line_model(qubits);
   const cc::Circuit circuit = workload(qubits, rounds);
   const cn::NoiseProgram exact = cn::lower(model, circuit);
-  const cn::NoiseProgram fused = cn::fused(exact);
 
   cs::DensityMatrixEngine engine(qubits);
   const double exact_s = best_seconds(reps, [&] { exact.execute(engine); });
-  const std::vector<cplx> exact_state = engine.raw();
-  const double fused_s = best_seconds(reps, [&] { fused.execute(engine); });
-  const double agreement = max_abs_diff(exact_state, engine.raw());
 
   const double pair_speedup = pair_s > 0.0 ? two_pass_s / pair_s : 0.0;
-  const double tape_speedup = fused_s > 0.0 ? exact_s / fused_s : 0.0;
 
-  char tail[1024];
+  char tail[512];
   std::snprintf(tail, sizeof(tail),
                 "  \"circuit_ops\": %zu,\n"
                 "  \"tape_ops_exact\": %zu,\n"
-                "  \"tape_ops_fused\": %zu,\n"
                 "  \"kernel_two_pass_ms\": %.4f,\n"
                 "  \"kernel_pair_ms\": %.4f,\n"
                 "  \"kernel_pair_speedup\": %.3f,\n"
-                "  \"tape_exact_ms\": %.3f,\n"
-                "  \"tape_fused_ms\": %.3f,\n"
-                "  \"tape_fused_speedup\": %.3f,\n"
-                "  \"fused_max_abs_diff\": %.3e\n"
+                "  \"tape_exact_ms\": %.3f\n"
                 "}\n",
-                circuit.size(), exact.size(), fused.size(), two_pass_s * 1e3,
-                pair_s * 1e3, pair_speedup, exact_s * 1e3, fused_s * 1e3,
-                tape_speedup, agreement);
+                circuit.size(), exact.size(), two_pass_s * 1e3, pair_s * 1e3,
+                pair_speedup, exact_s * 1e3);
   json += tail;
   std::fputs(json.c_str(), stdout);
 
@@ -300,15 +289,5 @@ int main(int argc, char** argv) {
                "cx_pair %.2fx, diag_2q_pair %.2fx (path %s)\n",
                r_pair.speedup, r_cx.speedup, r_zz.speedup,
                simd::path_name(best));
-
-  if (fused.size() >= exact.size()) {
-    std::fprintf(stderr, "FAIL: fusion did not shrink the tape\n");
-    return 1;
-  }
-  if (!(agreement <= 1e-12)) {
-    std::fprintf(stderr, "FAIL: fused tape diverged (%.3e > 1e-12)\n",
-                 agreement);
-    return 1;
-  }
   return 0;
 }

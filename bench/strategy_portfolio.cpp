@@ -1,22 +1,18 @@
 // Benchmark of the execution-strategy portfolio: --strategy auto (the
-// static rule in exec::plan_family) raced against every fixed DM-family
+// static rule in exec::plan_family) raced against the fixed dm_exact
 // strategy on three circuit families (QFT, VQE ansatz, random-basis), plus
 // the adaptive trajectory budget's early-termination savings.
 //
 // Per family the bench records:
-//   fixed.{dm_exact,dm_fused,dm_fused_wide}_ms   best-of-reps sweep time
-//                                                per fixed strategy
-//   auto_ms / auto_pick / auto_vs_best           the auto sweep's time,
-//                                                which strategy the rule
-//                                                picked, and its ratio to
-//                                                the best fixed choice
-//   auto_cold_bit_identical                      the auto sweep must be
-//                                                bit-identical to the fixed
-//                                                strategy it picked — the
-//                                                kFixedBudget contract
-//   rankings_match                               every DM strategy and the
-//                                                auto sweep rank the gates
-//                                                identically
+//   fixed.dm_exact_ms                  best-of-reps fixed dm_exact sweep time
+//   auto_ms / auto_pick / auto_vs_best the auto sweep's time, which
+//                                      strategy the rule picked, and its
+//                                      ratio to the best fixed choice
+//   auto_cold_bit_identical            the auto sweep must pick dm_exact and
+//                                      be bit-identical to it — the
+//                                      kFixedBudget contract
+//   rankings_match                     dm_exact and the auto sweep rank the
+//                                      gates identically
 //
 // The adaptive row runs the same trajectory sweep twice — fixed budget vs
 // BudgetMode::kAdaptive — and records the trajectory savings; the top-k
@@ -24,8 +20,8 @@
 //
 // Self-checks (exit 1): auto is never > 1.1x slower than the best fixed
 // strategy (plus a 0.5 ms absolute floor so sub-millisecond smoke sweeps
-// don't flake on scheduler jitter), the auto sweep is bit-identical to the
-// fixed strategy it picked, rankings agree across the portfolio, and
+// don't flake on scheduler jitter), the auto sweep picks dm_exact and is
+// bit-identical to it, rankings agree, and
 // adaptive early termination saves trajectories without touching the top-k
 // ranking.
 //
@@ -145,27 +141,20 @@ bool topk_match(const co::CharterReport& a, const co::CharterReport& b,
   return true;
 }
 
-/// The DM-family strategy a sweep's job accounting says dominated it.
-/// Checkpoint-splice jobs ride along with whichever tape level is active,
-/// so they never decide the pick.
-StrategyKind dominant_dm(const ex::BatchRunner::Stats& stats) {
-  StrategyKind pick = StrategyKind::kDmExact;
-  std::size_t best = stats.strategy_jobs.dm_exact;
-  if (stats.strategy_jobs.dm_fused > best) {
-    best = stats.strategy_jobs.dm_fused;
-    pick = StrategyKind::kDmFused;
-  }
-  if (stats.strategy_jobs.dm_fused_wide > best) {
-    pick = StrategyKind::kDmFusedWide;
-  }
-  return pick;
+/// The strategy a sweep's job accounting says it ran.  Checkpoint-splice
+/// jobs ride along with the density-matrix path, so they never decide the
+/// pick.
+StrategyKind picked_strategy(const ex::BatchRunner::Stats& stats) {
+  return stats.strategy_jobs.trajectory > stats.strategy_jobs.dm_exact
+             ? StrategyKind::kTrajectory
+             : StrategyKind::kDmExact;
 }
 
 struct FamilyRow {
   std::string name;
   int qubits = 0;
   std::size_t analyzed_gates = 0;
-  double fixed_ms[3] = {0.0, 0.0, 0.0};  // dm_exact, dm_fused, dm_fused_wide
+  double dm_exact_ms = 0.0;
   double auto_ms = 0.0;
   const char* auto_pick = "";
   const char* best_fixed = "";
@@ -180,10 +169,6 @@ struct FamilyRow {
 /// (the smoke qft leg) sit inside scheduler jitter, where a pure ratio
 /// would flake; at real workload times the slack is negligible.
 constexpr double kTimingSlackMs = 0.5;
-
-constexpr StrategyKind kFixedKinds[3] = {
-    StrategyKind::kDmExact, StrategyKind::kDmFused,
-    StrategyKind::kDmFusedWide};
 
 FamilyRow bench_family(const std::string& name, const cb::FakeBackend& backend,
                        const cc::Circuit& circuit, int reversals,
@@ -202,48 +187,37 @@ FamilyRow bench_family(const std::string& name, const cb::FakeBackend& backend,
   options.exec.threads = 2;
   options.exec.caching = false;
 
-  co::CharterReport fixed_reports[3];
-  for (int k = 0; k < 3; ++k) {
-    options.strategy = kFixedKinds[k];
-    row.fixed_ms[k] = 1e3 * analyze_seconds(backend, program, options, reps,
-                                            &fixed_reports[k]);
-  }
-  row.analyzed_gates = fixed_reports[0].analyzed_gates;
-  row.rankings_ok = rankings_match(fixed_reports[0], fixed_reports[1]) &&
-                    rankings_match(fixed_reports[0], fixed_reports[2]);
+  co::CharterReport fixed_report;
+  options.strategy = StrategyKind::kDmExact;
+  row.dm_exact_ms =
+      1e3 * analyze_seconds(backend, program, options, reps, &fixed_report);
+  row.analyzed_gates = fixed_report.analyzed_gates;
 
-  // Auto runs the static rule: it must be bit-identical to the fixed
-  // strategy it picked — the kFixedBudget determinism contract — and stay
-  // within 1.1x of the best fixed time.
+  // Auto runs the static rule: it must pick dm_exact on these DM-sized
+  // families and be bit-identical to it — the kFixedBudget determinism
+  // contract — and stay within 1.1x of the fixed time.
   options.strategy = StrategyKind::kAuto;
   co::CharterReport auto_report;
   row.auto_ms =
       1e3 * analyze_seconds(backend, program, options, reps, &auto_report);
-  const StrategyKind pick = dominant_dm(auto_report.exec_stats);
+  const StrategyKind pick = picked_strategy(auto_report.exec_stats);
   row.auto_pick = ex::strategy_name(pick);
-  for (int k = 0; k < 3; ++k) {
-    if (kFixedKinds[k] == pick)
-      row.auto_cold_bit_identical =
-          reports_identical(auto_report, fixed_reports[k]);
-  }
-  row.rankings_ok =
-      row.rankings_ok && rankings_match(fixed_reports[0], auto_report);
+  row.auto_cold_bit_identical = pick == StrategyKind::kDmExact &&
+                                reports_identical(auto_report, fixed_report);
+  row.rankings_ok = rankings_match(fixed_report, auto_report);
 
-  int best_k = 0;
-  for (int k = 1; k < 3; ++k)
-    if (row.fixed_ms[k] < row.fixed_ms[best_k]) best_k = k;
-  row.best_fixed = ex::strategy_name(kFixedKinds[best_k]);
-  row.best_fixed_ms = row.fixed_ms[best_k];
+  row.best_fixed = ex::strategy_name(StrategyKind::kDmExact);
+  row.best_fixed_ms = row.dm_exact_ms;
   row.auto_vs_best =
       row.best_fixed_ms > 0.0 ? row.auto_ms / row.best_fixed_ms : 0.0;
   row.auto_within_bound =
       row.auto_ms <= 1.1 * row.best_fixed_ms + kTimingSlackMs;
 
   std::fprintf(stderr,
-               "note: %s — exact %.1f fused %.1f wide %.1f ms; auto %.1f ms "
-               "(picked %s, best fixed %s, %.2fx)\n",
-               name.c_str(), row.fixed_ms[0], row.fixed_ms[1], row.fixed_ms[2],
-               row.auto_ms, row.auto_pick, row.best_fixed, row.auto_vs_best);
+               "note: %s — dm_exact %.1f ms; auto %.1f ms (picked %s, "
+               "%.2fx)\n",
+               name.c_str(), row.dm_exact_ms, row.auto_ms, row.auto_pick,
+               row.auto_vs_best);
   return row;
 }
 
@@ -310,15 +284,14 @@ void append_family(std::string& json, const FamilyRow& row, bool last) {
   std::snprintf(
       buf, sizeof(buf),
       "    {\"name\": \"%s\", \"qubits\": %d, \"analyzed_gates\": %zu,\n"
-      "     \"fixed\": {\"dm_exact_ms\": %.3f, \"dm_fused_ms\": %.3f, "
-      "\"dm_fused_wide_ms\": %.3f},\n"
+      "     \"fixed\": {\"dm_exact_ms\": %.3f},\n"
       "     \"auto_ms\": %.3f, \"auto_pick\": \"%s\", "
       "\"best_fixed\": \"%s\", \"best_fixed_ms\": %.3f, "
       "\"auto_vs_best\": %.3f,\n"
       "     \"auto_within_bound\": %s, \"auto_cold_bit_identical\": %s, "
       "\"rankings_match\": %s}%s\n",
-      row.name.c_str(), row.qubits, row.analyzed_gates, row.fixed_ms[0],
-      row.fixed_ms[1], row.fixed_ms[2], row.auto_ms, row.auto_pick,
+      row.name.c_str(), row.qubits, row.analyzed_gates, row.dm_exact_ms,
+      row.auto_ms, row.auto_pick,
       row.best_fixed, row.best_fixed_ms, row.auto_vs_best,
       row.auto_within_bound ? "true" : "false",
       row.auto_cold_bit_identical ? "true" : "false",
@@ -330,8 +303,8 @@ void append_family(std::string& json, const FamilyRow& row, bool last) {
 
 int main(int argc, char** argv) {
   charter::util::Cli cli(
-      "bench_strategy_portfolio: --strategy auto vs every fixed DM strategy "
-      "per circuit family, plus adaptive trajectory-budget savings");
+      "bench_strategy_portfolio: --strategy auto vs the fixed dm_exact "
+      "strategy per circuit family, plus adaptive trajectory-budget savings");
   cli.add_flag("reps", std::int64_t{3}, "timed repetitions (best-of)");
   cli.add_flag("reversals", std::int64_t{5}, "reversed pairs per gate");
   cli.add_flag("max-gates", std::int64_t{12}, "gate cap per family sweep");
@@ -410,13 +383,14 @@ int main(int argc, char** argv) {
     }
     if (!row.auto_cold_bit_identical) {
       std::fprintf(stderr,
-                   "FAIL: %s auto not bit-identical to the strategy it "
-                   "picked\n",
+                   "FAIL: %s auto did not pick dm_exact or was not "
+                   "bit-identical to it\n",
                    row.name.c_str());
       ok = false;
     }
     if (!row.rankings_ok) {
-      std::fprintf(stderr, "FAIL: %s strategies disagree on the ranking\n",
+      std::fprintf(stderr,
+                   "FAIL: %s auto and dm_exact disagree on the ranking\n",
                    row.name.c_str());
       ok = false;
     }

@@ -50,15 +50,14 @@ namespace charter {
 
 /// Builder-style *execution* configuration: every knob that shapes how a
 /// sweep runs (parallelism, caching, checkpointing, and the execution
-/// strategy, which also selects the tape optimization level) without
-/// changing what it computes.  Lives inside SessionConfig as
-/// SessionConfig::execution().
+/// strategy) without changing what it computes.  Lives inside
+/// SessionConfig as SessionConfig::execution().
 ///
 ///   charter::SessionConfig cfg;
 ///   cfg.shots(8192).seed(42);
 ///   cfg.execution()
 ///       .threads(8)
-///       .strategy(charter::exec::StrategyKind::kDmFused);
+///       .strategy(charter::exec::StrategyKind::kDmExact);
 ///
 /// Validation happens through SessionConfig::validate() — ExecutionConfig
 /// carries no invariants of its own beyond what the session checks.
@@ -81,16 +80,6 @@ class ExecutionConfig {
     worker_exe_ = std::move(exe);
     return *this;
   }
-
-  // -- tape optimization --------------------------------------------------
-  // The tape level itself is chosen by strategy(): kDmFused fuses (faster,
-  // ~1e-12 agreement), kDmFusedWide fuses wide; the exact tape is
-  // bit-reproducible.
-  /// Pin the wide-fusion window for this session's runs: 0 (default)
-  /// defers to the process-global noise::fusion_width(); 2 or 3 pins it
-  /// per run (part of the run's cache fingerprint).  Only meaningful for
-  /// the fused-wide tape level (StrategyKind::kDmFusedWide).
-  ExecutionConfig& fusion_width(int w) { fusion_width_ = w; return *this; }
 
   // -- variance reduction -------------------------------------------------
   /// Share one seed across the original and every reversed run
@@ -131,8 +120,7 @@ class ExecutionConfig {
   /// rule (exec::plan_family) — the engine SessionConfig::engine()
   /// resolves to (density matrix while the compacted program fits,
   /// trajectories past the cap) with the exact tape.  A fixed kind
-  /// (kDmExact, kDmFused, kDmFusedWide, kTrajectory) overrides the
-  /// engine/tape configuration for every run.
+  /// (kDmExact, kTrajectory) overrides the engine for every run.
   ExecutionConfig& strategy(exec::StrategyKind kind) {
     strategy_ = kind;
     return *this;
@@ -148,7 +136,6 @@ class ExecutionConfig {
   int threads() const { return threads_; }
   int workers() const { return workers_; }
   const std::string& worker_exe() const { return worker_exe_; }
-  int fusion_width() const { return fusion_width_; }
   bool common_random_numbers() const { return crn_; }
   bool checkpointing() const { return checkpointing_; }
   bool caching() const { return caching_; }
@@ -164,7 +151,6 @@ class ExecutionConfig {
   int threads_ = 0;
   int workers_ = 0;
   std::string worker_exe_;
-  int fusion_width_ = 0;
   bool crn_ = false;
   bool checkpointing_ = true;
   bool caching_ = true;

@@ -47,17 +47,11 @@ std::vector<std::string> SessionConfig::validate() const {
   if (!exec_.cache_dir().empty() && exec_.cache_disk_bytes() == 0)
     flag("cache_disk_bytes must be > 0 when cache_dir is set; drop "
          "cache_dir instead of zeroing its budget");
-  if (exec_.fusion_width() != 0 &&
-      (exec_.fusion_width() < 2 || exec_.fusion_width() > 3))
-    flag("fusion_width must be 0 (process default) or in [2, 3]; got " +
-         std::to_string(exec_.fusion_width()));
   if (exec_.strategy() == exec::StrategyKind::kCheckpointSplice)
     flag("checkpoint_splice is an execution classification, not a "
          "requestable strategy; use kAuto and let checkpoint sharing "
          "engage on its own");
-  if ((exec_.strategy() == exec::StrategyKind::kDmExact ||
-       exec_.strategy() == exec::StrategyKind::kDmFused ||
-       exec_.strategy() == exec::StrategyKind::kDmFusedWide) &&
+  if (exec_.strategy() == exec::StrategyKind::kDmExact &&
       engine_ == backend::EngineKind::kTrajectory)
     flag("a density-matrix strategy (" +
          std::string(exec::strategy_name(exec_.strategy())) +
@@ -79,14 +73,13 @@ core::CharterOptions SessionConfig::resolved() const {
   o.run.trajectories = trajectories_;
   o.run.seed = seed_;
   o.run.drift = drift_;
-  o.run.fusion_width = exec_.fusion_width();
   o.exec.checkpointing = exec_.checkpointing();
   o.exec.caching = exec_.caching();
   o.exec.checkpoint_memory_bytes = exec_.checkpoint_memory_bytes();
   o.exec.threads = exec_.threads();
   o.exec.workers = exec_.workers();
   o.exec.worker_exe = exec_.worker_exe();
-  // The strategy reshapes engine/opt per job family at analyze() time via
+  // The strategy reshapes the engine per job family at analyze() time via
   // exec::plan_family.
   o.strategy = exec_.strategy();
   o.budget = exec_.adaptive() ? exec::BudgetMode::kAdaptive

@@ -222,18 +222,12 @@ std::vector<double> FakeBackend::run(const CompiledProgram& program,
 
   // Lower once; the tape is reusable across executions, so trajectory
   // averaging interprets the same tape per unravelling instead of
-  // re-deriving the schedule and clock walk each time.  Trajectory runs
-  // downgrade kFused to the exact tape: fused() merges/reorders stochastic
-  // channels, which would resample every unravelling (sampling-noise-sized
-  // changes, not the documented ~1e-12) for no kernel-pass savings at
-  // statevector cost.  kFusedWide is honored — it keeps stochastic channels
-  // as barriers in tape order, so the RNG draw sequence is preserved and
-  // only coherent segments consolidate into dense wide gates.
-  const noise::OptLevel opt =
-      engine == EngineKind::kDensityMatrix ||
-              options.opt == noise::OptLevel::kFusedWide
-          ? options.opt
-          : noise::OptLevel::kExact;
+  // re-deriving the schedule and clock walk each time.  The
+  // density-matrix engine always runs the exact tape; trajectory runs honor
+  // options.opt.
+  const noise::OptLevel opt = engine == EngineKind::kTrajectory
+                                  ? options.opt
+                                  : noise::OptLevel::kExact;
   const noise::NoisyExecutor executor(lowered.model, opt,
                                       resolve_fusion_width(options));
   const noise::NoiseProgram tape = executor.lower(lowered.local);

@@ -49,25 +49,21 @@ struct RunOptions {
   /// Calibration drift magnitude for this run (0 disables; the paper-scale
   /// experiments use ~0.05 to model run-to-run device drift).
   double drift = 0.0;
-  /// Tape optimization level for the lowered NoiseProgram.  kExact (the
-  /// default) is bit-identical to the interpretive executor walk; kFused
-  /// merges gates, diagonal chains, and relaxation windows for speed, with
-  /// results agreeing to ~1e-12 on the exact density-matrix engine.
-  /// kFusedWide additionally consolidates coherent runs into dense
-  /// two-qubit (and, with noise::set_fusion_width(3), three-qubit)
-  /// unitaries while keeping every stochastic channel as a barrier in tape
-  /// order.  Trajectory runs downgrade kFused to the exact tape — fusing
-  /// would reorder the stochastic branch draws and resample every
-  /// unravelling — but honor kFusedWide, whose barrier discipline preserves
-  /// the RNG draw sequence.  Part of the exec::RunCache key: exact, fused,
-  /// and fused-wide runs of the same circuit never collide (fused-wide keys
-  /// also mix the resolved fusion width).
+  /// Tape optimization level of trajectory runs.  kExact (the default) is
+  /// bit-identical to the interpretive executor walk; kFusedWide
+  /// consolidates coherent runs into dense two-qubit (and, with
+  /// noise::set_fusion_width(3), three-qubit) unitaries while keeping every
+  /// stochastic channel as a barrier in tape order, so the RNG draw
+  /// sequence is preserved and results agree to ~1e-12.  Density-matrix
+  /// runs ignore it and always execute the exact tape.  Part of the
+  /// exec::RunCache key: exact and fused-wide runs of the same circuit
+  /// never collide (fused-wide keys also mix the resolved fusion width).
   noise::OptLevel opt = noise::OptLevel::kExact;
   /// Maximum wide-gate width for kFusedWide lowerings of *this run*.  0 (the
   /// default) defers to the process-global noise::fusion_width() at lowering
   /// time; 2 or 3 pins the width per run, so two runs in one batch can carry
-  /// different widths without racing on the global knob.  Ignored by kExact
-  /// and kFused.  Resolved via resolve_fusion_width(); part of the cache key
+  /// different widths without racing on the global knob.  Ignored by
+  /// kExact.  Resolved via resolve_fusion_width(); part of the cache key
   /// and of the exec layer's tape-sharing group keys for fused-wide runs.
   int fusion_width = 0;
 };

@@ -49,9 +49,10 @@ struct CharterOptions {
   /// the paper's protocol treats every run as an independent experiment.
   bool common_random_numbers = false;
   /// Execution options for every run (seed is re-derived per circuit).
-  /// run.opt selects the NoiseProgram tape level: kExact (default) is
-  /// bit-reproducible; kFused merges gates/diagonals/relaxation windows for
-  /// speed with ~1e-12 agreement — gate rankings are unaffected in practice.
+  /// run.opt selects the tape level of trajectory runs: kExact (default) is
+  /// bit-reproducible; kFusedWide consolidates coherent runs into dense
+  /// wide gates with ~1e-12 agreement.  Density-matrix runs always execute
+  /// the exact tape.
   backend::RunOptions run;
   /// Execution strategy: prefix-state checkpointing, run caching, and the
   /// worker-pool width (see exec/batch.hpp; exec.threads is the knob the
@@ -63,10 +64,10 @@ struct CharterOptions {
   /// Reports are bit-identical at every exec.threads value.
   exec::BatchOptions exec;
   /// Execution strategy for the sweep (exec/strategy.hpp).  A fixed kind
-  /// (kDmExact, kDmFused, kDmFusedWide, kTrajectory) overrides run.engine /
-  /// run.opt for every circuit; kAuto (the default) keeps the path run
-  /// resolves to (exec::plan_family).  The decision is made once per
-  /// analyze() call, so every chunk of one sweep runs the same strategy.
+  /// (kDmExact, kTrajectory) overrides run.engine for every circuit; kAuto
+  /// (the default) keeps the path run resolves to (exec::plan_family).  The
+  /// decision is made once per analyze() call, so every chunk of one sweep
+  /// runs the same strategy.
   exec::StrategyKind strategy = exec::StrategyKind::kAuto;
   /// Trajectory budget policy.  kFixedBudget (default): every trajectory
   /// run uses its full RunOptions::trajectories budget — the mode the

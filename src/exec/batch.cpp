@@ -50,11 +50,11 @@ class WorkerEngines {
   std::vector<std::unique_ptr<sim::DensityMatrixEngine>> engines_;
 };
 
-/// The tape-sharing key: sharers must agree on the optimization level AND,
-/// for fused-wide tapes, on the resolved fusion width — a width-2 and a
-/// width-3 run lower to different tapes, so letting them share would splice
-/// suffixes into a tape fused at the wrong width.  Exact/fused runs ignore
-/// the width knob and must not fork on it.
+/// The trajectory tape-sharing key: sharers must agree on the optimization
+/// level AND, for fused-wide tapes, on the resolved fusion width — a
+/// width-2 and a width-3 run lower to different tapes, so letting them
+/// share would splice suffixes into a tape fused at the wrong width.  Exact
+/// runs ignore the width knob and must not fork on it.
 std::pair<noise::OptLevel, int> tape_key(const backend::RunOptions& run) {
   return {run.opt, run.opt == noise::OptLevel::kFusedWide
                        ? backend::resolve_fusion_width(run)
@@ -65,8 +65,6 @@ void count_strategy(BatchRunner::Stats::StrategyCount& counts,
                     StrategyKind kind, std::size_t n) {
   switch (kind) {
     case StrategyKind::kDmExact: counts.dm_exact += n; break;
-    case StrategyKind::kDmFused: counts.dm_fused += n; break;
-    case StrategyKind::kDmFusedWide: counts.dm_fused_wide += n; break;
     case StrategyKind::kTrajectory: counts.trajectory += n; break;
     case StrategyKind::kCheckpointSplice: counts.checkpoint_splice += n; break;
     case StrategyKind::kAuto: break;
@@ -120,9 +118,8 @@ std::vector<std::vector<double>> BatchRunner::run(
   // Partition the remaining jobs into three routes.
   //
   //  - Density-matrix checkpoint sharers: deterministic given the model, so
-  //    drift == 0 and a verified prefix suffice for exactness.  All sharers
-  //    must agree on the tape optimization level (the plan's executor fuses
-  //    every resumed suffix uniformly).
+  //    drift == 0 and a verified prefix suffice for exactness (the
+  //    density-matrix path always runs the exact tape).
   //  - Trajectory checkpoint sharers: unravellings re-randomize per run
   //    seed, so sharing additionally requires every job to carry the *same*
   //    (seed, trajectory count) as the base sweep — then each trajectory's
@@ -142,7 +139,6 @@ std::vector<std::vector<double>> BatchRunner::run(
   std::vector<int> base_kept;
   if (base_usable) base_kept = backend::used_qubits(*base);
   const int base_width = static_cast<int>(base_kept.size());
-  std::optional<std::pair<noise::OptLevel, int>> shared_tape;
   std::vector<std::size_t> traj_candidates;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (done[i]) continue;
@@ -155,12 +151,9 @@ std::vector<std::vector<double>> BatchRunner::run(
     const EngineKind engine =
         prefix_ok ? backend::resolve_engine(job.run, base_width)
                   : EngineKind::kAuto;
-    bool eligible = false;
     if (prefix_ok && engine == EngineKind::kDensityMatrix &&
         base_width <= sim::DensityMatrixEngine::kMaxQubits) {
-      if (!shared_tape.has_value()) shared_tape = tape_key(job.run);
-      eligible = tape_key(job.run) == *shared_tape;
-      (eligible ? dm_idx : plain_idx).push_back(i);
+      dm_idx.push_back(i);
     } else if (prefix_ok && engine == EngineKind::kTrajectory) {
       traj_candidates.push_back(i);
     } else {
@@ -312,14 +305,12 @@ std::vector<std::vector<double>> BatchRunner::run(
   if (!dm_idx.empty()) {
     const auto dm_t0 = std::chrono::steady_clock::now();
     // Lower the base once; every sharer reuses the compaction, restricted
-    // model, and executor.  drift == 0 for all sharers, so the lowered model
-    // is seed-independent and shared safely.
+    // model, and exact executor.  drift == 0 for all sharers, so the lowered
+    // model is seed-independent and shared safely.
     backend::RunOptions lower_options;
     lower_options.drift = 0.0;
     const backend::LoweredRun lowered = backend_.lower(*base, lower_options);
-    const auto [opt, fusion_width] =
-        shared_tape.value_or(std::pair{noise::OptLevel::kExact, 0});
-    const noise::NoisyExecutor executor(lowered.model, opt, fusion_width);
+    const noise::NoisyExecutor executor(lowered.model);
 
     std::vector<std::size_t> prefix_lens;
     for (const std::size_t i : dm_idx)
@@ -343,15 +334,15 @@ std::vector<std::vector<double>> BatchRunner::run(
     const std::vector<Shard> shards = make_shards(
         dm_idx, segments, default_max_shard_jobs(dm_idx.size(), fanout));
 
-    // One shard loop for both modes.  Every non-base job goes through
-    // prepare_shared; the prepared (spliced + optimized) tape then runs on
-    // the shard's worker child when one is alive — shipped with its
-    // snapshot as serialized blobs, read back as raw probability doubles —
-    // and locally otherwise.  The child interprets exactly the bytes a
-    // local run interprets, so the results are bit-identical at any worker
-    // count.  A dead worker's unit is redone here from the same
-    // PreparedResume, never by preparing again, which would double-count
-    // the plan's resumed/replayed stats.
+    // One shard loop for both modes.  The base sweep already ran the base to
+    // completion; every other job goes through prepare_shared, and the
+    // prepared (spliced) tape then runs on the shard's worker child when one
+    // is alive — shipped with its snapshot as serialized blobs, read back as
+    // raw probability doubles — and locally otherwise.  The child interprets
+    // exactly the bytes a local run interprets, so the results are
+    // bit-identical at any worker count.  A dead worker's unit is redone
+    // here from the same PreparedResume, never by preparing again, which
+    // would double-count the plan's resumed/replayed stats.
     WorkerEngines engines(fanout);
     // Consecutive jobs in a shard resume from the same snapshot; cache its
     // serialization per driver.
@@ -360,14 +351,6 @@ std::vector<std::vector<double>> BatchRunner::run(
       std::vector<std::uint8_t> bytes;
     };
     std::vector<SnapCache> snap_cache(static_cast<std::size_t>(fanout));
-    std::once_flag base_tape_once;
-    std::vector<std::uint8_t> base_tape_bytes;
-    const auto base_fused_tape = [&]() -> const std::vector<std::uint8_t>& {
-      std::call_once(base_tape_once, [&] {
-        base_tape_bytes = noise::serialize_tape(executor.lower(lowered.local));
-      });
-      return base_tape_bytes;
-    };
 
     const auto run_shard = [&](std::size_t s, int w, WorkerProcess* wp) {
       for (const std::size_t i : shards[s].jobs) {
@@ -375,25 +358,8 @@ std::vector<std::vector<double>> BatchRunner::run(
         if (cancelled()) return;
         const AnalysisJob& job = jobs[i];
         std::vector<double> probs;
-        if (job.program == base && opt == noise::OptLevel::kExact) {
-          // The exact sweep already ran the base to completion.
+        if (job.program == base) {
           probs = plan.base_probabilities();
-        } else if (job.program == base) {
-          // Fused base: one full fused execution, so its distribution
-          // matches a standalone fused run exactly (executor.run ==
-          // lower().execute(), so the shipped tape matches it too).
-          std::optional<std::vector<double>> r =
-              offload(wp, [&](WorkerProcess& p) {
-                return p.run_tape(base_fused_tape(), 0, {});
-              });
-          if (r) {
-            probs = std::move(*r);
-          } else {
-            sim::DensityMatrixEngine& engine =
-                engines.get(w, lowered.local.num_qubits());
-            executor.run(lowered.local, engine);
-            probs = engine.probabilities();
-          }
         } else {
           const circ::Circuit derived =
               backend::compact_to(job.program->physical, lowered.kept);
@@ -440,12 +406,11 @@ std::vector<std::vector<double>> BatchRunner::run(
 
     stats_.actual_ns += route_ns(dm_t0);
     // Non-base jobs resume from shared prefix snapshots (splice); base jobs
-    // are full DM walks at the shared tape level.
+    // are full exact DM walks.
     for (const std::size_t i : dm_idx)
       count_strategy(stats_.strategy_jobs,
-                     jobs[i].program != base
-                         ? StrategyKind::kCheckpointSplice
-                         : classify_run(jobs[i].run, base_width),
+                     jobs[i].program != base ? StrategyKind::kCheckpointSplice
+                                             : StrategyKind::kDmExact,
                      1);
   }
 
@@ -454,16 +419,10 @@ std::vector<std::vector<double>> BatchRunner::run(
     backend::RunOptions lower_options;
     lower_options.drift = 0.0;
     const backend::LoweredRun lowered = backend_.lower(*base, lower_options);
-    // Trajectory tapes downgrade kFused to exact (fused() reorders
-    // stochastic draws); kFusedWide keeps channels as in-order barriers, so
-    // the group may share a fused-wide lowering — at the group's agreed
-    // fusion width.
-    const noise::NoisyExecutor executor(
-        lowered.model,
-        group_tape.first == noise::OptLevel::kFusedWide
-            ? noise::OptLevel::kFusedWide
-            : noise::OptLevel::kExact,
-        group_tape.second);
+    // kFusedWide keeps channels as in-order barriers, so the group may
+    // share a fused-wide lowering — at the group's agreed fusion width.
+    const noise::NoisyExecutor executor(lowered.model, group_tape.first,
+                                        group_tape.second);
     std::vector<std::size_t> prefix_lens;
     for (const std::size_t i : traj_idx)
       if (jobs[i].program != base) prefix_lens.push_back(jobs[i].shared_prefix);
@@ -540,13 +499,9 @@ std::vector<std::vector<double>> BatchRunner::run(
                      traj_plain[static_cast<std::size_t>(k)];
                  TrajRun& r = runs[static_cast<std::size_t>(k)];
                  r.lowered = backend_.lower(*jobs[i].program, jobs[i].run);
-                 // Mirror FakeBackend::run's trajectory policy: kFusedWide
-                 // is honored, kFused downgrades to the exact tape.
+                 // Mirror FakeBackend::run: trajectories honor run.opt.
                  const noise::NoisyExecutor executor(
-                     r.lowered->model,
-                     jobs[i].run.opt == noise::OptLevel::kFusedWide
-                         ? noise::OptLevel::kFusedWide
-                         : noise::OptLevel::kExact,
+                     r.lowered->model, jobs[i].run.opt,
                      backend::resolve_fusion_width(jobs[i].run));
                  r.tape = executor.lower(r.lowered->local);
                  r.partial.resize(static_cast<std::size_t>(

@@ -31,16 +31,15 @@
 /// (trajectory_plan.hpp) — exact only when every sharer also agrees on
 /// (seed, trajectory count) with the base sweep, which the analyzer opts
 /// into via common random numbers.  Jobs that cannot share exactly (drifted
-/// calibration, differing qubit footprints, mismatched trajectory seeds, or
-/// a tape optimization level differing from the batch's sharers) fall back
-/// to independent full runs on the same pool — trajectory full runs fan
-/// their unravelling groups out as individual tasks; every exact-mode
-/// result is bit-identical to a standalone FakeBackend::run with the same
-/// options.  Fused-mode
-/// (RunOptions::opt == OptLevel::kFused) checkpointed results agree with
-/// standalone fused runs to the fusion tolerance (~1e-12): resumed suffixes
-/// fuse from the snapshot position while a standalone run fuses the whole
-/// tape.
+/// calibration, differing qubit footprints, or trajectory jobs whose seed or
+/// tape level differs from the group's) fall back to independent full runs
+/// on the same pool — trajectory full runs fan their unravelling groups out
+/// as individual tasks; every exact-mode result is bit-identical to a
+/// standalone FakeBackend::run with the same options.  Fused-wide trajectory
+/// (RunOptions::opt == OptLevel::kFusedWide) checkpointed results agree with
+/// standalone fused-wide runs to the fusion tolerance (~1e-12): resumed
+/// suffixes fuse from the snapshot position while a standalone run fuses
+/// the whole tape.
 
 #include <cstddef>
 #include <functional>
@@ -166,8 +165,9 @@ class BatchRunner {
     std::size_t worker_retried_jobs = 0;
     /// How the executed (non-cache-hit) jobs were classified across the
     /// strategy portfolio (exec/strategy.hpp).  checkpoint_splice counts
-    /// DM jobs resumed from a shared prefix snapshot; the dm_* counters
-    /// cover full DM walks at each tape level.
+    /// DM jobs resumed from a shared prefix snapshot; dm_exact counts full
+    /// DM walks.  dm_fused and dm_fused_wide name retired density-matrix
+    /// tape levels: they always read 0 and stay for report compatibility.
     struct StrategyCount {
       std::size_t dm_exact = 0;
       std::size_t dm_fused = 0;

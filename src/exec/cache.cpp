@@ -86,13 +86,13 @@ Fingerprint fingerprint(const backend::RunOptions& options) {
   b.mix(options.seed);
   b.mix_double(options.drift);
   // The tape optimization level changes results (within the fusion
-  // tolerance), so exact and fused runs must never share a cache entry.
+  // tolerance), so exact and fused-wide runs must never share a cache entry.
   b.mix(static_cast<std::uint64_t>(options.opt));
   // The resolved fusion width changes which wide gates a fused-wide
   // lowering emits (and therefore the rounding of the result), so width-2
   // and width-3 runs get distinct keys — whether the width comes from the
   // run's own fusion_width override or the process-global knob.
-  // Exact/fused runs ignore the knob and must not fork on it.
+  // Exact runs ignore the knob and must not fork on it.
   if (options.opt == noise::OptLevel::kFusedWide)
     b.mix(static_cast<std::uint64_t>(backend::resolve_fusion_width(options)));
   return b.result();

@@ -12,14 +12,15 @@
 /// covering the compiled circuit, the device (its topology name *and* full
 /// calibration data, so two devices that merely share a name never
 /// collide), the run options — including the tape optimization level, so
-/// exact and fused runs of the same circuit never collide — and the
+/// exact and fused-wide runs of the same circuit never collide — and the
 /// NoiseProgram schema fingerprint, which invalidates every entry if the
 /// lowering pipeline's semantics change.
 ///
-/// Fused-mode caveat: with OptLevel::kFused, a checkpointed run and a
-/// standalone run of the same job agree to the fusion tolerance (~1e-12)
-/// rather than bit-for-bit, so a fused cache entry is canonical only to
-/// that tolerance.  Exact-mode entries remain bit-reproducible.
+/// Fused-wide caveat: with OptLevel::kFusedWide, a checkpointed trajectory
+/// run and a standalone run of the same job agree to the fusion tolerance
+/// (~1e-12) rather than bit-for-bit, so a fused-wide cache entry is
+/// canonical only to that tolerance.  Exact-mode entries remain
+/// bit-reproducible.
 ///
 /// Two tiers:
 ///

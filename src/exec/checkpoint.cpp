@@ -35,6 +35,8 @@ CheckpointPlan::CheckpointPlan(const NoisyExecutor& executor,
     : executor_(executor),
       base_(std::move(base)),
       base_stream_(executor.make_stream(base_)) {
+  require(executor.level() == noise::OptLevel::kExact,
+          "density-matrix checkpoint plans run the exact tape");
   std::sort(prefix_lens.begin(), prefix_lens.end());
   prefix_lens.erase(std::unique(prefix_lens.begin(), prefix_lens.end()),
                     prefix_lens.end());
@@ -103,20 +105,12 @@ std::optional<CheckpointPlan::PreparedResume> CheckpointPlan::prepare_shared(
     return std::nullopt;
   }
 
-  // Resume at the tape position of the snapshot; in fused mode, optimize
-  // everything past it (the verbatim region before the resume point is
-  // never touched by fusion, so the snapshot stays a valid entry state).
+  // Resume at the tape position of the snapshot.
   const std::size_t resume_pos = spliced->op_end(snapshot->prefix_len - 1);
-  noise::NoiseProgram tape = std::move(*spliced);
-  if (executor_.level() == noise::OptLevel::kFused)
-    tape = noise::fused(tape, resume_pos);
-  else if (executor_.level() == noise::OptLevel::kFusedWide)
-    tape = noise::fused_wide(tape, resume_pos);
-
   replayed_ops_.fetch_add(prefix_len - snapshot->prefix_len,
                           std::memory_order_relaxed);
   resumed_.fetch_add(1, std::memory_order_relaxed);
-  return PreparedResume{std::move(tape), resume_pos, &snapshot->rho};
+  return PreparedResume{std::move(*spliced), resume_pos, &snapshot->rho};
 }
 
 std::vector<double> CheckpointPlan::run_shared(

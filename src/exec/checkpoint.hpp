@@ -31,13 +31,6 @@
 /// and must not share prefixes at all — BatchRunner routes those to plain
 /// full runs.
 ///
-/// Fused mode.  When the executor carries OptLevel::kFused, the *suffix* of
-/// each resumed run (everything past its snapshot) is fused before
-/// interpretation; the base sweep and all snapshots stay exact, so every
-/// resume point remains bit-reproducible.  Fused results agree with exact
-/// to the fusion tolerance (~1e-12) rather than bit-for-bit — the exec
-/// RunCache keys therefore carry the optimization level.
-///
 /// Memory.  Each snapshot costs 16 bytes * 4^n for an n-qubit local circuit.
 /// When the requested snapshots exceed the budget, an evenly spaced subset
 /// is kept; resumption replays the gap [snapshot, fork point) from the
@@ -68,7 +61,8 @@ class CheckpointPlan {
  public:
   /// Sweeps \p base once under \p executor, snapshotting after each prefix
   /// length in \p prefix_lens (deduped; capped by \p memory_budget_bytes).
-  /// The executor reference must outlive the plan.
+  /// The executor must be OptLevel::kExact (the density-matrix path always
+  /// runs the exact tape) and must outlive the plan.
   CheckpointPlan(const noise::NoisyExecutor& executor, circ::Circuit base,
                  std::vector<std::size_t> prefix_lens,
                  std::size_t memory_budget_bytes);
@@ -93,19 +87,19 @@ class CheckpointPlan {
                                  sim::DensityMatrixEngine& engine) const;
 
   /// A resumable execution prepared for one derived circuit: the spliced
-  /// (and, in fused modes, suffix-optimized) tape, the tape position to
-  /// resume at, and the snapshot state to load first.  `snapshot` points
-  /// into the plan and stays valid for the plan's lifetime.  The tape and
-  /// the doubles in *snapshot are everything an interpreter needs — the
-  /// multi-process driver serializes exactly this pair to a worker child,
-  /// which reproduces run_shared()'s resumed path bit-for-bit.
+  /// tape, the tape position to resume at, and the snapshot state to load
+  /// first.  `snapshot` points into the plan and stays valid for the plan's
+  /// lifetime.  The tape and the doubles in *snapshot are everything an
+  /// interpreter needs — the multi-process driver serializes exactly this
+  /// pair to a worker child, which reproduces run_shared()'s resumed path
+  /// bit-for-bit.
   struct PreparedResume {
     noise::NoiseProgram tape;
     std::size_t resume_pos = 0;
     const std::vector<math::cplx>* snapshot = nullptr;
   };
 
-  /// The splice/optimize/locate-snapshot front half of run_shared(),
+  /// The splice/locate-snapshot front half of run_shared(),
   /// without the execution: nullopt when the prefix is not provably exact
   /// or no snapshot applies (the caller must run \p c cold).  Accounts the
   /// plan's resumed/replayed/fallback stats, so a caller pairing

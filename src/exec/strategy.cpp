@@ -25,8 +25,6 @@ const char* strategy_name(StrategyKind kind) {
   switch (kind) {
     case StrategyKind::kAuto: return "auto";
     case StrategyKind::kDmExact: return "dm_exact";
-    case StrategyKind::kDmFused: return "dm_fused";
-    case StrategyKind::kDmFusedWide: return "dm_fused_wide";
     case StrategyKind::kTrajectory: return "trajectory";
     case StrategyKind::kCheckpointSplice: return "checkpoint_splice";
   }
@@ -36,9 +34,6 @@ const char* strategy_name(StrategyKind kind) {
 std::optional<StrategyKind> strategy_from_name(const std::string& name) {
   if (name == "auto") return StrategyKind::kAuto;
   if (name == "dm" || name == "dm_exact") return StrategyKind::kDmExact;
-  if (name == "fused" || name == "dm_fused") return StrategyKind::kDmFused;
-  if (name == "fused-wide" || name == "dm_fused_wide")
-    return StrategyKind::kDmFusedWide;
   if (name == "trajectory") return StrategyKind::kTrajectory;
   if (name == "checkpoint_splice") return StrategyKind::kCheckpointSplice;
   return std::nullopt;
@@ -71,24 +66,11 @@ bool applicable(StrategyKind kind, const StrategyContext& ctx) {
 }  // namespace
 
 void Strategy::prepare(backend::RunOptions& run) const {
-  switch (kind_) {
-    case StrategyKind::kTrajectory:
-      run.engine = backend::EngineKind::kTrajectory;
-      // Trajectory runs downgrade kFused (fusing reorders the stochastic
-      // draws); kFusedWide's barrier discipline preserves the draw sequence.
-      if (run.opt == noise::OptLevel::kFused) run.opt = noise::OptLevel::kExact;
-      return;
-    case StrategyKind::kDmFused:
-      run.opt = noise::OptLevel::kFused;
-      break;
-    case StrategyKind::kDmFusedWide:
-      run.opt = noise::OptLevel::kFusedWide;
-      break;
-    default:  // kDmExact, kCheckpointSplice
-      run.opt = noise::OptLevel::kExact;
-      break;
-  }
-  run.engine = backend::EngineKind::kDensityMatrix;
+  // run.opt stays as the caller set it: trajectories honor it, and the
+  // density-matrix path always runs the exact tape.
+  run.engine = kind_ == StrategyKind::kTrajectory
+                   ? backend::EngineKind::kTrajectory
+                   : backend::EngineKind::kDensityMatrix;
 }
 
 Strategy strategy(StrategyKind kind) {
@@ -99,14 +81,10 @@ Strategy strategy(StrategyKind kind) {
 }
 
 StrategyKind classify_run(const backend::RunOptions& run, int width) {
-  if (backend::resolve_engine(run, width) == backend::EngineKind::kTrajectory)
-    return StrategyKind::kTrajectory;
-  switch (run.opt) {
-    case noise::OptLevel::kFused: return StrategyKind::kDmFused;
-    case noise::OptLevel::kFusedWide: return StrategyKind::kDmFusedWide;
-    case noise::OptLevel::kExact: break;
-  }
-  return StrategyKind::kDmExact;
+  return backend::resolve_engine(run, width) ==
+                 backend::EngineKind::kTrajectory
+             ? StrategyKind::kTrajectory
+             : StrategyKind::kDmExact;
 }
 
 Decision plan_family(StrategyKind requested, BudgetMode budget,
@@ -177,19 +155,16 @@ AdaptiveResult run_adaptive_trajectory_sweep(
 
   std::vector<AdaptiveJobState> states(jobs.size());
 
-  // Lower every job's tape up front (one pool task per job), mirroring the
-  // batch runner's trajectory policy: kFusedWide is honored, kFused
-  // downgrades to the exact tape.
+  // Lower every job's tape up front (one pool task per job), honoring the
+  // job's tape level like the batch runner's trajectory routes.
   pool->run(static_cast<std::int64_t>(jobs.size()),
             [&](std::int64_t k, int /*worker*/) {
               const AdaptiveJob& job = jobs[static_cast<std::size_t>(k)];
               AdaptiveJobState& st = states[static_cast<std::size_t>(k)];
               st.lowered = backend.lower(*job.program, job.run);
               const noise::NoisyExecutor executor(
-                  st.lowered->model,
-                  job.run.opt == noise::OptLevel::kFusedWide
-                      ? noise::OptLevel::kFusedWide
-                      : noise::OptLevel::kExact);
+                  st.lowered->model, job.run.opt,
+                  backend::resolve_fusion_width(job.run));
               st.tape = executor.lower(st.lowered->local);
               st.groups_total =
                   sim::num_trajectory_groups(job.run.trajectories);

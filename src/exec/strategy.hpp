@@ -5,10 +5,10 @@
 /// layer can run an analysis job family, and the static rule that picks
 /// one per family.
 ///
-/// BatchRunner has several execution paths — DM-exact, fused-tape (narrow
-/// and wide), trajectory sweeps, and checkpoint-splice resumption.  This
-/// file names each path as a StrategyKind (stable strategy_name()s that
-/// appear in exec stats and on the CLI) and adds:
+/// BatchRunner has three execution paths — DM-exact, trajectory sweeps,
+/// and checkpoint-splice resumption.  This file names each path as a
+/// StrategyKind (stable strategy_name()s that appear in exec stats and on
+/// the CLI) and adds:
 ///
 ///  - plan_family: the static per-family rule.  A fixed kind maps directly
 ///    onto prepared RunOptions (degrading to trajectories past the
@@ -44,8 +44,6 @@ struct RunHooks;  // exec/batch.hpp
 enum class StrategyKind : std::uint8_t {
   kAuto = 0,          ///< the static rule picks (per job family)
   kDmExact,           ///< density-matrix engine, exact tape (bit-reproducible)
-  kDmFused,           ///< density-matrix engine, fused tape (~1e-12)
-  kDmFusedWide,       ///< density-matrix engine, wide-fused tape (~1e-12)
   kTrajectory,        ///< Monte-Carlo trajectory sweep
   kCheckpointSplice,  ///< DM job resumed from a shared prefix snapshot
 };
@@ -55,8 +53,8 @@ enum class StrategyKind : std::uint8_t {
 const char* strategy_name(StrategyKind kind);
 
 /// Parses a user-facing strategy spelling (CLI `--strategy`): "auto",
-/// "dm", "fused", "fused-wide", "trajectory", or any stable
-/// strategy_name().  nullopt on unknown input.
+/// "dm", "trajectory", or any stable strategy_name().  nullopt on unknown
+/// input.
 std::optional<StrategyKind> strategy_from_name(const std::string& name);
 
 /// Trajectory shot/unravelling budget policy.
@@ -82,8 +80,8 @@ struct StrategyContext {
   bool lowering = false;   ///< backend supports lower()/finalize()
 };
 
-/// One concrete execution path: the RunOptions rewrite that routes a job
-/// down it.  A plain value; see strategy().
+/// One concrete execution path: the RunOptions rewrite (the engine) that
+/// routes a job down it.  A plain value; see strategy().
 class Strategy {
  public:
   constexpr explicit Strategy(StrategyKind kind) : kind_(kind) {}
@@ -100,8 +98,7 @@ class Strategy {
 Strategy strategy(StrategyKind kind);
 
 /// Classifies the path a (run, width) pair resolves to under the fixed
-/// rules: the engine family via backend::resolve_engine, then the tape
-/// level.
+/// rules: the engine family via backend::resolve_engine.
 StrategyKind classify_run(const backend::RunOptions& run, int width);
 
 /// A resolved per-family decision.
@@ -116,9 +113,9 @@ struct Decision {
 /// request past the density-matrix cap (the same degradation
 /// EngineKind::kAuto performs), or a splice request without lowering or
 /// without a second job to share a prefix with.  kAuto prepares ctx.run
-/// for the path classify_run resolves it to, so the engine family and
-/// tape level the caller configured stand.  \p budget arms the adaptive
-/// sweep for trajectory-family decisions.
+/// for the path classify_run resolves it to, so the engine family (and,
+/// on trajectories, the tape level) the caller configured stand.  \p budget
+/// arms the adaptive sweep for trajectory-family decisions.
 Decision plan_family(StrategyKind requested, BudgetMode budget,
                      const StrategyContext& ctx);
 

@@ -23,13 +23,10 @@ TrajectoryCheckpointPlan::TrajectoryCheckpointPlan(
       base_stream_(executor.make_stream(base_)),
       num_trajectories_(num_trajectories),
       seeder_(run_seed ^ backend::kTrajectorySeedSalt) {
-  // kFused reorders the stochastic draws, which would desynchronize the
-  // snapshot RNG streams; kFusedWide keeps channels as in-order barriers,
-  // so shared suffixes may run fused-wide (run_shared re-optimizes the
-  // spliced tape past the resume point).  The base sweep itself always
-  // walks the exact stream — snapshots must land on exact-tape positions.
-  require(executor.level() != noise::OptLevel::kFused,
-          "trajectory tapes are never gate-fused (kFused)");
+  // kFusedWide keeps channels as in-order barriers, so shared suffixes may
+  // run fused-wide (run_shared re-optimizes the spliced tape past the
+  // resume point).  The base sweep itself always walks the exact stream —
+  // snapshots must land on exact-tape positions.
   require(num_trajectories_ >= 1, "need at least one trajectory");
   std::sort(prefix_lens.begin(), prefix_lens.end());
   prefix_lens.erase(std::unique(prefix_lens.begin(), prefix_lens.end()),
@@ -142,7 +139,7 @@ std::vector<double> TrajectoryCheckpointPlan::run_shared(
   // exactly as a cold fused-wide lowering of that region would.
   const noise::NoiseProgram tape =
       executor_.level() == noise::OptLevel::kFusedWide
-          ? noise::fused_wide(*spliced, resume_pos)
+          ? noise::fused_wide(*spliced, resume_pos, executor_.fusion_width())
           : std::move(*spliced);
   const std::uint64_t dim = std::uint64_t{1} << c.num_qubits();
   const int num_groups = sim::num_trajectory_groups(num_trajectories_);

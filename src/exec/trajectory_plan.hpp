@@ -49,10 +49,10 @@ namespace charter::exec {
 /// across worker threads.
 class TrajectoryCheckpointPlan {
  public:
-  /// Sweeps \p base once per unravelling under \p executor (which must be
-  /// OptLevel::kExact — trajectory tapes are never fused), cloning each
+  /// Sweeps \p base once per unravelling on its exact tape, cloning each
   /// engine after every prefix length in \p prefix_lens (deduped; capped by
-  /// \p memory_budget_bytes).  \p run_seed is the jobs' shared
+  /// \p memory_budget_bytes).  A kFusedWide \p executor re-fuses each
+  /// resumed suffix past its resume point.  \p run_seed is the jobs' shared
   /// RunOptions::seed; the plan derives the same per-trajectory engine
   /// seeds FakeBackend::run would.  The sweep's trajectory groups are
   /// distributed over \p pool.  The executor must outlive the plan.

@@ -203,21 +203,15 @@ int worker_serve(int fd) {
           if (!engine || engine->num_qubits() != tape.num_qubits())
             engine =
                 std::make_unique<sim::DensityMatrixEngine>(tape.num_qubits());
-          if (state_blob.empty()) {
-            tape.execute(*engine);
-          } else {
-            const sim::SnapshotData snap =
-                sim::deserialize_snapshot(state_blob);
-            if (snap.num_qubits != tape.num_qubits())
-              throw ProtocolError(ErrorCode::kBadRequest,
-                                  "snapshot width does not match the tape");
-            if (resume_pos > tape.size())
-              throw ProtocolError(ErrorCode::kBadRequest,
-                                  "resume position past the tape end");
-            engine->load_state(snap.state);
-            tape.run(*engine, static_cast<std::size_t>(resume_pos),
-                     tape.size());
-          }
+          const sim::SnapshotData snap = sim::deserialize_snapshot(state_blob);
+          if (snap.num_qubits != tape.num_qubits())
+            throw ProtocolError(ErrorCode::kBadRequest,
+                                "snapshot width does not match the tape");
+          if (resume_pos > tape.size())
+            throw ProtocolError(ErrorCode::kBadRequest,
+                                "resume position past the tape end");
+          engine->load_state(snap.state);
+          tape.run(*engine, static_cast<std::size_t>(resume_pos), tape.size());
           sent = send_result(fd, id, engine->probabilities());
         } catch (const ProtocolError& e) {
           sent = send_error(fd, id, e.code(), e.what());

@@ -15,8 +15,7 @@
 ///
 ///   {"op":"tape_run","id":N,"tape_bytes":B1,"state_bytes":B2,
 ///    "resume_pos":P}\n  <B1 tape blob>  <B2 snapshot blob>
-///       state_bytes == 0: execute the whole tape from |0...0>.
-///       otherwise: load the snapshot, interpret ops [P, size).
+///       load the snapshot, interpret ops [P, size).
 ///
 ///   {"op":"traj_group","id":N,"tape_bytes":B,"begin":x,"end":y,
 ///    "seed":"<decimal u64>"}\n  <B tape blob>
@@ -89,7 +88,7 @@ class WorkerProcess {
   /// never revived — the caller runs remaining units in-process.
   bool alive() const { return alive_; }
 
-  /// Ships a tape (+ optional snapshot) and returns the child's
+  /// Ships a tape + snapshot and returns the child's
   /// probabilities.  nullopt on any failure: worker death (alive()
   /// flips false) or a structured error reply (alive() stays true).
   /// Either way the caller retries the unit in-process.

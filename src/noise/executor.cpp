@@ -1,7 +1,5 @@
 #include "noise/executor.hpp"
 
-#include <utility>
-
 #include "util/error.hpp"
 
 namespace charter::noise {
@@ -18,11 +16,8 @@ circ::Schedule NoisyExecutor::make_schedule(const circ::Circuit& c) const {
 
 NoiseProgram NoisyExecutor::lower(const circ::Circuit& c) const {
   NoiseProgram program = noise::lower(model_, c);
-  if (level_ == OptLevel::kFused) {
-    program = fused(std::move(program));
-  } else if (level_ == OptLevel::kFusedWide) {
+  if (level_ == OptLevel::kFusedWide)
     program = fused_wide(program, /*from_pos=*/0, fusion_width_);
-  }
   return program;
 }
 

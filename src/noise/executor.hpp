@@ -7,8 +7,8 @@
 /// re-deriving lazy decoherence windows and ZZ flushes and making one
 /// virtual engine call per op.  That walk now happens once, at lowering
 /// time (noise/program.hpp): run() lowers the circuit to a tape — fusing it
-/// first when the executor was constructed with OptLevel::kFused — and the
-/// inner loop is the tape interpreter, which on the density-matrix engine
+/// first when the executor was constructed with OptLevel::kFusedWide — and
+/// the inner loop is the tape interpreter, which on the density-matrix engine
 /// dispatches devirtualized single-pass pair kernels.
 ///
 /// The physical model is unchanged (see program.hpp's lowering rules):
@@ -53,8 +53,8 @@ class NoisyExecutor {
  public:
   /// \p fusion_width caps wide-gate fusion for kFusedWide lowerings: 2 or 3
   /// pins the width for this executor, 0 (default) defers to the
-  /// process-global noise::fusion_width() at lowering time.  Ignored by the
-  /// other levels.
+  /// process-global noise::fusion_width() at lowering time.  Ignored by
+  /// kExact.
   explicit NoisyExecutor(const NoiseModel& model,
                          OptLevel level = OptLevel::kExact,
                          int fusion_width = 0);

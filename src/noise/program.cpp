@@ -653,292 +653,6 @@ NoiseProgram lower(const NoiseModel& model, const circ::Circuit& c,
 }
 
 // ---------------------------------------------------------------------------
-// Optimizer
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// 2x2 matrix of a coherent one-qubit tape op (unitary or diagonal).
-Mat2 coherent_mat(const NoiseProgram& p, const TapeOp& op,
-                  const std::vector<Mat2>& mats,
-                  const std::vector<std::array<cplx, 4>>& diags) {
-  (void)p;
-  if (op.kind == TapeOpKind::kUnitary1q) return mats[op.payload];
-  Mat2 m;
-  m(0, 0) = diags[op.payload][0];
-  m(1, 1) = diags[op.payload][1];
-  return m;
-}
-
-}  // namespace
-
-NoiseProgram fused(const NoiseProgram& p, std::size_t from_pos) {
-  require(from_pos <= p.size(), "fusion start past the end of the tape");
-  NoiseProgram out(p.num_qubits());
-  out.level_ = OptLevel::kFused;
-  out.mats_ = p.mats_;
-  out.diags_ = p.diags_;
-  out.kraus_sets_ = p.kraus_sets_;
-  out.mats4_ = p.mats4_;
-  out.mats8_ = p.mats8_;
-  out.ops_.assign(p.ops_.begin(),
-                  p.ops_.begin() + static_cast<std::ptrdiff_t>(from_pos));
-  out.prologue_end_ = std::min(p.prologue_end_, from_pos);
-  for (const std::size_t e : p.op_end_) {
-    if (e > from_pos) break;
-    out.op_end_.push_back(e);
-  }
-
-  // Peephole state per circuit qubit.  An op can merge with an earlier op
-  // only by commuting past everything between them that touches its
-  // qubits, so each tracker encodes one commutation class:
-  //  - diag1_target[q]: latest coherent op absorbing a *one-qubit*
-  //    diagonal.  Valid while only ops commuting with diag(d0, d1) on q
-  //    touch q: thermal relaxation and one-qubit depolarizing on q (their
-  //    Kraus sets change by a global phase only), two-qubit depolarizing
-  //    containing q (the twirl mixes elements with equal diagonal-phase
-  //    factors), and CX with q as *control* (both diagonal in q).
-  //  - diag2_target[q]: latest diag-2q absorbing another diagonal on the
-  //    same pair.  Far stricter: a two-qubit phase does NOT commute with
-  //    relaxation or one-qubit depolarizing on either qubit (amplitude
-  //    damping maps |1,b> -> |0,b> across *different* RZZ phases), so only
-  //    one-qubit diagonals, same-pair depolarizing, and CX with a pair
-  //    qubit as control (and target outside the pair) may intervene.
-  //  - thermal_target[q]: latest relaxation on q.  Relaxation commutes
-  //    with one-qubit diagonals on q and nothing else, so only kDiag1q may
-  //    intervene; windows compose in closed form.
-  //  - last_touch[q]: latest op touching q of any kind — the only legal
-  //    merge partner for a general unitary, which commutes with nothing.
-  // Targets never point before from_pos (they start invalid), so the
-  // verbatim prefix is never mutated and a snapshot at from_pos stays a
-  // valid resume point.
-  constexpr int kNone = -1;
-  const std::size_t nq = static_cast<std::size_t>(p.num_qubits());
-  std::vector<int> last_touch(nq, kNone);
-  std::vector<int> diag1_target(nq, kNone);
-  std::vector<int> diag2_target(nq, kNone);
-  std::vector<int> thermal_target(nq, kNone);
-  std::vector<bool> dead(out.ops_.size(), false);
-
-  const auto append = [&](const TapeOp& op) -> int {
-    out.ops_.push_back(op);
-    dead.push_back(false);
-    return static_cast<int>(out.ops_.size() - 1);
-  };
-
-  for (std::size_t i = from_pos; i < p.size(); ++i) {
-    const TapeOp op = p.op(i);
-    const std::size_t q = static_cast<std::size_t>(op.q0);
-    switch (op.kind) {
-      case TapeOpKind::kUnitary1q: {
-        Mat2 m = out.mats_[op.payload];
-        const int t = diag1_target[q];
-        if (t != kNone) {
-          TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-          if (tgt.kind == TapeOpKind::kUnitary1q && tgt.q0 == op.q0 &&
-              t == last_touch[q]) {
-            // Adjacent unitaries on the same qubit: one matrix product.
-            out.mats_[tgt.payload] = math::mul(m, out.mats_[tgt.payload]);
-            thermal_target[q] = kNone;
-            continue;
-          }
-          if (tgt.kind == TapeOpKind::kDiag1q && tgt.q0 == op.q0) {
-            // Hoist the pure diagonal forward through the commuting
-            // channels between it and this gate, then absorb it.
-            m = math::mul(m, coherent_mat(p, tgt, out.mats_, out.diags_));
-            dead[static_cast<std::size_t>(t)] = true;
-          }
-        }
-        TapeOp merged = op;
-        merged.kind = TapeOpKind::kUnitary1q;
-        merged.payload = static_cast<std::uint32_t>(out.mats_.size());
-        out.mats_.push_back(m);
-        const int idx = append(merged);
-        diag1_target[q] = idx;
-        diag2_target[q] = kNone;
-        thermal_target[q] = kNone;
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kDiag1q: {
-        const std::array<cplx, 4>& d = out.diags_[op.payload];
-        const int t = diag1_target[q];
-        if (t != kNone) {
-          TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-          if (tgt.kind == TapeOpKind::kDiag1q && tgt.q0 == op.q0) {
-            auto& td = out.diags_[tgt.payload];
-            td[0] *= d[0];
-            td[1] *= d[1];
-            continue;
-          }
-          if (tgt.kind == TapeOpKind::kUnitary1q && tgt.q0 == op.q0) {
-            Mat2& tm = out.mats_[tgt.payload];
-            tm(0, 0) *= d[0];
-            tm(0, 1) *= d[0];
-            tm(1, 0) *= d[1];
-            tm(1, 1) *= d[1];
-            continue;
-          }
-          if (tgt.kind == TapeOpKind::kDiag2q &&
-              (tgt.q0 == op.q0 || tgt.q1 == op.q0)) {
-            auto& td = out.diags_[tgt.payload];
-            if (tgt.q0 == op.q0) {
-              td[0] *= d[0];
-              td[2] *= d[0];
-              td[1] *= d[1];
-              td[3] *= d[1];
-            } else {
-              td[0] *= d[0];
-              td[1] *= d[0];
-              td[2] *= d[1];
-              td[3] *= d[1];
-            }
-            continue;
-          }
-        }
-        const int idx = append(op);
-        diag1_target[q] = idx;
-        // A one-qubit diagonal is transparent to diag-2q and relaxation
-        // merges on q, so those targets survive.
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kDiag2q: {
-        const std::size_t qa = q;
-        const std::size_t qb = static_cast<std::size_t>(op.q1);
-        const int t = diag2_target[qa];
-        if (t != kNone && diag2_target[qb] == t) {
-          TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-          CHARTER_ASSERT(tgt.kind == TapeOpKind::kDiag2q,
-                         "diag2 target must be a diag-2q op");
-          const std::array<cplx, 4>& d = out.diags_[op.payload];
-          auto& td = out.diags_[tgt.payload];
-          if (tgt.q0 == op.q0 && tgt.q1 == op.q1) {
-            for (std::size_t k = 0; k < 4; ++k) td[k] *= d[k];
-            continue;
-          }
-          if (tgt.q0 == op.q1 && tgt.q1 == op.q0) {
-            // Same pair, swapped index convention: permute bits 0 <-> 1.
-            td[0] *= d[0];
-            td[1] *= d[2];
-            td[2] *= d[1];
-            td[3] *= d[3];
-            continue;
-          }
-        }
-        const int idx = append(op);
-        diag1_target[qa] = idx;
-        diag1_target[qb] = idx;
-        diag2_target[qa] = idx;
-        diag2_target[qb] = idx;
-        // Relaxation cannot cross a two-qubit phase (see class comment).
-        thermal_target[qa] = kNone;
-        thermal_target[qb] = kNone;
-        last_touch[qa] = idx;
-        last_touch[qb] = idx;
-        break;
-      }
-      case TapeOpKind::kThermal: {
-        const int t = thermal_target[q];
-        if (t != kNone) {
-          // Closed-form window composition: survival amplitudes and
-          // phase-keep factors both multiply.
-          TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-          tgt.a = 1.0 - (1.0 - tgt.a) * (1.0 - op.a);
-          const double keep = (1.0 - 2.0 * tgt.b) * (1.0 - 2.0 * op.b);
-          tgt.b = 0.5 * (1.0 - keep);
-          continue;
-        }
-        const int idx = append(op);
-        thermal_target[q] = idx;
-        diag2_target[q] = kNone;
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kDepol1q: {
-        const int idx = append(op);
-        thermal_target[q] = kNone;
-        diag2_target[q] = kNone;
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kDepol2q: {
-        const int idx = append(op);
-        for (const std::size_t qq : {q, static_cast<std::size_t>(op.q1)}) {
-          thermal_target[qq] = kNone;
-          // diag-2q merges survive only across depolarizing on the *same*
-          // pair.
-          const int t = diag2_target[qq];
-          if (t != kNone) {
-            const TapeOp& tgt = out.ops_[static_cast<std::size_t>(t)];
-            const bool same_pair =
-                (tgt.q0 == op.q0 && tgt.q1 == op.q1) ||
-                (tgt.q0 == op.q1 && tgt.q1 == op.q0);
-            if (!same_pair) diag2_target[qq] = kNone;
-          }
-          last_touch[qq] = idx;
-        }
-        break;
-      }
-      case TapeOpKind::kCx: {
-        const int idx = append(op);
-        const std::size_t qc = q;
-        const std::size_t qt = static_cast<std::size_t>(op.q1);
-        // Diagonals commute with CX on its *control*; the target leg
-        // blocks them, and relaxation commutes with neither leg.
-        diag1_target[qt] = kNone;
-        diag2_target[qt] = kNone;
-        if (diag2_target[qc] != kNone) {
-          // A pair phase crosses the control leg only when the CX target
-          // lies outside the pair.
-          const TapeOp& tgt =
-              out.ops_[static_cast<std::size_t>(diag2_target[qc])];
-          if (tgt.q0 == op.q1 || tgt.q1 == op.q1) diag2_target[qc] = kNone;
-        }
-        thermal_target[qc] = kNone;
-        thermal_target[qt] = kNone;
-        last_touch[qc] = idx;
-        last_touch[qt] = idx;
-        break;
-      }
-      case TapeOpKind::kBitflip:
-      case TapeOpKind::kKraus1q: {
-        const int idx = append(op);
-        diag1_target[q] = kNone;
-        diag2_target[q] = kNone;
-        thermal_target[q] = kNone;
-        last_touch[q] = idx;
-        break;
-      }
-      case TapeOpKind::kUnitary2q:
-      case TapeOpKind::kUnitary3q: {
-        // Dense wide ops only appear on already-optimized (fused-wide)
-        // tapes; treat them as opaque barriers on every operand.
-        const int idx = append(op);
-        for (const std::int16_t raw : {op.q0, op.q1, op.q2}) {
-          if (raw < 0) continue;
-          const std::size_t qq = static_cast<std::size_t>(raw);
-          diag1_target[qq] = kNone;
-          diag2_target[qq] = kNone;
-          thermal_target[qq] = kNone;
-          last_touch[qq] = idx;
-        }
-        break;
-      }
-    }
-  }
-
-  if (std::find(dead.begin(), dead.end(), true) != dead.end()) {
-    std::vector<TapeOp> compact;
-    compact.reserve(out.ops_.size());
-    for (std::size_t i = 0; i < out.ops_.size(); ++i)
-      if (!dead[i]) compact.push_back(out.ops_[i]);
-    out.ops_ = std::move(compact);
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // Wide-gate fusion (kFusedWide)
 // ---------------------------------------------------------------------------
 
@@ -1028,9 +742,9 @@ NoiseProgram fused_wide(const NoiseProgram& p, std::size_t from_pos,
   out.kraus_sets_ = p.kraus_sets_;
   out.mats4_ = p.mats4_;
   out.mats8_ = p.mats8_;
-  // Verbatim prefix: like fused(), ops before from_pos are copied
-  // untouched so a checkpoint snapshot at from_pos stays a valid resume
-  // point on the optimized tape.
+  // Verbatim prefix: ops before from_pos are copied untouched so a
+  // checkpoint snapshot at from_pos stays a valid resume point on the
+  // optimized tape.
   out.ops_.assign(p.ops_.begin(),
                   p.ops_.begin() + static_cast<std::ptrdiff_t>(from_pos));
   out.prologue_end_ = std::min(p.prologue_end_, from_pos);

@@ -16,27 +16,22 @@
 /// AVX2+FMA, SSE2/NEON, or scalar — so tape interpretation inherits the
 /// vectorized kernels at no per-op cost beyond one table load.
 ///
-/// The pipeline is lower -> optimize -> execute:
+/// The pipeline is lower -> (optionally) optimize -> execute:
 ///
 ///  - lower() ports the NoisyExecutor walk (state-prep flips, lazy per-qubit
 ///    T1/T2 windows, lazy static-ZZ flushes, gates with coherent
 ///    miscalibration, per-gate depolarizing, drive-crosstalk phases) into
 ///    tape ops, emitting *exactly* the engine calls the interpretive walk
 ///    made — OptLevel::kExact tape runs are bit-identical to it, for every
-///    engine, including the stochastic branch order of trajectories.
-///  - fused() is the optimizer: it merges runs of adjacent one-qubit
-///    unitaries on the same qubit into a single Mat2, folds RZ/ZZ diagonal
-///    chains into one diagonal op (commuting them past thermal/depolarizing
-///    channels, which diagonal unitaries commute with exactly), and
-///    coalesces per-qubit relaxation windows via the closed-form channel
-///    composition.  Fused results agree with exact to ~1e-12 (the float
-///    reassociation error), never more: fusion changes rounding, not
+///    engine, including the stochastic branch order of trajectories.  The
+///    density-matrix path always runs the exact tape.
+///  - fused_wide() is the trajectory-path optimizer: coherent runs
+///    consolidate into dense 2q/3q unitaries (kUnitary2q/kUnitary3q) while
+///    stochastic channels pass through as barriers in tape order, so the
+///    statevector trajectory path gets the fewer-wider-matmuls win without
+///    perturbing its random draw sequence.  Results agree with exact to
+///    ~1e-12 (the float reassociation error): fusion changes rounding, not
 ///    physics.
-///  - fused_wide() is the trajectory-safe wide-gate optimizer: coherent
-///    runs consolidate into dense 2q/3q unitaries (kUnitary2q/kUnitary3q)
-///    while stochastic channels pass through as barriers in tape order, so
-///    the statevector trajectory path gets the fewer-wider-matmuls win
-///    without perturbing its random draw sequence.
 ///  - run()/execute() interpret a tape region against an engine.
 ///
 /// Tape positions.  The tape records where each circuit op's segment begins
@@ -63,10 +58,10 @@
 
 namespace charter::noise {
 
-/// Tape optimization level.
+/// Tape optimization level.  The values are the CHP tape-format level
+/// byte; 1 (a retired density-matrix fusion level) is unassigned.
 enum class OptLevel : std::uint8_t {
   kExact = 0,  ///< no fusion; bit-identical to the interpretive walk
-  kFused = 1,  ///< gate/diagonal/relaxation fusion; ~1e-12 agreement
   /// Wide coherent fusion (fused_wide()): adjacent gates consolidate into
   /// dense 2q (and, at fusion width 3, 3q) unitaries.  Stochastic channels
   /// are hard barriers — never merged, reordered, or dropped — so the
@@ -114,8 +109,8 @@ class NoiseProgram {
   std::size_t size() const { return ops_.size(); }
   const TapeOp& op(std::size_t i) const { return ops_[i]; }
 
-  // ---- region boundaries (valid for exact tapes; fused tapes keep only
-  //      the boundaries of the verbatim prefix they were fused from) ----
+  // ---- region boundaries (valid for exact tapes; fused-wide tapes keep
+  //      only the boundaries of the verbatim prefix they were fused from) ----
 
   /// Number of circuit ops this tape was lowered from.
   std::size_t num_circuit_ops() const { return op_end_.size(); }
@@ -147,7 +142,7 @@ class NoiseProgram {
   /// must match the program width.
   void execute(sim::NoisyEngine& engine) const;
 
-  // ---- append API (used by lower()/fused(); exposed for tests) ----
+  // ---- append API (used by lower()/fused_wide(); exposed for tests) ----
 
   void append_unitary_1q(const math::Mat2& u, int q);
   void append_diag_1q(math::cplx d0, math::cplx d1, int q);
@@ -179,7 +174,7 @@ class NoiseProgram {
 
   /// Structural 128-bit fingerprint over width, level, every op, and every
   /// payload.  Two tapes with equal fingerprints apply the same operations;
-  /// exact and fused tapes of the same circuit always differ.
+  /// exact and fused-wide tapes of the same circuit always differ.
   std::array<std::uint64_t, 2> fingerprint() const;
 
   /// True when ops [begin, end) of this tape and \p other are identical
@@ -213,8 +208,6 @@ class NoiseProgram {
   };
 
   friend class Lowerer;
-  friend NoiseProgram fused(const NoiseProgram& program,
-                            std::size_t from_pos);
   friend NoiseProgram fused_wide(const NoiseProgram& program,
                                  std::size_t from_pos, int max_width);
   friend std::vector<std::uint8_t> serialize_tape(const NoiseProgram& program);
@@ -257,24 +250,15 @@ std::optional<NoiseProgram> lower_spliced(const NoiseModel& model,
                                           const circ::Circuit& c,
                                           std::size_t shared_ops);
 
-/// The optimizer: returns \p program with ops at positions >= \p from_pos
-/// fused (adjacent same-qubit unitary runs multiplied into one Mat2,
-/// diagonal chains merged through commuting channels, consecutive relaxation
-/// windows composed in closed form) and no-op channels dropped.  Ops before
-/// \p from_pos are copied verbatim and never merged into, so a state
-/// snapshot taken at \p from_pos stays a valid resume point.  Boundaries
-/// past \p from_pos are invalidated.
-NoiseProgram fused(const NoiseProgram& program, std::size_t from_pos = 0);
-
 /// The wide-gate optimizer behind OptLevel::kFusedWide: accumulates runs of
 /// adjacent *coherent* ops (unitaries, diagonals, CX) into per-qubit-set
 /// clusters of at most \p max_width qubits and emits each cluster as one
 /// dense kUnitary2q/kUnitary3q (or kUnitary1q/kDiag1q/kDiag2q when narrower
 /// or still diagonal) tape op — so the interpreter executes far fewer, wider
-/// matmuls.  Unlike fused(), stochastic channels are hard barriers: they are
-/// copied through in tape order and flush the clusters on their qubits, so a
-/// trajectory engine consumes random draws in exactly the exact tape's order
-/// and per-unravelling agreement stays ~1e-12.  Ops before \p from_pos are
+/// matmuls.  Stochastic channels are hard barriers: they are copied through
+/// in tape order and flush the clusters on their qubits, so a trajectory
+/// engine consumes random draws in exactly the exact tape's order and
+/// per-unravelling agreement stays ~1e-12.  Ops before \p from_pos are
 /// copied verbatim and never merged into (checkpoint splice contract).
 /// \p max_width 0 means "use the active fusion_width()"; valid widths are
 /// 2 and 3.

@@ -137,7 +137,8 @@ NoiseProgram deserialize_tape(std::span<const std::uint8_t> bytes) {
   if (num_qubits < 1 || num_qubits > kMaxQubits)
     reject("implausible register width " + std::to_string(num_qubits));
   const std::uint8_t level = r.u8();
-  if (level > static_cast<std::uint8_t>(OptLevel::kFusedWide))
+  if (level != static_cast<std::uint8_t>(OptLevel::kExact) &&
+      level != static_cast<std::uint8_t>(OptLevel::kFusedWide))
     reject("unknown optimization level " + std::to_string(level));
   const std::uint64_t num_ops = checked_count(r, "op");
   const std::uint64_t num_mats = checked_count(r, "mat");

@@ -20,7 +20,8 @@
 ///   version      u32 == 2 (the tape schema version; bumping the schema in
 ///                program.cpp obsoletes serialized tapes too)
 ///   num_qubits   i32
-///   level        u8 (OptLevel)
+///   level        u8 (OptLevel): 0 exact, 2 fused-wide; any other value
+///                is rejected
 ///   counts       7 x u64: ops, mats, diags, kraus_sets, mats4, mats8,
 ///                op_end entries
 ///   prologue_end u64

@@ -379,78 +379,18 @@ TEST(AnalyzerEquivalence, TrajectoryAnalysisUnchangedByBatching) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused-mode analysis (tape optimizer end to end)
-// ---------------------------------------------------------------------------
-
-TEST(FusedAnalysis, RankingsMatchExactAnalysis) {
-  // Acceptance: with fusion on, analyzer gate rankings are unchanged while
-  // every TVD agrees with the exact run to well below ranking resolution.
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram program = compiled_program(backend);
-
-  co::CharterOptions options;
-  options.reversals = 3;
-  options.run.shots = 0;  // exact engine distributions: deterministic TVDs
-  options.run.seed = 2022;
-  options.exec.caching = false;
-  options.exec.checkpointing = true;
-
-  options.run.opt = charter::noise::OptLevel::kExact;
-  const co::CharterReport exact =
-      co::CharterAnalyzer(backend, options).analyze(program);
-  options.run.opt = charter::noise::OptLevel::kFused;
-  const co::CharterReport fused =
-      co::CharterAnalyzer(backend, options).analyze(program);
-
-  ASSERT_GE(exact.analyzed_gates, 30u);
-  ASSERT_EQ(exact.impacts.size(), fused.impacts.size());
-  for (std::size_t k = 0; k < exact.impacts.size(); ++k)
-    EXPECT_NEAR(exact.impacts[k].tvd, fused.impacts[k].tvd, 1e-10)
-        << "gate " << k;
-
-  const auto exact_ranked = exact.sorted_by_impact();
-  const auto fused_ranked = fused.sorted_by_impact();
-  for (std::size_t k = 0; k < exact_ranked.size(); ++k)
-    EXPECT_EQ(exact_ranked[k].op_index, fused_ranked[k].op_index)
-        << "rank " << k;
-}
-
-TEST(FusedAnalysis, CheckpointedMatchesNaiveWithinTolerance) {
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram program = compiled_program(backend, 2);
-
-  co::CharterOptions options;
-  options.reversals = 2;
-  options.run.shots = 0;
-  options.run.seed = 5;
-  options.run.opt = charter::noise::OptLevel::kFused;
-  options.exec.caching = false;
-
-  options.exec.checkpointing = true;
-  const co::CharterReport fast =
-      co::CharterAnalyzer(backend, options).analyze(program);
-  options.exec.checkpointing = false;
-  const co::CharterReport naive =
-      co::CharterAnalyzer(backend, options).analyze(program);
-
-  ASSERT_EQ(fast.impacts.size(), naive.impacts.size());
-  for (std::size_t k = 0; k < fast.impacts.size(); ++k)
-    EXPECT_NEAR(fast.impacts[k].tvd, naive.impacts[k].tvd, 1e-10);
-}
-
-// ---------------------------------------------------------------------------
 // Fingerprints
 // ---------------------------------------------------------------------------
 
 TEST(Fingerprints, OptimizationLevelChangesRunKeys) {
-  cb::RunOptions exact, fused;
-  fused.opt = charter::noise::OptLevel::kFused;
-  EXPECT_FALSE(ex::fingerprint(exact) == ex::fingerprint(fused));
+  cb::RunOptions exact, wide;
+  wide.opt = charter::noise::OptLevel::kFusedWide;
+  EXPECT_FALSE(ex::fingerprint(exact) == ex::fingerprint(wide));
 
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   const cb::CompiledProgram p = compiled_program(backend, 1);
   EXPECT_FALSE(ex::run_key(p, backend, exact) ==
-               ex::run_key(p, backend, fused));
+               ex::run_key(p, backend, wide));
 }
 
 TEST(Fingerprints, DistinguishProgramsOptionsAndDevices) {
@@ -768,8 +708,8 @@ TEST(AnalyzerEquivalence, CommonRandomNumbersTrajectorySharingMatchesNaive) {
 // Determinism matrix: the parallel driver's headline contract.  The full
 // CharterReport — every score, the output distribution, and the exec layer's
 // cache/checkpoint counters — is bit-identical at every worker-pool width,
-// for the density-matrix engine (exact and fused tapes) and the trajectory
-// engine (independent seeds and common random numbers).
+// for the density-matrix engine and the trajectory engine (independent
+// seeds, common random numbers, and the fused-wide tape).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -841,8 +781,6 @@ TEST(DeterminismMatrix, ReportsBitIdenticalAcrossThreadCounts) {
     dm.run.shots = 4096;
     dm.run.seed = 2022;
     configs.push_back({"dm_exact", dm});
-    dm.run.opt = cn::OptLevel::kFused;
-    configs.push_back({"dm_fused", dm});
 
     co::CharterOptions traj;
     traj.reversals = 2;
@@ -854,6 +792,10 @@ TEST(DeterminismMatrix, ReportsBitIdenticalAcrossThreadCounts) {
     configs.push_back({"trajectory_independent_seeds", traj});
     traj.common_random_numbers = true;
     configs.push_back({"trajectory_common_random_numbers", traj});
+    // Common random numbers share the checkpointed trajectory route, whose
+    // resumed suffixes are re-fused past each snapshot.
+    traj.run.opt = cn::OptLevel::kFusedWide;
+    configs.push_back({"trajectory_fused_wide", traj});
   }
 
   for (const Config& config : configs) {

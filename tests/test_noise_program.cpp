@@ -1,7 +1,7 @@
 // Tests for the NoiseProgram tape: exact lowering is equivalent to the
-// streaming walk, fused tapes agree with exact tapes to 1e-12 while being
-// strictly smaller, spliced lowering reproduces full lowering bit-exactly,
-// and fingerprints separate exact from fused tapes.
+// streaming walk, fused-wide tapes agree with exact tapes to 1e-12 while
+// being strictly smaller, spliced lowering reproduces full lowering
+// bit-exactly, and fingerprints separate exact from fused-wide tapes.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,8 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <span>
+#include <string>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -23,6 +25,7 @@
 #include "sim/density_matrix.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/trajectory.hpp"
+#include "util/byte_io.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -163,24 +166,6 @@ TEST(NoiseProgram, BoundariesPartitionTheTape) {
   EXPECT_GE(p.size(), prev);
 }
 
-TEST(NoiseProgram, FusedTapeAgreesWithinTolerance) {
-  // Satellite acceptance: fused-vs-exact state max-norm <= 1e-12 on random
-  // basis-gate circuits.
-  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
-    const cn::NoiseModel m = line_model(5, 100 + seed);
-    const cc::Circuit c = random_basis_circuit(5, 60, seed);
-    const cn::NoiseProgram exact = cn::lower(m, c);
-    const cn::NoiseProgram fused = cn::fused(exact);
-
-    EXPECT_LT(fused.size(), exact.size()) << "fusion should shrink the tape";
-
-    cs::DensityMatrixEngine a(5), b(5);
-    exact.execute(a);
-    fused.execute(b);
-    EXPECT_LE(max_abs_diff(a.raw(), b.raw()), 1e-12) << "seed " << seed;
-  }
-}
-
 TEST(NoiseProgram, FusedWideTapeAgreesWithinTolerance) {
   // Tentpole acceptance: wide-gate fusion consolidates coherent runs into
   // dense 2q/3q unitaries and still agrees with the exact tape to 1e-12.
@@ -265,8 +250,8 @@ TEST(NoiseProgram, FusedWideEmitsDenseWideOps) {
     dense += wide.op(i).kind == cn::TapeOpKind::kUnitary2q ||
              wide.op(i).kind == cn::TapeOpKind::kUnitary3q;
   EXPECT_GT(dense, 0u);
-  EXPECT_LT(wide.size(), cn::fused(exact).size())
-      << "wide fusion should beat gate fusion on coherent tapes";
+  EXPECT_LT(wide.size(), exact.size())
+      << "wide fusion should shrink coherent tapes";
 }
 
 TEST(NoiseProgram, FusedWidePreservesVerbatimPrefix) {
@@ -294,23 +279,6 @@ TEST(NoiseProgram, FusionWidthKnobClampsAndSticks) {
   cn::set_fusion_width(7);  // clamps down
   EXPECT_EQ(cn::fusion_width(), 3);
   cn::set_fusion_width(original);
-}
-
-TEST(NoiseProgram, FusionPreservesVerbatimPrefix) {
-  const cn::NoiseModel m = line_model(4, 7);
-  const cc::Circuit c = random_basis_circuit(4, 30, 21);
-  const cn::NoiseProgram exact = cn::lower(m, c);
-
-  const std::size_t cut = exact.op_end(c.size() / 2);
-  const cn::NoiseProgram part = cn::fused(exact, cut);
-  ASSERT_TRUE(part.region_equal(exact, 0, cut));
-  EXPECT_EQ(part.level(), cn::OptLevel::kFused);
-
-  // Running the fused-suffix tape end-to-end stays within tolerance.
-  cs::DensityMatrixEngine a(4), b(4);
-  exact.execute(a);
-  part.execute(b);
-  EXPECT_LE(max_abs_diff(a.raw(), b.raw()), 1e-12);
 }
 
 TEST(NoiseProgram, SplicedLoweringMatchesFullLoweringBitExactly) {
@@ -359,15 +327,13 @@ TEST(NoiseProgram, FingerprintsSeparateLevelsAndCircuits) {
 
   const cn::NoiseProgram exact = cn::lower(m, c1);
   const cn::NoiseProgram again = cn::lower(m, c1);
-  const cn::NoiseProgram fused = cn::fused(exact);
   const cn::NoiseProgram wide2 = cn::fused_wide(exact, 0, 2);
   const cn::NoiseProgram wide3 = cn::fused_wide(exact, 0, 3);
   const cn::NoiseProgram other = cn::lower(m, c2);
 
   EXPECT_EQ(exact.fingerprint(), again.fingerprint());
-  EXPECT_NE(exact.fingerprint(), fused.fingerprint());
   EXPECT_NE(exact.fingerprint(), wide2.fingerprint());
-  EXPECT_NE(fused.fingerprint(), wide2.fingerprint());
+  EXPECT_NE(exact.fingerprint(), wide3.fingerprint());
   EXPECT_NE(wide2.fingerprint(), wide3.fingerprint());
   EXPECT_NE(exact.fingerprint(), other.fingerprint());
   EXPECT_NE(exact.fingerprint()[0], cn::tape_schema_fingerprint()[0]);
@@ -437,11 +403,10 @@ TEST(TapeSerialization, RoundTripsEveryOptLevelLosslessly) {
   const cn::NoiseModel m = line_model(4, 17);
   const cc::Circuit c = random_basis_circuit(4, 50, 23);
   const cn::NoiseProgram exact = cn::lower(m, c);
-  // exact covers the 1q/2q primitive ops; fused adds diag payloads; wide
-  // fusion adds the dense kUnitary2q (mats4) and kUnitary3q (mats8)
-  // payload arrays.
+  // exact covers the 1q/2q primitive ops and diag payloads; wide fusion
+  // adds the dense kUnitary2q (mats4) and kUnitary3q (mats8) payload
+  // arrays.
   expect_lossless_round_trip(exact, 4);
-  expect_lossless_round_trip(cn::fused(exact), 4);
   expect_lossless_round_trip(cn::fused_wide(exact, 0, 2), 4);
   expect_lossless_round_trip(cn::fused_wide(exact, 0, 3), 4);
 }
@@ -510,6 +475,54 @@ TEST(TapeSerialization, RejectsMalformedBlobsAsStructuredErrors) {
   }
 }
 
+TEST(TapeSerialization, AcceptsOnlyKnownOptLevels) {
+  // The level byte sits after magic (4), version (4), and width (4).  Level
+  // 1 (a retired density-matrix fusion level) is unknown like any other
+  // unassigned value; 0 (exact) and 2 (fused-wide) round-trip.
+  constexpr std::size_t kLevelOffset = 12;
+  const cn::NoiseModel m = line_model(3, 41);
+  const cc::Circuit c = random_basis_circuit(3, 15, 43);
+  const cn::NoiseProgram exact = cn::lower(m, c);
+  const cn::NoiseProgram wide = cn::fused_wide(exact);
+
+  const auto with_level = [](std::vector<std::uint8_t> blob,
+                             std::uint8_t level) {
+    blob[kLevelOffset] = level;
+    const std::size_t body = blob.size() - sizeof(std::uint64_t);
+    const std::uint64_t sum = charter::util::checksum(
+        std::span<const std::uint8_t>(blob.data(), body));
+    for (std::size_t k = 0; k < sizeof(std::uint64_t); ++k)
+      blob[body + k] = static_cast<std::uint8_t>(sum >> (8 * k));
+    return blob;
+  };
+
+  const std::vector<std::uint8_t> exact_bytes = cn::serialize_tape(exact);
+  const std::vector<std::uint8_t> wide_bytes = cn::serialize_tape(wide);
+  ASSERT_EQ(exact_bytes[kLevelOffset], 0);
+  ASSERT_EQ(wide_bytes[kLevelOffset], 2);
+  // Re-stamping a blob's own level with a recomputed checksum is a no-op.
+  EXPECT_EQ(with_level(exact_bytes, 0), exact_bytes);
+  EXPECT_EQ(with_level(wide_bytes, 2), wide_bytes);
+  EXPECT_EQ(cn::deserialize_tape(exact_bytes).level(), cn::OptLevel::kExact);
+  EXPECT_EQ(cn::deserialize_tape(wide_bytes).level(),
+            cn::OptLevel::kFusedWide);
+
+  for (const std::uint8_t level : {std::uint8_t{1}, std::uint8_t{3},
+                                   std::uint8_t{255}}) {
+    for (const auto* bytes : {&exact_bytes, &wide_bytes}) {
+      const std::vector<std::uint8_t> bad = with_level(*bytes, level);
+      try {
+        cn::deserialize_tape(bad);
+        ADD_FAILURE() << "level " << int{level} << " accepted";
+      } catch (const charter::InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown optimization level"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(TapeSerialization, RandomizedRoundTripsStayLossless) {
   // Fuzz-ish sweep: many random circuits, widths, and opt levels.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -519,9 +532,8 @@ TEST(TapeSerialization, RandomizedRoundTripsStayLossless) {
         random_basis_circuit(n, 10 + static_cast<int>(seed) * 7, seed * 37);
     const cn::NoiseProgram exact = cn::lower(m, c);
     expect_lossless_round_trip(exact, n);
-    expect_lossless_round_trip(seed % 2 == 0 ? cn::fused(exact)
-                                             : cn::fused_wide(exact),
-                               n);
+    expect_lossless_round_trip(
+        cn::fused_wide(exact, 0, seed % 2 == 0 ? 3 : 2), n);
   }
 }
 

@@ -95,10 +95,10 @@ TEST(SessionConfig, ReportsEveryProblemActionably) {
 TEST(SessionConfig, FusedTrajectoryCombinationIsRejected) {
   charter::SessionConfig config =
       charter::SessionConfig().engine(cb::EngineKind::kTrajectory);
-  config.execution().strategy(charter::exec::StrategyKind::kDmFused);
+  config.execution().strategy(charter::exec::StrategyKind::kDmExact);
   const auto errors = config.validate();
   ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("fused"), std::string::npos);
+  EXPECT_NE(errors[0].find("dm_exact"), std::string::npos);
 }
 
 TEST(SessionConfig, SessionConstructorThrowsWithJoinedErrors) {

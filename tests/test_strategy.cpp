@@ -79,8 +79,7 @@ void expect_distributions_close(const std::vector<double>& a,
 
 TEST(StrategyNames, StableNamesRoundTripThroughTheParser) {
   for (const StrategyKind kind :
-       {StrategyKind::kAuto, StrategyKind::kDmExact, StrategyKind::kDmFused,
-        StrategyKind::kDmFusedWide, StrategyKind::kTrajectory,
+       {StrategyKind::kAuto, StrategyKind::kDmExact, StrategyKind::kTrajectory,
         StrategyKind::kCheckpointSplice}) {
     const auto parsed = ex::strategy_from_name(ex::strategy_name(kind));
     ASSERT_TRUE(parsed.has_value()) << ex::strategy_name(kind);
@@ -91,9 +90,11 @@ TEST(StrategyNames, StableNamesRoundTripThroughTheParser) {
 TEST(StrategyNames, CliSpellingsMapToKinds) {
   EXPECT_EQ(ex::strategy_from_name("auto"), StrategyKind::kAuto);
   EXPECT_EQ(ex::strategy_from_name("dm"), StrategyKind::kDmExact);
-  EXPECT_EQ(ex::strategy_from_name("fused"), StrategyKind::kDmFused);
-  EXPECT_EQ(ex::strategy_from_name("fused-wide"), StrategyKind::kDmFusedWide);
   EXPECT_EQ(ex::strategy_from_name("trajectory"), StrategyKind::kTrajectory);
+  // The retired density-matrix fusion levels are unknown spellings.
+  for (const char* retired :
+       {"fused", "fused-wide", "dm_fused", "dm_fused_wide"})
+    EXPECT_FALSE(ex::strategy_from_name(retired).has_value()) << retired;
   EXPECT_FALSE(ex::strategy_from_name("warp-drive").has_value());
   EXPECT_FALSE(ex::strategy_from_name("").has_value());
 }
@@ -105,13 +106,12 @@ TEST(StrategyNames, AutoIsNotAnExecutionPath) {
 TEST(ClassifyRun, MatchesTheFixedRules) {
   cb::RunOptions run;  // engine kAuto, opt kExact
   EXPECT_EQ(ex::classify_run(run, 5), StrategyKind::kDmExact);
-  run.opt = cn::OptLevel::kFused;
-  EXPECT_EQ(ex::classify_run(run, 5), StrategyKind::kDmFused);
+  // The tape level is a trajectory setting; it never changes the path.
   run.opt = cn::OptLevel::kFusedWide;
-  EXPECT_EQ(ex::classify_run(run, 5), StrategyKind::kDmFusedWide);
-  run.opt = cn::OptLevel::kExact;
+  EXPECT_EQ(ex::classify_run(run, 5), StrategyKind::kDmExact);
   run.engine = cb::EngineKind::kTrajectory;
   EXPECT_EQ(ex::classify_run(run, 5), StrategyKind::kTrajectory);
+  run.opt = cn::OptLevel::kExact;
   // kAuto past the density-matrix cap degrades to trajectories.
   run.engine = cb::EngineKind::kAuto;
   EXPECT_EQ(
@@ -126,12 +126,12 @@ TEST(ClassifyRun, MatchesTheFixedRules) {
 TEST(PlanFamily, FixedKindsPrepareTheRunOptions) {
   const ex::StrategyContext ctx = make_context();
 
-  const auto fused = ex::plan_family(StrategyKind::kDmFused,
-                                     ex::BudgetMode::kFixedBudget, ctx);
-  EXPECT_EQ(fused.strategy, StrategyKind::kDmFused);
-  EXPECT_EQ(fused.run.engine, cb::EngineKind::kDensityMatrix);
-  EXPECT_EQ(fused.run.opt, cn::OptLevel::kFused);
-  EXPECT_FALSE(fused.adaptive);
+  const auto dm = ex::plan_family(StrategyKind::kDmExact,
+                                  ex::BudgetMode::kAdaptive, ctx);
+  EXPECT_EQ(dm.strategy, StrategyKind::kDmExact);
+  EXPECT_EQ(dm.run.engine, cb::EngineKind::kDensityMatrix);
+  EXPECT_EQ(dm.run.opt, cn::OptLevel::kExact);
+  EXPECT_FALSE(dm.adaptive);
 
   const auto traj = ex::plan_family(StrategyKind::kTrajectory,
                                     ex::BudgetMode::kAdaptive, ctx);
@@ -151,23 +151,22 @@ TEST(PlanFamily, FixedDmRequestPastTheCapDegradesToTrajectories) {
 
 TEST(PlanFamily, AutoPreparesThePathTheRunClassifiesAs) {
   ex::StrategyContext ctx = make_context();
-  ctx.run.opt = cn::OptLevel::kFused;
+  ctx.run.opt = cn::OptLevel::kFusedWide;
   const auto dm = ex::plan_family(StrategyKind::kAuto,
                                   ex::BudgetMode::kFixedBudget, ctx);
-  EXPECT_EQ(dm.strategy, StrategyKind::kDmFused);
+  EXPECT_EQ(dm.strategy, StrategyKind::kDmExact);
   EXPECT_EQ(dm.run.engine, cb::EngineKind::kDensityMatrix);
-  EXPECT_EQ(dm.run.opt, cn::OptLevel::kFused);
   EXPECT_FALSE(dm.adaptive);
 
   // Past the density-matrix cap the run classifies as a trajectory sweep,
-  // which never fuses its tape (fusing would reorder its stochastic draws).
+  // which keeps the caller's tape level.
   ex::StrategyContext wide = ctx;
   wide.width = cs::DensityMatrixEngine::kMaxQubits + 1;
   const auto traj = ex::plan_family(StrategyKind::kAuto,
                                     ex::BudgetMode::kFixedBudget, wide);
   EXPECT_EQ(traj.strategy, StrategyKind::kTrajectory);
   EXPECT_EQ(traj.run.engine, cb::EngineKind::kTrajectory);
-  EXPECT_EQ(traj.run.opt, cn::OptLevel::kExact);
+  EXPECT_EQ(traj.run.opt, cn::OptLevel::kFusedWide);
 }
 
 TEST(PlanFamily, SpliceRequestNeedsLoweringAndSharers) {
@@ -199,9 +198,11 @@ TEST(PlanFamily, AdaptiveArmsOnlyForTrajectoryFamilies) {
 // ---------------------------------------------------------------------------
 
 TEST(FusedWideGrouping, MixedFusionWidthJobsNeverShareATape) {
-  // A width-2 and a width-3 fused-wide run lower to different tapes; before
-  // the tape key mixed the resolved width, a mixed batch could splice one
-  // job's suffix into a tape fused at the other width.  Every job must match
+  // A width-2 and a width-3 fused-wide trajectory run lower to different
+  // tapes; before the tape key mixed the resolved width, a mixed batch
+  // could splice one job's suffix into a tape fused at the other width.
+  // The jobs share a seed, so the width-3 plurality forms a checkpointed
+  // trajectory group and the width-2 job runs plain.  Every job must match
   // its own standalone run to the fusion tolerance.
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   const cb::CompiledProgram program = compiled_program(backend, 2);
@@ -218,10 +219,12 @@ TEST(FusedWideGrouping, MixedFusionWidthJobsNeverShareATape) {
     rev.physical = co::insert_reversed_pairs(program.physical, g, 2, true);
     reversed.push_back(std::move(rev));
     cb::RunOptions run;
-    run.shots = 4096;
-    run.seed = 11 + g;
+    run.shots = 0;
+    run.engine = cb::EngineKind::kTrajectory;
+    run.trajectories = 12;
+    run.seed = 11;
     run.opt = cn::OptLevel::kFusedWide;
-    run.fusion_width = (k % 2 == 0) ? 2 : 3;
+    run.fusion_width = k == 0 ? 2 : 3;
     jobs.push_back({&reversed.back(), run, g + 1});
   }
 
@@ -233,6 +236,8 @@ TEST(FusedWideGrouping, MixedFusionWidthJobsNeverShareATape) {
   const std::vector<std::vector<double>> results =
       runner.run(jobs, &program);
   ASSERT_EQ(results.size(), jobs.size());
+  EXPECT_EQ(runner.last_stats().trajectory_checkpointed, 3u);
+  EXPECT_EQ(runner.last_stats().full_runs, 1u);
 
   for (std::size_t k = 0; k < jobs.size(); ++k)
     expect_distributions_close(

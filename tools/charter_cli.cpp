@@ -22,8 +22,8 @@
 //
 // Every subcommand accepts --help; the analysis ones accept
 // --backend lagos|guadalupe (default by size), --reversals, --shots,
-// --seed, --top, --threads, --strategy auto|dm|fused|fused-wide|trajectory,
-// and --adaptive.  An unknown --algo key lists the valid keys and exits 2.
+// --seed, --top, --threads, --strategy auto|dm|trajectory, and --adaptive.
+// An unknown --algo key lists the valid keys and exits 2.
 
 #include <dirent.h>
 
@@ -83,9 +83,8 @@ void add_common_flags(Cli& cli) {
                "persistent run-cache directory (default $CHARTER_CACHE_DIR; "
                "empty = memory-only)");
   cli.add_flag("strategy", std::string("auto"),
-               "execution strategy: auto (static rule), dm, fused (fuse "
-               "the noise tape; ~1e-12 tolerance), fused-wide, or "
-               "trajectory");
+               "execution strategy: auto (static rule), dm (density "
+               "matrix, exact tape), or trajectory");
   cli.add_flag("adaptive", false,
                "adaptive trajectory budgets: stop unravelling a gate once "
                "its impact rank settles (fixed budgets by default)");
@@ -127,7 +126,7 @@ charter::SessionConfig make_config(const Cli& cli) {
   if (!strategy.has_value())
     throw charter::InvalidArgument(
         "unknown --strategy '" + strategy_name +
-        "' (expected auto, dm, fused, fused-wide, or trajectory)");
+        "' (expected one of: auto, dm, trajectory)");
   charter::SessionConfig config = charter::SessionConfig()
       .reversals(static_cast<int>(cli.get_int("reversals")))
       .max_gates(static_cast<int>(cli.get_int("max-gates")))

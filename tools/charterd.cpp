@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
                "default reversed pairs per gate");
   cli.add_flag("strategy", std::string("auto"),
                "execution strategy for every job: auto (static rule), dm, "
-               "fused, fused-wide, or trajectory");
+               "or trajectory");
   cli.add_flag("adaptive", false,
                "adaptive trajectory budgets: stop unravelling a gate once "
                "its impact rank settles (fixed budgets by default)");
@@ -127,8 +127,7 @@ int main(int argc, char** argv) {
     const auto strategy = charter::exec::strategy_from_name(strategy_name);
     charter::require(strategy.has_value(),
                      "unknown --strategy '" + strategy_name +
-                         "' (expected auto, dm, fused, fused-wide, or "
-                         "trajectory)");
+                         "' (expected one of: auto, dm, trajectory)");
     charter::SessionConfig base =
         charter::SessionConfig()
             .shots(cli.get_int("shots"))

@@ -49,13 +49,11 @@ def check_exec(path, data):
     for key in (
         "naive_ms",
         "checkpointed_ms",
-        "fused_checkpointed_ms",
         "warm_cache_ms",
     ):
         ok &= require_number(path, data, key, minimum=0.0)
     for key in (
         "cold_speedup",
-        "fused_speedup",
         "session_speedup",
         "reanalysis_speedup",
     ):
@@ -63,8 +61,6 @@ def check_exec(path, data):
     ok &= require_number(path, data, "analyzed_gates", minimum=1)
     if data.get("bit_identical") is not True:
         ok = fail(path, "checkpointed run was not bit-identical to naive")
-    if data.get("fused_rankings_match") is not True:
-        ok = fail(path, "fused analysis changed the gate ranking")
     rows = data.get("threads")
     if not isinstance(rows, list) or not rows:
         ok = fail(path, "metric 'threads' missing or empty")
@@ -112,15 +108,8 @@ def check_kernels(path, data):
         )
     if expected - seen:
         ok = fail(path, f"per-ISA rows missing kernels: {expected - seen}")
-    for key in ("kernel_pair_speedup", "tape_fused_speedup"):
-        ok &= require_number(path, data, key, minimum=0.0)
-    ok &= require_number(
-        path, data, "fused_max_abs_diff", minimum=0.0, maximum=AGREEMENT_BOUND
-    )
+    ok &= require_number(path, data, "kernel_pair_speedup", minimum=0.0)
     ok &= require_number(path, data, "tape_ops_exact", minimum=1)
-    ok &= require_number(path, data, "tape_ops_fused", minimum=1)
-    if ok and data["tape_ops_fused"] >= data["tape_ops_exact"]:
-        ok = fail(path, "fusion did not shrink the tape")
     return ok
 
 
@@ -221,8 +210,7 @@ def check_strategy(path, data):
         if not isinstance(fixed, dict):
             ok = fail(path, f"family '{name}': 'fixed' timings missing")
         else:
-            for key in ("dm_exact_ms", "dm_fused_ms", "dm_fused_wide_ms"):
-                ok &= require_number(path, fixed, key, minimum=0.0)
+            ok &= require_number(path, fixed, "dm_exact_ms", minimum=0.0)
         ok &= require_number(path, row, "auto_ms", minimum=0.0)
         ok &= require_number(path, row, "best_fixed_ms", minimum=0.0)
         ok &= require_number(path, row, "auto_vs_best", minimum=0.0)
@@ -311,7 +299,6 @@ def summarize(path, data):
         print(
             f"{path}: exec_batching simd={data['simd_active']} "
             f"cold={data['cold_speedup']:.2f}x "
-            f"fused={data['fused_speedup']:.2f}x "
             f"session={data['session_speedup']:.2f}x"
         )
     elif bench == "exec_multiprocess":
@@ -359,7 +346,7 @@ def summarize(path, data):
             f"1q_pair={rows.get('unitary_1q_pair', 0):.2f}x "
             f"cx_pair={rows.get('cx_pair', 0):.2f}x "
             f"diag_2q_pair={rows.get('diag_2q_pair', 0):.2f}x "
-            f"tape_fused={data['tape_fused_speedup']:.2f}x"
+            f"pair={data['kernel_pair_speedup']:.2f}x"
         )
 
 
