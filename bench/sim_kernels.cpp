@@ -2,8 +2,10 @@
 // pipeline, now with per-ISA rows for the SIMD dispatch layer:
 //
 //  1. simd[]: for each of the dense kernels (1q unitary, fused 1q pair,
-//     CX pair, and the vec(rho) row x column diagonal kernel carrying a 1q
-//     phase and a static-ZZ 2q phase) the scalar path is timed against the
+//     CX pair, the vec(rho) row x column diagonal kernel carrying a 1q
+//     phase and a static-ZZ 2q phase, and the thermal and two-qubit
+//     depolarizing channel blocks on qubit 0 and on a qubit >= 2) the
+//     scalar path is timed against the
 //     process-active path (best available by default; a CHARTER_SIMD pin
 //     is honored so CI's per-path legs record honest rows) on the same
 //     vec(rho)-sized state, the speedup is reported, and scalar/SIMD
@@ -240,6 +242,33 @@ int main(int argc, char** argv) {
       [&](cplx* a) {
         cs::kernels::apply_diag_rowcol(a, qubits, row2.data(), col2.data());
       });
+  // Channel blocks on vec(rho): thermal relaxation on one qubit and the
+  // two-qubit depolarizing block on a neighbour pair, each once on qubits
+  // >= 2 (four groups per AVX-512 register) and once on qubit 0 (the
+  // in-register lane layout, or the scalar loop for depol2q).
+  const auto thermal = [&](int q) {
+    return [&, q](cplx* a) {
+      simd::active().thermal_block(a, dim, 1ULL << q, 1ULL << (q + qubits),
+                                   0.01, 0.98);
+    };
+  };
+  const auto depol2q = [&](int q) {
+    return [&, q](cplx* a) {
+      simd::active().depol2q_block(a, dim, 1ULL << q, 1ULL << (q + 1),
+                                   1ULL << (q + qubits),
+                                   1ULL << (q + 1 + qubits), 0.01);
+    };
+  };
+  const RowResult r_thermal =
+      bench_kernel_row(json, first_row, best, "thermal_block", input,
+                       kernel_rounds, reps, thermal(qa));
+  bench_kernel_row(json, first_row, best, "thermal_block_q0", input,
+                   kernel_rounds, reps, thermal(0));
+  const RowResult r_depol2q =
+      bench_kernel_row(json, first_row, best, "depol2q_block", input,
+                       kernel_rounds, reps, depol2q(qa));
+  bench_kernel_row(json, first_row, best, "depol2q_block_q0", input,
+                   kernel_rounds, reps, depol2q(0));
   json += "\n  ],\n";
   (void)r_1q;
   (void)r_diag;
@@ -286,8 +315,9 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "note: best-vs-scalar speedups — unitary_1q_pair %.2fx, "
-               "cx_pair %.2fx, diag_2q_pair %.2fx (path %s)\n",
-               r_pair.speedup, r_cx.speedup, r_zz.speedup,
-               simd::path_name(best));
+               "cx_pair %.2fx, diag_2q_pair %.2fx, thermal_block %.2fx, "
+               "depol2q_block %.2fx (path %s)\n",
+               r_pair.speedup, r_cx.speedup, r_zz.speedup, r_thermal.speedup,
+               r_depol2q.speedup, simd::path_name(best));
   return 0;
 }

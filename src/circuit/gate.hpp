@@ -5,10 +5,10 @@
 ///
 /// The physical basis set matches the IBM devices the paper targets:
 /// {RZ, SX, X, CX} plus SXDG, the physical realization of SX-dagger used by
-/// reversed pairs (same calibration as SX — see DESIGN.md).  A wider logical
-/// set (H, S, T, rotations, controlled gates, SWAP, CCX, two-qubit
-/// interactions) is accepted by the circuit builder and lowered to the basis
-/// by the transpiler.
+/// reversed pairs (same calibration as SX — see noise/noise_model.hpp).  A
+/// wider logical set (H, S, T, rotations, controlled gates, SWAP, CCX,
+/// two-qubit interactions) is accepted by the circuit builder and lowered to
+/// the basis by the transpiler.
 ///
 /// Conventions: qubit 0 is the least-significant bit of a state index.  For a
 /// two-qubit gate on (a, b), the Mat4 acts on the 2-bit index

@@ -47,6 +47,22 @@ inline std::uint64_t insert_zero_bit(std::uint64_t x, std::uint64_t mask) {
   return ((x & ~(mask - 1)) << 1) | (x & (mask - 1));
 }
 
+/// Offsets of the 16 entries of a two-qubit depolarizing group from its
+/// base: entry (r, c) at [4r + c], r and c indexing bit(a) + 2*bit(b) of the
+/// row masks ra, rb and the column masks ca, cb; the diagonal is
+/// [0], [5], [10], [15].
+inline std::array<std::uint64_t, 16> depol2q_offsets(std::uint64_t ra,
+                                                     std::uint64_t rb,
+                                                     std::uint64_t ca,
+                                                     std::uint64_t cb) {
+  std::array<std::uint64_t, 16> off;
+  for (unsigned r = 0; r < 4; ++r)
+    for (unsigned c = 0; c < 4; ++c)
+      off[4 * r + c] = ((r & 1u) ? ra : 0) | ((r & 2u) ? rb : 0) |
+                       ((c & 1u) ? ca : 0) | ((c & 2u) ? cb : 0);
+  return off;
+}
+
 /// One kernel set.  Signatures mirror sim/kernels.hpp exactly; `dim` is the
 /// amplitude count (a power of two), qubit q maps to bit q of the index.
 /// The density-matrix entries see vec(rho) as 2n pseudo-qubits (row bits
@@ -95,6 +111,14 @@ struct KernelTable {
   /// Diagonal pair and coherence pair each mixed with weight p.
   void (*bitflip_block)(cplx* a, std::uint64_t dim, std::uint64_t row,
                         std::uint64_t col, double p);
+  /// Two-qubit depolarizing on the 16-element groups spanned by row bits
+  /// ra, rb and column bits ca, cb: each diagonal entry becomes
+  /// (1-lambda)*x + lambda*avg with avg = 0.25*(((a00+a11)+a22)+a33), every
+  /// other entry is scaled by 1-lambda.  Separate multiplies and adds in
+  /// that order on every path (no FMA), so all paths are bit-identical.
+  void (*depol2q_block)(cplx* a, std::uint64_t dim, std::uint64_t ra,
+                        std::uint64_t rb, std::uint64_t ca, std::uint64_t cb,
+                        double lambda);
 
   /// acc[i] += src[i] for i in [0, n) — the Kraus-sum accumulation loop.
   void (*accum_add)(cplx* acc, const cplx* src, std::uint64_t n);

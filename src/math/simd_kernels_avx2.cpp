@@ -9,13 +9,17 @@
 // configurations process two groups (one cache-line-friendly 256-bit load
 // per stream) per iteration.  Configurations touching bit 0 keep both
 // elements of a pair inside one register and use cross-lane shuffles
-// instead.  Pure permutations with a bit-0 operand fall back to the scalar
-// loop — they carry no arithmetic, so every path is bit-exact for them.
+// instead; the CX pair and the two-qubit depolarizing block do the same
+// with lane swaps, blends and 128-bit diagonal updates.  Plain CX falls back
+// to the scalar loop on a bit-0 operand — a pure permutation, so every path
+// is bit-exact for it.
 //
 // Each output element is computed by a fixed operation sequence, so results
 // are deterministic per path and across thread counts; FMA contraction is
 // what separates this path from scalar (<= 1e-12, tests/test_simd.cpp).
 
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "math/simd.hpp"
@@ -263,35 +267,78 @@ void k_apply_diag_rowcol(cplx* a, int n, const cplx* row, const cplx* col) {
       /*grain=*/32);
 }
 
+/// Lanes of the register holding groups (base, base|1) whose control bit
+/// \p cm is set: both (3), lane 1 only when cm is bit 0 (2), or none (0).
+inline int control_lanes(std::uint64_t base, std::uint64_t cm) {
+  if (base & cm) return 3;
+  return cm == 1 ? 2 : 0;
+}
+
+/// Exchanges the lanes of \p x and \p y selected by \p lanes (as above).
+inline void exchange(CVec4d& x, CVec4d& y, int lanes) {
+  if (lanes == 3) {
+    std::swap(x, y);
+  } else if (lanes == 2) {
+    const __m256d nx = _mm256_blend_pd(x.v, y.v, 0xC);
+    y = {_mm256_blend_pd(y.v, x.v, 0xC)};
+    x = {nx};
+  }
+}
+
 void k_apply_cx_pair(cplx* a, std::uint64_t dim, int c1, int t1, int c2,
                      int t2) {
   const std::uint64_t c1m = 1ULL << c1;
   const std::uint64_t t1m = 1ULL << t1;
   const std::uint64_t c2m = 1ULL << c2;
   const std::uint64_t t2m = 1ULL << t2;
-  if (c1m == 1 || t1m == 1 || c2m == 1 || t2m == 1) {
-    table_scalar()->apply_cx_pair(a, dim, c1, t1, c2, t2);
+  if (t1m == 1 || t2m == 1) {
+    // A bit-0 target keeps each of its pairs inside one register; the other
+    // target's pairs run across the registers at base and base|hi.  The
+    // controls are not bit 0, so each swap decision covers the register.
+    const std::uint64_t hi = t1m == 1 ? t2m : t1m;
+    util::parallel_for(
+        static_cast<std::int64_t>(dim >> 2), [=](std::int64_t i) {
+          const std::uint64_t base =
+              insert_zero_bit(static_cast<std::uint64_t>(i) << 1, hi);
+          if (!(base & (c1m | c2m))) return;
+          CVec4d v0 = CVec4d::load(a + base);
+          CVec4d v1 = CVec4d::load(a + (base | hi));
+          // The two CX in order: first (c1, t1), then (c2, t2).
+          const auto apply = [&](std::uint64_t cm, std::uint64_t tm) {
+            if (!(base & cm)) return;
+            if (tm == 1) {
+              v0 = v0.swap_lanes();
+              v1 = v1.swap_lanes();
+            } else {
+              std::swap(v0, v1);
+            }
+          };
+          apply(c1m, t1m);
+          apply(c2m, t2m);
+          v0.store(a + base);
+          v1.store(a + (base | hi));
+        });
     return;
   }
+  // Both targets >= 2: two groups (base, base|1) per register; a control on
+  // bit 0 selects lane 1.
   const std::uint64_t lo = t1m < t2m ? t1m : t2m;
   const std::uint64_t hi = t1m < t2m ? t2m : t1m;
   util::parallel_for(static_cast<std::int64_t>(dim >> 3), [=](std::int64_t i) {
     std::uint64_t base = insert_zero_bit(static_cast<std::uint64_t>(i) << 1,
                                          lo);
     base = insert_zero_bit(base, hi);
-    if (!(base & (c1m | c2m))) return;
+    const int m1 = control_lanes(base, c1m);
+    const int m2 = control_lanes(base, c2m);
+    if ((m1 | m2) == 0) return;
     CVec4d v0 = CVec4d::load(a + base);
     CVec4d v1 = CVec4d::load(a + (base | t1m));
     CVec4d v2 = CVec4d::load(a + (base | t2m));
     CVec4d v3 = CVec4d::load(a + (base | t1m | t2m));
-    if (base & c1m) {
-      std::swap(v0, v1);
-      std::swap(v2, v3);
-    }
-    if (base & c2m) {
-      std::swap(v0, v2);
-      std::swap(v1, v3);
-    }
+    exchange(v0, v1, m1);
+    exchange(v2, v3, m1);
+    exchange(v0, v2, m2);
+    exchange(v1, v3, m2);
     v0.store(a + base);
     v1.store(a + (base | t1m));
     v2.store(a + (base | t2m));
@@ -400,6 +447,75 @@ void k_bitflip_block(cplx* a, std::uint64_t dim, std::uint64_t row,
   });
 }
 
+void k_depol2q_block(cplx* a, std::uint64_t dim, std::uint64_t ra,
+                     std::uint64_t rb, std::uint64_t ca, std::uint64_t cb,
+                     double lambda) {
+  std::array<std::uint64_t, 4> masks = {ra, rb, ca, cb};
+  std::sort(masks.begin(), masks.end());
+  // Every path does the scalar loop's separate multiplies and adds (this
+  // unit is built with -ffp-contract=off, so none of them fuses).
+  const std::array<std::uint64_t, 16> off = depol2q_offsets(ra, rb, ca, cb);
+  const __m256d keep = _mm256_set1_pd(1.0 - lambda);
+  const __m256d w = _mm256_set1_pd(lambda);
+  const __m256d quarter = _mm256_set1_pd(0.25);
+  if (masks[0] == 1) {
+    // A bit-0 mask pairs each entry with its bit-0 partner in one register,
+    // so a group is eight registers at the offsets with bit 0 clear.  All
+    // sixteen entries are scaled by 1-lambda at full width, then the four
+    // diagonal entries are rewritten from their values loaded beforehand.
+    std::array<std::uint64_t, 8> reg;
+    std::size_t nreg = 0;
+    for (const std::uint64_t o : off)
+      if (!(o & 1)) reg[nreg++] = o;
+    const __m128d keep1 = _mm256_castpd256_pd128(keep);
+    const __m128d w1 = _mm256_castpd256_pd128(w);
+    const __m128d quarter1 = _mm256_castpd256_pd128(quarter);
+    util::parallel_for(
+        static_cast<std::int64_t>(dim >> 4), [=](std::int64_t i) {
+          std::uint64_t base = static_cast<std::uint64_t>(i) << 1;
+          for (int k = 1; k < 4; ++k) base = insert_zero_bit(base, masks[k]);
+          cplx* g = a + base;
+          __m128d d[4];
+          for (unsigned k = 0; k < 4; ++k)
+            d[k] = _mm_loadu_pd(
+                reinterpret_cast<const double*>(g + off[5 * k]));
+          const __m128d sum =
+              _mm_add_pd(_mm_add_pd(_mm_add_pd(d[0], d[1]), d[2]), d[3]);
+          const __m128d wavg = _mm_mul_pd(w1, _mm_mul_pd(quarter1, sum));
+          for (const std::uint64_t o : reg) {
+            double* p = reinterpret_cast<double*>(g + o);
+            _mm256_storeu_pd(p, _mm256_mul_pd(keep, _mm256_loadu_pd(p)));
+          }
+          for (unsigned k = 0; k < 4; ++k)
+            _mm_storeu_pd(reinterpret_cast<double*>(g + off[5 * k]),
+                          _mm_add_pd(_mm_mul_pd(keep1, d[k]), wavg));
+        });
+    return;
+  }
+  // Every mask >= 2: two groups per register.  The grain keeps the scalar
+  // loop's OpenMP threshold (parallel from n = 8 on).
+  util::parallel_for(
+      static_cast<std::int64_t>(dim >> 5),
+      [=](std::int64_t i) {
+        std::uint64_t base = static_cast<std::uint64_t>(i) << 1;
+        for (const std::uint64_t m : masks) base = insert_zero_bit(base, m);
+        cplx* g = a + base;
+        const auto at = [&](unsigned k) {
+          return _mm256_loadu_pd(reinterpret_cast<const double*>(g + off[k]));
+        };
+        __m256d sum = _mm256_add_pd(at(0), at(5));
+        sum = _mm256_add_pd(sum, at(10));
+        sum = _mm256_add_pd(sum, at(15));
+        const __m256d wavg = _mm256_mul_pd(w, _mm256_mul_pd(quarter, sum));
+        for (unsigned k = 0; k < 16; ++k) {
+          __m256d x = _mm256_mul_pd(keep, at(k));
+          if (k % 5 == 0) x = _mm256_add_pd(x, wavg);
+          _mm256_storeu_pd(reinterpret_cast<double*>(g + off[k]), x);
+        }
+      },
+      /*grain=*/512);
+}
+
 void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
   util::parallel_for(static_cast<std::int64_t>(n >> 1), [=](std::int64_t k) {
     const std::uint64_t i = static_cast<std::uint64_t>(k) << 1;
@@ -422,6 +538,7 @@ constexpr KernelTable kAvx2Table = {
     .thermal_block = k_thermal_block,
     .depol1q_block = k_depol1q_block,
     .bitflip_block = k_bitflip_block,
+    .depol2q_block = k_depol2q_block,
     .accum_add = k_accum_add,
 };
 

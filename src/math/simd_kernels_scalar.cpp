@@ -8,6 +8,8 @@
 // indices, but every element still sees the historical two multiplies in
 // their historical order.)
 
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "math/simd.hpp"
@@ -221,6 +223,32 @@ void k_bitflip_block(cplx* a, std::uint64_t dim, std::uint64_t row,
   });
 }
 
+void k_depol2q_block(cplx* a, std::uint64_t dim, std::uint64_t ra,
+                     std::uint64_t rb, std::uint64_t ca, std::uint64_t cb,
+                     double lambda) {
+  // Sorted bit positions for zero-insertion.
+  std::array<std::uint64_t, 4> masks = {ra, rb, ca, cb};
+  std::sort(masks.begin(), masks.end());
+  util::parallel_for(static_cast<std::int64_t>(dim >> 4), [=](std::int64_t i) {
+    std::uint64_t base = static_cast<std::uint64_t>(i);
+    for (const std::uint64_t m : masks) base = insert_zero_bit(base, m);
+    std::uint64_t idx[4][4];
+    for (unsigned r = 0; r < 4; ++r)
+      for (unsigned c = 0; c < 4; ++c)
+        idx[r][c] = base | ((r & 1u) ? ra : 0) | ((r & 2u) ? rb : 0) |
+                    ((c & 1u) ? ca : 0) | ((c & 2u) ? cb : 0);
+    const cplx avg =
+        0.25 * (a[idx[0][0]] + a[idx[1][1]] + a[idx[2][2]] + a[idx[3][3]]);
+    for (unsigned r = 0; r < 4; ++r)
+      for (unsigned c = 0; c < 4; ++c) {
+        if (r == c)
+          a[idx[r][c]] = (1.0 - lambda) * a[idx[r][c]] + lambda * avg;
+        else
+          a[idx[r][c]] *= (1.0 - lambda);
+      }
+  });
+}
+
 void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
   util::parallel_for(static_cast<std::int64_t>(n),
                      [=](std::int64_t i) { acc[i] += src[i]; });
@@ -240,6 +268,7 @@ constexpr KernelTable kScalarTable = {
     .thermal_block = k_thermal_block,
     .depol1q_block = k_depol1q_block,
     .bitflip_block = k_bitflip_block,
+    .depol2q_block = k_depol2q_block,
     .accum_add = k_accum_add,
 };
 

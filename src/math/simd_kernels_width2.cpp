@@ -7,7 +7,8 @@
 // the cross-path <= 1e-12 bound, not bit-identity.
 //
 // Pure permutation kernels (X, CX, the CX pair) carry no arithmetic, so
-// they share the scalar implementations via table_scalar().
+// they share the scalar implementations via table_scalar(), as does the
+// two-qubit depolarizing block.
 
 #include "math/simd.hpp"
 #include "util/parallel.hpp"
@@ -202,6 +203,7 @@ const KernelTable kWidth2Table = {
     .thermal_block = k_thermal_block,
     .depol1q_block = k_depol1q_block,
     .bitflip_block = k_bitflip_block,
+    .depol2q_block = nullptr,
     .accum_add = k_accum_add,
 };
 
@@ -212,6 +214,7 @@ const KernelTable* build_table() {
     t.apply_x = s->apply_x;
     t.apply_cx = s->apply_cx;
     t.apply_cx_pair = s->apply_cx_pair;
+    t.depol2q_block = s->depol2q_block;
     return t;
   }();
   return &table;

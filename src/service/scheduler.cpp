@@ -134,10 +134,23 @@ std::uint64_t Scheduler::submit(const std::string& tenant,
 std::shared_ptr<Scheduler::Job> Scheduler::find(std::uint64_t id) const {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end())
+  if (it != jobs_.end()) return it->second;
+  // Ids are assigned in order and leave jobs_ only by eviction.
+  if (id >= 1 && id < next_id_)
     throw ProtocolError(ErrorCode::kNotFound,
-                        "no job with id " + std::to_string(id));
-  return it->second;
+                        "job " + std::to_string(id) +
+                            " was evicted: only the " +
+                            std::to_string(kRetainedJobs) +
+                            " most recently finished jobs are kept");
+  throw ProtocolError(ErrorCode::kNotFound,
+                      "no job with id " + std::to_string(id));
+}
+
+void Scheduler::retire_locked(std::uint64_t id) {
+  retired_.push_back(id);
+  if (retired_.size() <= kRetainedJobs) return;
+  jobs_.erase(retired_.front());
+  retired_.pop_front();
 }
 
 JobSnapshot Scheduler::snapshot(std::uint64_t id) const {
@@ -303,6 +316,7 @@ void Scheduler::dispatcher_main() {
       job->transition(JobPhase::kCancelled);
       const std::lock_guard<std::mutex> lock(mu_);
       ++stats_.cancelled;
+      retire_locked(job->id);
       running_ = nullptr;
       drained_cv_.notify_all();
       continue;
@@ -319,6 +333,7 @@ void Scheduler::dispatcher_main() {
         case JobPhase::kFailed: ++stats_.failed; break;
         default: break;
       }
+      retire_locked(job->id);
       running_ = nullptr;
     }
     drained_cv_.notify_all();
@@ -327,8 +342,8 @@ void Scheduler::dispatcher_main() {
 
 void Scheduler::run_job(Job& job) {
   // The job owns its compiled program only while it runs.  Finished jobs
-  // stay in jobs_ for status/fetch, and every retained circuit would grow
-  // the daemon by a few KiB per job served.
+  // stay in jobs_ for status/fetch (up to kRetainedJobs of them), and every
+  // retained circuit would grow the daemon by a few KiB per job.
   const backend::CompiledProgram program = std::move(job.program);
   job.transition(JobPhase::kRunning);
 

@@ -85,6 +85,11 @@ struct SchedulerOptions {
 /// Multi-tenant fair-share scheduler over one backend and one pool.
 class Scheduler {
  public:
+  /// Terminal (done, cancelled, failed) jobs kept for status and fetch.
+  /// Past this many, the oldest terminal job is evicted and its id answers
+  /// kNotFound.  Queued and running jobs are never evicted.
+  static constexpr std::size_t kRetainedJobs = 1024;
+
   /// \p backend must outlive the scheduler.
   Scheduler(const backend::Backend& backend, SchedulerOptions options = {});
   ~Scheduler();
@@ -107,7 +112,8 @@ class Scheduler {
                        core::CharterOptions options, bool detached,
                        std::uint64_t connection, int characterize_top_k = 0);
 
-  /// Snapshot of one job; throws ProtocolError(kNotFound) for unknown ids.
+  /// Snapshot of one job; throws ProtocolError(kNotFound) for unknown and
+  /// evicted ids.
   JobSnapshot snapshot(std::uint64_t id) const;
 
   /// Blocks until the job is terminal, then returns its snapshot.
@@ -176,6 +182,9 @@ class Scheduler {
   std::shared_ptr<Job> pick_next_locked();
   void run_job(Job& job);
   std::shared_ptr<Job> find(std::uint64_t id) const;
+  /// Records that \p id reached a terminal phase and evicts the oldest
+  /// terminal job past kRetainedJobs.  Caller holds mu_.
+  void retire_locked(std::uint64_t id);
 
   const backend::Backend& backend_;
   const SchedulerOptions options_;
@@ -185,6 +194,7 @@ class Scheduler {
   mutable std::condition_variable cv_;        ///< dispatcher wake-ups
   mutable std::condition_variable drained_cv_;
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;  // under mu_
+  std::deque<std::uint64_t> retired_;  ///< terminal ids, oldest first
   std::map<std::string, std::deque<std::shared_ptr<Job>>> pending_;
   std::vector<std::string> ring_;  ///< tenants with pending work
   std::size_t cursor_ = 0;         ///< next ring slot to serve

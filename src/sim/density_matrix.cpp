@@ -14,8 +14,6 @@ using math::Mat2;
 
 namespace {
 
-using math::simd::insert_zero_bit;
-
 inline Mat2 conj2(const Mat2& u) {
   Mat2 r;
   for (std::size_t i = 0; i < 4; ++i) r.m[i] = std::conj(u.m[i]);
@@ -127,35 +125,11 @@ void DensityMatrixEngine::apply_depolarizing_1q(int q, double p) {
 
 void DensityMatrixEngine::apply_depolarizing_2q(int qa, int qb, double p) {
   if (p <= 0.0) return;
-  const std::uint64_t ra = 1ULL << qa;
-  const std::uint64_t rb = 1ULL << qb;
-  const std::uint64_t ca = 1ULL << (qa + num_qubits_);
-  const std::uint64_t cb = 1ULL << (qb + num_qubits_);
   // rho' = (1-16p/15) rho + (16p/15) * twirl(rho).
   const double lambda = 16.0 * p / 15.0;
-  // Sorted bit positions for zero-insertion.
-  std::array<std::uint64_t, 4> masks = {ra, rb, ca, cb};
-  std::sort(masks.begin(), masks.end());
-  cplx* a = rho_.data();
-  util::parallel_for(
-      static_cast<std::int64_t>(dim2() >> 4), [=](std::int64_t i) {
-        std::uint64_t base = static_cast<std::uint64_t>(i);
-        for (const std::uint64_t m : masks) base = insert_zero_bit(base, m);
-        std::uint64_t idx[4][4];
-        for (unsigned r = 0; r < 4; ++r)
-          for (unsigned c = 0; c < 4; ++c)
-            idx[r][c] = base | ((r & 1u) ? ra : 0) | ((r & 2u) ? rb : 0) |
-                        ((c & 1u) ? ca : 0) | ((c & 2u) ? cb : 0);
-        const cplx avg = 0.25 * (a[idx[0][0]] + a[idx[1][1]] +
-                                 a[idx[2][2]] + a[idx[3][3]]);
-        for (unsigned r = 0; r < 4; ++r)
-          for (unsigned c = 0; c < 4; ++c) {
-            if (r == c)
-              a[idx[r][c]] = (1.0 - lambda) * a[idx[r][c]] + lambda * avg;
-            else
-              a[idx[r][c]] *= (1.0 - lambda);
-          }
-      });
+  math::simd::active().depol2q_block(
+      rho_.data(), dim2(), 1ULL << qa, 1ULL << qb, 1ULL << (qa + num_qubits_),
+      1ULL << (qb + num_qubits_), lambda);
 }
 
 void DensityMatrixEngine::apply_bitflip(int q, double p) {

@@ -9,11 +9,13 @@
 /// updates are fused into a single pass by the pair kernels
 /// (kernels::apply_*_pair, and kernels::apply_diag_rowcol for diagonal
 /// gates), bit-identical to the sequential two-pass forms but with half the
-/// memory traffic.  Noise channels use fused single-pass
-/// closed forms (see DESIGN.md):
+/// memory traffic.  Noise channels use fused single-pass closed forms, the
+/// channel-block entries of math::simd::KernelTable (math/simd.hpp):
 ///  - thermal relaxation mixes the 2x2 qubit blocks directly,
 ///  - depolarizing mixes diagonal entries toward the block average and
-///    scales coherences.
+///    scales coherences.  The two-qubit form (depol2q_block) runs four
+///    groups per AVX-512 register and two per AVX2 register, and is
+///    byte-identical to the scalar loop on every path.
 ///
 /// The class is final so that the NoiseProgram tape interpreter's concrete
 /// overload (noise/program.hpp) dispatches every op without a virtual call.

@@ -10,12 +10,21 @@
 ///
 /// Since the SIMD layer landed, this header is a thin forwarding shim: each
 /// hot kernel dispatches through math::simd::active() to the scalar, width-2
-/// (SSE2/NEON), or AVX2+FMA implementation selected at runtime
+/// (SSE2/NEON), AVX2+FMA or AVX-512 implementation selected at runtime
 /// (math/simd_dispatch.hpp).  The scalar path is bit-identical to the
 /// historical loops that used to live here; the vector paths agree with it
 /// to <= 1e-12 and are individually deterministic — fixed per-element
 /// operation order, bit-identical across thread counts.  Rarely-hot kernels
 /// (general 4x4 unitaries, Toffoli, SWAP, reductions) remain scalar inline.
+///
+/// The density-matrix channel blocks (thermal relaxation, one- and two-qubit
+/// depolarizing, bit flip) are KernelTable entries too, which the
+/// density-matrix engine calls directly.  The AVX-512 table carries its own
+/// width-8 form of every density-matrix entry, with the AVX2 form's
+/// per-element arithmetic, so the two paths give byte-identical vec(rho)
+/// (1.2-1.6x faster than AVX2 on most of them at n = 5..9, see
+/// math/simd_kernels_avx512.cpp).  The two-qubit depolarizing block uses no
+/// FMA on any path, so every path matches the scalar loop exactly.
 ///
 /// Pair kernels.  Every coherent density-matrix update is a *pair* of
 /// single-qubit-style updates — U on pseudo-qubit q and conj(U) on q+n —

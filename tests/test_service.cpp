@@ -319,6 +319,71 @@ TEST(ServiceScheduler, ConnectionCloseCancelsAttachedJobsOnly) {
       << "detached jobs survive their submitter's hangup";
 }
 
+// charterd keeps at most kRetainedJobs finished jobs and evicts the oldest
+// finished one first.  Tenant "late" joins the ring first, so its second
+// job (id 2) waits out a full round of 1 + kRetainedJobs cancelled jobs
+// from other tenants: by the time it starts, id 1 has been evicted, but
+// the queued id 2 has not, although its id is lower than every retained
+// finished job's.
+TEST(ServiceScheduler, EvictsOldestFinishedJobsButNeverQueuedOnes) {
+  constexpr std::size_t kCap = cs::Scheduler::kRetainedJobs;
+  cs::SchedulerOptions options;
+  options.start_paused = true;
+  options.max_queued_jobs = kCap + 8;
+  Harness h(options);
+  const cb::CompiledProgram program =
+      h.backend.compile(charter::algos::find_benchmark("qft3").build());
+  co::CharterOptions copts;
+  copts.max_gates = 1;
+  copts.run.shots = 0;
+  const auto submit = [&](const std::string& tenant) {
+    return h.scheduler.submit(tenant, program, copts, /*detached=*/true,
+                              /*connection=*/1);
+  };
+  const std::uint64_t first = submit("late");
+  const std::uint64_t held = submit("late");
+  std::vector<std::uint64_t> others;
+  for (std::size_t i = 0; i < kCap; ++i)
+    others.push_back(submit("t" + std::to_string(i)));
+  ASSERT_TRUE(h.scheduler.cancel(first));
+  for (const std::uint64_t id : others) ASSERT_TRUE(h.scheduler.cancel(id));
+
+  // Only `held` runs; check the registry the moment it starts.
+  cs::JobPhase held_phase = cs::JobPhase::kDone;
+  std::string first_error;
+  h.scheduler.on_job_start = [&](const cs::JobSnapshot& s) {
+    held_phase = h.scheduler.snapshot(s.id).phase;
+    try {
+      h.scheduler.snapshot(first);
+    } catch (const cs::ProtocolError& e) {
+      first_error = e.what();
+    }
+  };
+  h.scheduler.set_paused(false);
+  EXPECT_EQ(h.scheduler.await(held).phase, cs::JobPhase::kDone);
+
+  EXPECT_EQ(held_phase, cs::JobPhase::kQueued) << "queued job was evicted";
+  EXPECT_NE(first_error.find("evicted"), std::string::npos) << first_error;
+  // `held` finishing evicted the next-oldest finished job, others[0]; the
+  // remaining kCap - 1 cancelled jobs and `held` are retained.
+  const cs::JsonValue r = parsed(h.handle(
+      "{\"op\":\"status\",\"job\":" + std::to_string(others[0]) + "}"));
+  EXPECT_EQ(error_code(r), "not_found");
+  for (std::size_t i = 1; i < others.size(); ++i)
+    ASSERT_EQ(h.scheduler.snapshot(others[i]).phase,
+              cs::JobPhase::kCancelled);
+  const cs::JsonValue fetched = parsed(h.handle(
+      "{\"op\":\"fetch\",\"job\":" + std::to_string(held) + "}"));
+  EXPECT_TRUE(ok(fetched));
+  // An id never assigned is still unknown, not evicted.
+  try {
+    h.scheduler.snapshot(held + kCap + 100);
+    ADD_FAILURE() << "unassigned id resolved";
+  } catch (const cs::ProtocolError& e) {
+    EXPECT_EQ(std::string(e.what()).find("evicted"), std::string::npos);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End to end: daemon-served reports are the library's reports, bit for bit
 // ---------------------------------------------------------------------------

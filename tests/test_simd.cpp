@@ -15,12 +15,18 @@
 //     this guards against any input-independent nondeterminism).
 //  4. The dispatcher: scalar is always available, set_path round-trips, and
 //     the active table matches the reported path.
+//  5. Byte identity where the contract is exact: every density-matrix entry
+//     of the AVX-512 table equals the AVX2 entry at density-matrix widths
+//     1..8 on every qubit, depol2q_block equals its scalar reference on
+//     every path, and the qft7 / adder9 exact tapes leave the same vec(rho)
+//     on the avx2 and avx512 paths.
 //
 // The sweep runs on the dispatch *table* functions directly, so it tests
 // exactly what sim/kernels.hpp forwards to.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <complex>
 #include <cstring>
@@ -28,9 +34,17 @@
 #include <utility>
 #include <vector>
 
+#include "algos/registry.hpp"
+#include "backend/backend.hpp"
 #include "math/simd.hpp"
 #include "math/simd_dispatch.hpp"
+#include "noise/program.hpp"
+#include "sim/density_matrix.hpp"
 #include "util/rng.hpp"
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 namespace ms = charter::math::simd;
 using charter::math::cplx;
@@ -214,6 +228,31 @@ void ref_bitflip_block(cplx* a, std::uint64_t dim, std::uint64_t row,
     a[base | row | col] = (1.0 - p) * b11 + p * b00;
     a[base | col] = (1.0 - p) * b01 + p * b10;
     a[base | row] = (1.0 - p) * b10 + p * b01;
+  }
+}
+
+void ref_depol2q_block(cplx* a, std::uint64_t dim, std::uint64_t ra,
+                       std::uint64_t rb, std::uint64_t ca, std::uint64_t cb,
+                       double lambda) {
+  std::array<std::uint64_t, 4> masks = {ra, rb, ca, cb};
+  std::sort(masks.begin(), masks.end());
+  for (std::uint64_t i = 0; i < (dim >> 4); ++i) {
+    std::uint64_t base = i;
+    for (const std::uint64_t m : masks) base = insert0(base, m);
+    std::uint64_t idx[4][4];
+    for (unsigned r = 0; r < 4; ++r)
+      for (unsigned c = 0; c < 4; ++c)
+        idx[r][c] = base | ((r & 1u) ? ra : 0) | ((r & 2u) ? rb : 0) |
+                    ((c & 1u) ? ca : 0) | ((c & 2u) ? cb : 0);
+    const cplx avg =
+        0.25 * (a[idx[0][0]] + a[idx[1][1]] + a[idx[2][2]] + a[idx[3][3]]);
+    for (unsigned r = 0; r < 4; ++r)
+      for (unsigned c = 0; c < 4; ++c) {
+        if (r == c)
+          a[idx[r][c]] = (1.0 - lambda) * a[idx[r][c]] + lambda * avg;
+        else
+          a[idx[r][c]] *= (1.0 - lambda);
+      }
   }
 }
 
@@ -409,6 +448,84 @@ void sweep_diag_rowcol(const ms::KernelTable& table, int m, Rng& rng,
   }
 }
 
+/// Runs every density-matrix entry of two tables on the shapes the engine
+/// runs for an m-qubit density matrix — each qubit q on pseudo-qubits
+/// (q, q + m), every ordered CX and depol2q pair, a random diagonal — from
+/// identical random inputs, and requires byte-identical results.
+void expect_dm_entries_identical(const ms::KernelTable& x,
+                                 const ms::KernelTable& y, int m, Rng& rng) {
+  const std::uint64_t dim = 1ULL << (2 * m);
+  const auto same = [&](const std::string& label, auto&& fn) {
+    std::vector<cplx> a = random_state(dim, rng);
+    std::vector<cplx> b = a;
+    fn(x, a.data());
+    fn(y, b.data());
+    EXPECT_TRUE(bit_identical(a, b))
+        << label << " " << x.name << " vs " << y.name << " m=" << m;
+  };
+  for (int q = 0; q < m; ++q) {
+    const std::uint64_t row = 1ULL << q;
+    const std::uint64_t col = 1ULL << (q + m);
+    const Mat2 u = random_mat2(rng);
+    Mat2 uc;
+    for (std::size_t k = 0; k < 4; ++k) uc.m[k] = std::conj(u.m[k]);
+    const double gamma = rng.uniform(0.0, 0.9);
+    const double keep = rng.uniform(0.1, 1.0);
+    const double mix = rng.uniform(0.0, 0.5);
+    const double coh = rng.uniform(0.2, 1.0);
+    const double p = rng.uniform(0.0, 0.5);
+    const std::string at = " q=" + std::to_string(q);
+    same("apply_1q_pair" + at, [&](const ms::KernelTable& t, cplx* a) {
+      t.apply_1q_pair(a, dim, q, u, q + m, uc);
+    });
+    same("thermal_block" + at, [&](const ms::KernelTable& t, cplx* a) {
+      t.thermal_block(a, dim, row, col, gamma, keep);
+    });
+    same("depol1q_block" + at, [&](const ms::KernelTable& t, cplx* a) {
+      t.depol1q_block(a, dim, row, col, mix, coh);
+    });
+    same("bitflip_block" + at, [&](const ms::KernelTable& t, cplx* a) {
+      t.bitflip_block(a, dim, row, col, p);
+    });
+    for (int r = 0; r < m; ++r) {
+      if (r == q) continue;
+      const std::string pair = at + " r=" + std::to_string(r);
+      same("apply_cx_pair" + pair, [&](const ms::KernelTable& t, cplx* a) {
+        t.apply_cx_pair(a, dim, q, r, q + m, r + m);
+      });
+      const double lambda = rng.uniform(0.0, 1.0);
+      same("depol2q_block" + pair, [&](const ms::KernelTable& t, cplx* a) {
+        t.depol2q_block(a, dim, row, 1ULL << r, col, 1ULL << (r + m),
+                        lambda);
+      });
+    }
+  }
+  const std::uint64_t len = 1ULL << m;
+  std::vector<cplx> row(len), col(len);
+  for (std::uint64_t k = 0; k < len; ++k) {
+    row[k] = cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+    col[k] = cplx(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+  }
+  same("apply_diag_rowcol", [&](const ms::KernelTable& t, cplx* a) {
+    t.apply_diag_rowcol(a, m, row.data(), col.data());
+  });
+}
+
+/// Runs the enclosing test's kernels on one OpenMP thread.  Byte identity
+/// does not depend on the OpenMP width (test_noise_program pins that), and
+/// OpenMP teams spinning on a host oversubscribed by `ctest -j` ran these
+/// vec(rho)-sized checks ~50x slower than serial.
+class SerialKernels {
+#ifdef _OPENMP
+ public:
+  SerialKernels() : saved_(omp_get_max_threads()) { omp_set_num_threads(1); }
+  ~SerialKernels() { omp_set_num_threads(saved_); }
+
+ private:
+  int saved_;
+#endif
+};
+
 }  // namespace
 
 TEST(SimdDispatch, ScalarAlwaysAvailable) {
@@ -502,4 +619,84 @@ TEST(SimdKernels, AllPathsAgreeWithinTolerance) {
           });
     }
   }
+}
+
+// The AVX-512 density-matrix entries do the AVX2 entries' per-element
+// arithmetic four groups to a register (two on qubits 0 and 1), and forward
+// to AVX2 on the shapes they do not cover (n = 1), so every entry must
+// match AVX2 byte for byte: the default path's output may not move.
+TEST(SimdKernels, Avx512DensityMatrixEntriesMatchAvx2Bitwise) {
+  [[maybe_unused]] const SerialKernels serial{};
+  if (!ms::path_available(ms::SimdPath::kAvx512) ||
+      !ms::path_available(ms::SimdPath::kAvx2))
+    GTEST_SKIP() << "needs both the avx2 and the avx512 path";
+  Rng rng(0xa512);
+  for (int m = 1; m <= 8; ++m)
+    expect_dm_entries_identical(*ms::table_avx512(), *ms::table_avx2(), m,
+                                rng);
+}
+
+// depol2q_block uses separate multiplies and adds in the scalar loop's order
+// on every path, so each path equals the reference loop exactly, for every
+// ordered pair of qubits including qubit 0.
+TEST(SimdKernels, Depol2qBlockBitIdenticalToReferenceOnEveryPath) {
+  [[maybe_unused]] const SerialKernels serial{};
+  const ms::SimdPath original = ms::active_path();
+  for (const ms::SimdPath path : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
+                                  ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
+    if (!ms::path_available(path)) continue;
+    ASSERT_TRUE(ms::set_path(path));
+    const ms::KernelTable& table = ms::active();
+    Rng rng(0xde9 + static_cast<std::uint64_t>(path));
+    for (int m = 2; m <= 6; ++m) {
+      const std::uint64_t dim = 1ULL << (2 * m);
+      for (int qa = 0; qa < m; ++qa)
+        for (int qb = 0; qb < m; ++qb) {
+          if (qa == qb) continue;
+          const double lambda = rng.uniform(0.0, 1.0);
+          const std::uint64_t ra = 1ULL << qa, rb = 1ULL << qb;
+          std::vector<cplx> want = random_state(dim, rng);
+          std::vector<cplx> got = want;
+          ref_depol2q_block(want.data(), dim, ra, rb, ra << m, rb << m, lambda);
+          table.depol2q_block(got.data(), dim, ra, rb, ra << m, rb << m,
+                              lambda);
+          EXPECT_TRUE(bit_identical(want, got))
+              << "path=" << table.name << " m=" << m << " qa=" << qa
+              << " qb=" << qb;
+        }
+    }
+  }
+  ms::set_path(original);
+}
+
+// End to end on the benchmark circuits: the exact tapes of qft7 (lagos) and
+// adder9 (guadalupe) leave a byte-identical vec(rho) on the avx2 and avx512
+// paths.
+TEST(SimdKernels, ExactTapesBitIdenticalOnAvx2AndAvx512) {
+  [[maybe_unused]] const SerialKernels serial{};
+  if (!ms::path_available(ms::SimdPath::kAvx512) ||
+      !ms::path_available(ms::SimdPath::kAvx2))
+    GTEST_SKIP() << "needs both the avx2 and the avx512 path";
+  const ms::SimdPath original = ms::active_path();
+  for (const char* key : {"qft7", "adder9"}) {
+    const charter::algos::AlgoSpec spec = charter::algos::find_benchmark(key);
+    const charter::backend::FakeBackend dev =
+        spec.qubits <= 7 ? charter::backend::FakeBackend::lagos()
+                         : charter::backend::FakeBackend::guadalupe();
+    const charter::backend::CompiledProgram program = dev.compile(spec.build());
+    const charter::backend::LoweredRun lowered =
+        dev.lower(program, charter::backend::RunOptions{});
+    const charter::noise::NoiseProgram tape =
+        charter::noise::lower(lowered.model, lowered.local);
+    std::vector<cplx> states[2];
+    const ms::SimdPath paths[2] = {ms::SimdPath::kAvx2, ms::SimdPath::kAvx512};
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_TRUE(ms::set_path(paths[k]));
+      charter::sim::DensityMatrixEngine engine(lowered.local.num_qubits());
+      tape.execute(engine);
+      states[k] = engine.raw();
+    }
+    EXPECT_TRUE(bit_identical(states[0], states[1])) << key;
+  }
+  ms::set_path(original);
 }

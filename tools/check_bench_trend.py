@@ -92,6 +92,8 @@ def check_kernels(path, data):
         "cx_pair",
         "diag_1q_pair",
         "diag_2q_pair",
+        "thermal_block",
+        "depol2q_block",
     }
     if not isinstance(rows, list) or not rows:
         ok = fail(path, "per-ISA 'simd' rows missing")
@@ -346,6 +348,8 @@ def summarize(path, data):
             f"1q_pair={rows.get('unitary_1q_pair', 0):.2f}x "
             f"cx_pair={rows.get('cx_pair', 0):.2f}x "
             f"diag_2q_pair={rows.get('diag_2q_pair', 0):.2f}x "
+            f"thermal_block={rows.get('thermal_block', 0):.2f}x "
+            f"depol2q_block={rows.get('depol2q_block', 0):.2f}x "
             f"pair={data['kernel_pair_speedup']:.2f}x"
         )
 
