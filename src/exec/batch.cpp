@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -19,6 +20,7 @@
 #include "sim/snapshot.hpp"
 #include "sim/trajectory.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -225,28 +227,36 @@ std::vector<std::vector<double>> BatchRunner::run(
   // units are pool tasks (w = pool worker, wp = nullptr).  In
   // multi-process mode there is one driver thread per worker child,
   // claiming unit indices from a shared counter (w = child index, wp =
-  // that child); the first driver exception wins and is rethrown after the
-  // join.  Results land by submission index either way, so claim order
-  // never reaches the numbers.
+  // that child).  A non-empty caller runs on this thread beside the units
+  // (ThreadPool::run's caller task).  Every thread involved runs kernels
+  // serially; the first exception wins and is rethrown after the join.
+  // Results land by submission index either way, so claim order never
+  // reaches the numbers.
   const auto run_units =
       [&](std::size_t num_units,
-          const std::function<void(std::size_t, int, WorkerProcess*)>& body) {
+          const std::function<void(std::size_t, int, WorkerProcess*)>& body,
+          const std::function<void()>& caller = {}) {
         if (options_.workers == 0) {
           pool().run(static_cast<std::int64_t>(num_units),
                      [&](std::int64_t u, int worker) {
                        body(static_cast<std::size_t>(u), worker, nullptr);
                      },
-                     cancel);
+                     cancel, caller);
           return;
         }
         WorkerSet& ws = worker_set();
         std::atomic<std::size_t> next{0};
         std::mutex err_mu;
         std::exception_ptr first_error;
+        const auto capture = [&] {
+          const std::lock_guard<std::mutex> lock(err_mu);
+          if (!first_error) first_error = std::current_exception();
+        };
         std::vector<std::thread> drivers;
         drivers.reserve(ws.size());
         for (int w = 0; w < static_cast<int>(ws.size()); ++w) {
           drivers.emplace_back([&, w] {
+            const util::SerialKernels serial;
             try {
               WorkerProcess& wp = ws.worker(static_cast<std::size_t>(w));
               for (;;) {
@@ -257,10 +267,17 @@ std::vector<std::vector<double>> BatchRunner::run(
                 body(u, w, &wp);
               }
             } catch (...) {
-              const std::lock_guard<std::mutex> lock(err_mu);
-              if (!first_error) first_error = std::current_exception();
+              capture();
             }
           });
+        }
+        if (caller) {
+          const util::SerialKernels serial;
+          try {
+            caller();
+          } catch (...) {
+            capture();
+          }
         }
         for (std::thread& t : drivers) t.join();
         if (first_error) std::rethrow_exception(first_error);
@@ -312,55 +329,81 @@ std::vector<std::vector<double>> BatchRunner::run(
     const backend::LoweredRun lowered = backend_.lower(*base, lower_options);
     const noise::NoisyExecutor executor(lowered.model);
 
+    // Jobs whose program *is* the base are served by the sweep itself; every
+    // other job resumes from a snapshot and declares one claim on it.
+    std::vector<std::size_t> base_jobs;
+    std::vector<std::size_t> resumers;
     std::vector<std::size_t> prefix_lens;
-    for (const std::size_t i : dm_idx)
-      if (jobs[i].program != base) prefix_lens.push_back(jobs[i].shared_prefix);
-    const CheckpointPlan plan(executor, lowered.local, std::move(prefix_lens),
-                              options_.checkpoint_memory_bytes);
-
-    // Shard by checkpoint segment: jobs resuming from the same snapshot run
-    // on the same worker and reload a cache-warm rho.  Results land by
-    // submission index, so shard shapes never reach the numbers.
-    std::vector<std::size_t> segments(dm_idx.size());
-    for (std::size_t k = 0; k < dm_idx.size(); ++k) {
-      const AnalysisJob& job = jobs[dm_idx[k]];
-      segments[k] = plan.segment_of(
-          std::min(job.shared_prefix, lowered.local.size()));
+    for (const std::size_t i : dm_idx) {
+      if (jobs[i].program == base) {
+        base_jobs.push_back(i);
+      } else {
+        resumers.push_back(i);
+        prefix_lens.push_back(jobs[i].shared_prefix);
+      }
     }
     // In multi-process mode the shard fan-out keys off the worker-process
     // count (the pool is not used on this route at all).
     const int fanout =
         options_.workers > 0 ? options_.workers : pool().num_workers();
-    const std::vector<Shard> shards = make_shards(
-        dm_idx, segments, default_max_shard_jobs(dm_idx.size(), fanout));
+    // The sweep may run ahead of the consumers by one snapshot per worker.
+    // A nested (inline) pool runs the sweep before any shard, so there it
+    // must never wait for a claim.
+    const bool inline_pool = options_.workers == 0 && util::serial_kernels();
+    CheckpointPlan plan(executor, lowered.local, std::move(prefix_lens),
+                        options_.checkpoint_memory_bytes,
+                        inline_pool ? std::numeric_limits<std::size_t>::max()
+                                    : static_cast<std::size_t>(fanout));
 
-    // One shard loop for both modes.  The base sweep already ran the base to
-    // completion; every other job goes through prepare_shared, and the
-    // prepared (spliced) tape then runs on the shard's worker child when one
-    // is alive — shipped with its snapshot as serialized blobs, read back as
-    // raw probability doubles — and locally otherwise.  The child interprets
-    // exactly the bytes a local run interprets, so the results are
-    // bit-identical at any worker count.  A dead worker's unit is redone
-    // here from the same PreparedResume, never by preparing again, which
-    // would double-count the plan's resumed/replayed stats.
+    // Shard by checkpoint segment: jobs resuming from the same snapshot run
+    // on the same worker and reload a cache-warm rho.  Shards come out in
+    // ascending segment order, so the longest replays start first and each
+    // waits only for its own snapshot.  Results land by submission index,
+    // so shard shapes never reach the numbers.
+    std::vector<std::size_t> segments(resumers.size());
+    for (std::size_t k = 0; k < resumers.size(); ++k)
+      segments[k] = plan.segment_of(jobs[resumers[k]].shared_prefix);
+    const std::vector<Shard> shards = make_shards(
+        resumers, segments, default_max_shard_jobs(resumers.size(), fanout));
+
+    // The producer: the coordinator sweeps the base with serial kernels,
+    // beside the shards, publishing each snapshot as it is taken, then
+    // serves the base jobs from the finished sweep.
+    const auto sweep = [&] {
+      if (!plan.sweep(cancel)) return;
+      for (const std::size_t i : base_jobs) {
+        results[i] = backend_.finalize(plan.base_probabilities(), lowered,
+                                       *jobs[i].program, jobs[i].run);
+        notify_done(i);
+      }
+    };
+
+    // The consumers: one shard loop for both modes.  Every job goes through
+    // prepare_shared, and the prepared (spliced) tape then runs on the
+    // shard's worker child when one is alive — shipped with its snapshot as
+    // serialized blobs, read back as raw probability doubles — and locally
+    // otherwise.  The child interprets exactly the bytes a local run
+    // interprets, so the results are bit-identical at any worker count.  A
+    // dead worker's unit is redone here from the same PreparedResume, never
+    // by preparing again, which would double-count the plan's
+    // resumed/replayed stats and claim its snapshot twice.
     WorkerEngines engines(fanout);
     // Consecutive jobs in a shard resume from the same snapshot; cache its
-    // serialization per driver.
+    // serialization per driver, keyed by checkpoint index (a freed
+    // snapshot's address can come back for a later one).
     struct SnapCache {
-      const std::vector<math::cplx>* key = nullptr;
+      std::optional<std::size_t> checkpoint;
       std::vector<std::uint8_t> bytes;
     };
     std::vector<SnapCache> snap_cache(static_cast<std::size_t>(fanout));
 
     const auto run_shard = [&](std::size_t s, int w, WorkerProcess* wp) {
-      for (const std::size_t i : shards[s].jobs) {
-        // One shard holds many jobs; honor cancellation between them.
-        if (cancelled()) return;
-        const AnalysisJob& job = jobs[i];
-        std::vector<double> probs;
-        if (job.program == base) {
-          probs = plan.base_probabilities();
-        } else {
+      try {
+        if (!plan.wait_for_segment(shards[s].segment)) return;
+        for (const std::size_t i : shards[s].jobs) {
+          // One shard holds many jobs; honor cancellation between them.
+          if (cancelled()) return;
+          const AnalysisJob& job = jobs[i];
           const circ::Circuit derived =
               backend::compact_to(job.program->physical, lowered.kept);
           std::optional<CheckpointPlan::PreparedResume> prep =
@@ -369,15 +412,16 @@ std::vector<std::vector<double>> BatchRunner::run(
           if (prep) {
             r = offload(wp, [&](WorkerProcess& p) {
               SnapCache& sc = snap_cache[static_cast<std::size_t>(w)];
-              if (sc.key != prep->snapshot) {
+              if (sc.checkpoint != prep->checkpoint) {
                 sc.bytes = sim::serialize_snapshot(lowered.local.num_qubits(),
                                                    *prep->snapshot);
-                sc.key = prep->snapshot;
+                sc.checkpoint = prep->checkpoint;
               }
               return p.run_tape(noise::serialize_tape(prep->tape),
                                 prep->resume_pos, sc.bytes);
             });
           }
+          std::vector<double> probs;
           if (r) {
             probs = std::move(*r);
           } else {
@@ -385,6 +429,7 @@ std::vector<std::vector<double>> BatchRunner::run(
                 engines.get(w, lowered.local.num_qubits());
             if (prep) {
               engine.load_state(*prep->snapshot);
+              prep->snapshot.reset();  // a released snapshot is freed here
               prep->tape.run(engine, prep->resume_pos, prep->tape.size());
             } else {
               // Unprovable prefix: cold run (prepare_shared bumped the
@@ -393,13 +438,17 @@ std::vector<std::vector<double>> BatchRunner::run(
             }
             probs = engine.probabilities();
           }
+          results[i] = backend_.finalize(std::move(probs), lowered,
+                                         *job.program, job.run);
+          notify_done(i);
         }
-        results[i] = backend_.finalize(std::move(probs), lowered,
-                                       *job.program, job.run);
-        notify_done(i);
+      } catch (...) {
+        // This shard's remaining claims will never come: release the sweep.
+        plan.abort();
+        throw;
       }
     };
-    run_units(shards.size(), run_shard);
+    run_units(shards.size(), run_shard, sweep);
     throw_if_cancelled();
     stats_.checkpoint_fallbacks += plan.stats().fallbacks;
     stats_.checkpointed = dm_idx.size() - plan.stats().fallbacks;

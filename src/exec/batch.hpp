@@ -11,16 +11,22 @@
 /// (sharding.hpp), one cloned scratch engine per worker, with every result
 /// written by submission index so the reduction order never depends on
 /// completion order.  The numbers are bit-identical at every thread count:
-/// task bodies run with nested util::parallel_* forced serial, and
-/// trajectory averages fold in fixed index-ordered groups.  On top of the
-/// scheduling, two accelerations the per-run backend API cannot give:
+/// task bodies run under util::SerialKernels (nested util::parallel_*
+/// stay serial), and trajectory averages fold in fixed index-ordered
+/// groups.  On top of the scheduling, two accelerations the per-run backend
+/// API cannot give:
 ///
 ///  - prefix-state checkpointing (checkpoint.hpp): when jobs declare a
 ///    shared prefix against a base program and the run is exactly
 ///    reproducible (density-matrix engine, drift == 0), the base is
 ///    simulated once and every job resumes mid-circuit, simulating only its
 ///    inserted gates plus the suffix — O(G * avg-suffix) instead of O(G^2)
-///    simulated gate-applications;
+///    simulated gate-applications.  The plan is pipelined: the
+///    coordinating thread sweeps the base (with serial kernels) as the
+///    pool's caller task while the shards replay, each shard starting as
+///    soon as its snapshot exists; the sweep runs at most one unclaimed
+///    snapshot per worker ahead, and a snapshot is freed after its last
+///    consumer has claimed it;
 ///  - run caching (cache.hpp): results are memoized process-wide on
 ///    (program, device, options), so repeated submissions — bench sweeps,
 ///    the mitigation workflow's re-analysis — skip the simulator entirely.
@@ -73,8 +79,10 @@ struct BatchOptions {
   bool checkpointing = true;
   /// Serve and populate the process-wide RunCache.
   bool caching = true;
-  /// Total snapshot memory per batch; when the insertion points outnumber
-  /// the budget, an evenly spaced subset is kept and the gaps are replayed.
+  /// Caps the snapshots a batch takes (budget / snapshot size); when the
+  /// insertion points outnumber the cap, an evenly spaced subset is kept
+  /// and the gaps are replayed.  Snapshots are freed as their consumers
+  /// claim them, so far fewer are alive at once.
   std::size_t checkpoint_memory_bytes = 512ull << 20;
   /// Worker-pool width for the sweep: 0 = one worker per hardware thread,
   /// >= 1 = exactly that many workers.  Results are bit-identical at every

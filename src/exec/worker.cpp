@@ -19,6 +19,7 @@
 #include "sim/trajectory.hpp"
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace charter::exec {
 
@@ -164,6 +165,10 @@ bool send_result(int fd, std::uint64_t id, const std::vector<double>& probs) {
 }  // namespace
 
 int worker_serve(int fd) {
+  // A worker child is one core's worth of the parent's sweep: its siblings
+  // and the parent's coordinator run beside it, so an OpenMP team here
+  // would only oversubscribe the cores.
+  const util::SerialKernels serial;
   long kill_after = -1;
   if (const char* s = std::getenv("CHARTER_WORKER_KILL_AFTER"))
     kill_after = std::strtol(s, nullptr, 10);

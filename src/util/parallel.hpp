@@ -6,7 +6,10 @@
 /// Following the HPC guides, all parallelism in charter goes through these
 /// high-level abstractions rather than ad-hoc thread management: OpenMP when
 /// available, serial fallback otherwise.  Kernels stay oblivious to the
-/// threading backend.
+/// threading backend.  A thread holding a SerialKernels guard runs every
+/// helper serially, so the exec layer's threads (pool workers, the sweep
+/// coordinator, worker drivers and children) never stack OpenMP teams on
+/// the cores they already occupy.
 
 #include <cstddef>
 #include <cstdint>
@@ -19,16 +22,30 @@
 namespace charter::util {
 
 namespace detail {
-/// Set for the lifetime of every util::ThreadPool worker thread
-/// (thread_pool.cpp).  The helpers below treat pool workers exactly like
-/// nested OpenMP regions and stay serial there — at *every* pool width, so
-/// order-dependent reductions (parallel_sum) can never reassociate
-/// differently when the exec layer's `threads` knob changes.
-extern thread_local bool t_pool_worker;
+/// Depth of live SerialKernels guards on this thread.
+inline thread_local int t_serial_kernels = 0;
 }  // namespace detail
 
-/// True on threads owned by a util::ThreadPool.
-inline bool in_pool_worker() { return detail::t_pool_worker; }
+/// True while a SerialKernels guard is alive on this thread.
+inline bool serial_kernels() { return detail::t_serial_kernels > 0; }
+
+/// Scoped "serial kernels on this thread" guard.  While one is alive, the
+/// helpers below treat the thread exactly like a nested OpenMP region and
+/// stay serial.  Every thread that runs simulation work beside other such
+/// threads holds one: util::ThreadPool workers (for their lifetime), the
+/// coordinator while it runs a ThreadPool::run caller task, the
+/// multi-process driver threads and the `charter worker` serve loop.  Each
+/// of them is one core's worth of work, so an OpenMP team on top would only
+/// oversubscribe the cores; and order-dependent reductions (parallel_sum)
+/// can never reassociate differently when the exec layer's `threads` or
+/// `workers` knob changes.  Guards nest.
+class SerialKernels {
+ public:
+  SerialKernels() { ++detail::t_serial_kernels; }
+  ~SerialKernels() { --detail::t_serial_kernels; }
+  SerialKernels(const SerialKernels&) = delete;
+  SerialKernels& operator=(const SerialKernels&) = delete;
+};
 
 /// Number of hardware threads the parallel helpers will use.
 inline int num_threads() {
@@ -45,7 +62,7 @@ template <typename Fn>
 void parallel_for(std::int64_t n, Fn&& fn, std::int64_t grain = 1024) {
 #ifdef _OPENMP
   if (n >= 2 * grain && omp_get_max_threads() > 1 && !omp_in_parallel() &&
-      !in_pool_worker()) {
+      !serial_kernels()) {
 #pragma omp parallel for schedule(static)
     for (std::int64_t i = 0; i < n; ++i) fn(i);
     return;
@@ -67,7 +84,7 @@ void parallel_for_dynamic(std::int64_t n, Fn&& fn,
                           std::int64_t min_parallel = 2) {
 #ifdef _OPENMP
   if (n >= min_parallel && omp_get_max_threads() > 1 && !omp_in_parallel() &&
-      !in_pool_worker()) {
+      !serial_kernels()) {
 #pragma omp parallel for schedule(dynamic)
     for (std::int64_t i = 0; i < n; ++i) fn(i);
     return;
@@ -84,7 +101,7 @@ double parallel_sum(std::int64_t n, Fn&& fn, std::int64_t grain = 1024) {
   double total = 0.0;
 #ifdef _OPENMP
   if (n >= 2 * grain && omp_get_max_threads() > 1 && !omp_in_parallel() &&
-      !in_pool_worker()) {
+      !serial_kernels()) {
 #pragma omp parallel for schedule(static) reduction(+ : total)
     for (std::int64_t i = 0; i < n; ++i) total += fn(i);
     return total;
@@ -106,10 +123,11 @@ inline constexpr std::int64_t kChunkedSumLen = 8192;
 /// in chunk-index order.  Unlike parallel_sum — whose OpenMP reduction tree
 /// reassociates with the worker count — the association here is a function
 /// of n alone, so the result is bit-identical at every thread count, inside
-/// nested regions and pool workers (where the chunk loop runs serially), and
-/// on a machine with no OpenMP at all.  Used by the amplitude-parallel
-/// large-n statevector path, whose reductions would otherwise break the
-/// bit-determinism contract the trajectory fold relies on.
+/// nested regions and under SerialKernels (where the chunk loop runs
+/// serially), and on a machine with no OpenMP at all.  Used by the
+/// amplitude-parallel large-n statevector path, whose reductions would
+/// otherwise break the bit-determinism contract the trajectory fold relies
+/// on.
 template <typename Fn>
 double parallel_sum_chunked(std::int64_t n, Fn&& fn) {
   if (n <= kChunkedSumLen) {

@@ -4,10 +4,6 @@
 
 namespace charter::util {
 
-namespace detail {
-thread_local bool t_pool_worker = false;
-}  // namespace detail
-
 int resolve_threads(int threads) {
   if (threads >= 1) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -31,7 +27,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_main(int worker) {
-  detail::t_pool_worker = true;
+  const SerialKernels serial;
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -59,17 +55,20 @@ void ThreadPool::worker_main(int worker) {
 
 void ThreadPool::run(std::int64_t n,
                      const std::function<void(std::int64_t, int)>& fn,
-                     const CancelFlag* cancel) {
-  if (n <= 0) return;
-  if (in_pool_worker()) {
-    // Nested use from a task body: the pool is busy running *this* batch, so
-    // parking on done_cv_ would deadlock.  Degrade to an inline serial walk.
+                     const CancelFlag* cancel,
+                     const std::function<void()>& caller) {
+  if (serial_kernels()) {
+    // Nested use from a task body (or a caller task): the pool is busy
+    // running *this* batch, so parking on done_cv_ would deadlock.  Degrade
+    // to an inline serial walk, caller task first.
+    if (caller) caller();
     for (std::int64_t i = 0; i < n; ++i) {
       if (cancel && cancel->requested()) return;
       fn(i, 0);
     }
     return;
   }
+  if (n <= 0 && !caller) return;
   std::unique_lock<std::mutex> lock(mu_);
   fn_ = &fn;
   cancel_ = cancel;
@@ -79,6 +78,20 @@ void ThreadPool::run(std::int64_t n,
   active_ = num_workers();
   ++generation_;
   work_cv_.notify_all();
+  if (caller) {
+    lock.unlock();
+    std::exception_ptr err;
+    {
+      const SerialKernels serial;
+      try {
+        caller();
+      } catch (...) {
+        err = std::current_exception();
+      }
+    }
+    lock.lock();
+    if (err && !first_error_) first_error_ = err;
+  }
   done_cv_.wait(lock, [&] { return active_ == 0; });
   fn_ = nullptr;
   cancel_ = nullptr;

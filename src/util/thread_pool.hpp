@@ -13,9 +13,14 @@
 ///  - stable worker identities, so each worker can own long-lived scratch
 ///    (a cloned simulation engine) across many tasks;
 ///  - a guarantee that *nothing numeric* changes with the worker count:
-///    every task body runs with the nested util::parallel_* helpers forced
-///    serial, so order-dependent reductions (parallel_sum feeding trajectory
-///    renormalization) cannot reassociate differently at different widths.
+///    every task body runs under a util::SerialKernels guard, so the nested
+///    util::parallel_* helpers stay serial and order-dependent reductions
+///    (parallel_sum feeding trajectory renormalization) cannot reassociate
+///    differently at different widths;
+///  - a caller task: run() can execute one more function on the calling
+///    thread while the workers claim tasks, which is how the checkpointed
+///    sweep overlaps its base sweep (the producer) with the shard replays
+///    (the consumers) without spawning a thread per batch.
 ///
 /// The pool spawns its workers up front and keeps them parked on a condition
 /// variable between run() calls.  run() is a dynamic self-scheduling loop:
@@ -25,10 +30,12 @@
 /// index and never reduce across tasks inside the pool — the coordinating
 /// thread folds in index order afterwards.
 ///
-/// Threads marked by the pool are visible through util::in_pool_worker();
-/// parallel_for / parallel_for_dynamic / parallel_sum check it and stay
-/// serial on workers at *every* pool width, including 1.  A run() issued
-/// from inside a worker (accidental nesting) executes inline on the caller.
+/// Serial-kernel threads: workers hold a SerialKernels guard for their whole
+/// life, and the caller task runs under one too, so parallel_for /
+/// parallel_for_dynamic / parallel_sum stay serial there at *every* pool
+/// width, including 1 — the pool's threads plus the caller are the whole
+/// parallelism.  A run() issued from a serial-kernel thread (accidental
+/// nesting from a task body) executes inline on that thread.
 
 #include <atomic>
 #include <cstdint>
@@ -81,16 +88,25 @@ class ThreadPool {
   /// per-worker scratch.  fn must be safe to invoke concurrently for
   /// distinct tasks.  Exceptions thrown by fn are captured; the first one
   /// (in completion order) is rethrown here after the loop drains.  Called
-  /// from inside a pool worker, the loop degrades to an inline serial walk
-  /// (worker index 0) rather than deadlocking on the parked pool.
+  /// from a serial-kernel thread (inside a pool worker or a caller task),
+  /// the loop degrades to an inline serial walk (worker index 0) rather than
+  /// deadlocking on the parked pool.
   ///
   /// When \p cancel is non-null, workers stop *claiming* tasks as soon as
   /// the flag is requested (tasks already executing finish normally) and
   /// run() returns after the drain without visiting the remaining indices.
   /// The caller decides what a partial walk means — exec::BatchRunner
   /// discards its partial results and throws charter::Cancelled.
+  ///
+  /// A non-empty \p caller runs once on the calling thread, under a
+  /// util::SerialKernels guard, concurrently with the tasks (cancellation
+  /// is the caller task's own business).  run() returns when both it and
+  /// the tasks are done; an exception from it is captured like a task's.
+  /// It runs even when n <= 0.  On the nested inline path it runs first,
+  /// before the tasks, so it must never wait for a task.
   void run(std::int64_t n, const std::function<void(std::int64_t, int)>& fn,
-           const CancelFlag* cancel = nullptr);
+           const CancelFlag* cancel = nullptr,
+           const std::function<void()>& caller = {});
 
  private:
   void worker_main(int worker);

@@ -13,7 +13,13 @@
 #include <cstdlib>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -27,6 +33,7 @@
 #include "noise/executor.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/trajectory.hpp"
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cb = charter::backend;
@@ -914,4 +921,313 @@ TEST(MultiProcess, KilledWorkerShardIsRetriedInProcessUnchanged) {
     for (std::size_t i = 0; i < expected[k].size(); ++i)
       EXPECT_EQ(got[k][i], expected[k][i]) << "job " << k << " outcome " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined checkpoint plan: BatchRunner's DM route runs the base sweep as
+// the pool's caller task and hands each snapshot to its shards as soon as
+// it is taken.  Only the start times change, so every result equals the
+// inline plan's, and no failure mode may leave a thread waiting.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// What the DM route computes, job by job, through the inline plan.
+struct InlineRun {
+  std::vector<std::vector<double>> results;
+  std::size_t fallbacks = 0;
+};
+
+InlineRun inline_plan_results(
+    const cb::FakeBackend& backend, const cb::CompiledProgram& base,
+    const std::vector<ex::AnalysisJob>& jobs, std::size_t budget) {
+  cb::RunOptions lower_options;
+  lower_options.drift = 0.0;
+  const cb::LoweredRun lowered = backend.lower(base, lower_options);
+  const cn::NoisyExecutor executor(lowered.model);
+  std::vector<std::size_t> lens;
+  for (const ex::AnalysisJob& job : jobs)
+    if (job.program != &base) lens.push_back(job.shared_prefix);
+  const ex::CheckpointPlan plan(executor, lowered.local, lens, budget);
+  cs::DensityMatrixEngine engine(lowered.local.num_qubits());
+  InlineRun out;
+  for (const ex::AnalysisJob& job : jobs) {
+    std::vector<double> probs =
+        job.program == &base
+            ? plan.base_probabilities()
+            : plan.run_shared(cb::compact_to(job.program->physical,
+                                             lowered.kept),
+                              job.shared_prefix, engine);
+    out.results.push_back(
+        backend.finalize(std::move(probs), lowered, *job.program, job.run));
+  }
+  out.fallbacks = plan.stats().fallbacks;
+  return out;
+}
+
+struct PlanFixture {
+  cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  cb::CompiledProgram program = compiled_program(backend, 2);
+  cb::LoweredRun lowered = backend.lower(program, cb::RunOptions{});
+  cn::NoisyExecutor executor{lowered.model};
+  std::vector<std::size_t> eligible = co::reversible_ops(lowered.local, true);
+
+  cc::Circuit derived(std::size_t g) const {
+    return co::insert_reversed_pairs(lowered.local, g, 2, true);
+  }
+  std::vector<double> cold(const cc::Circuit& c) const {
+    cs::DensityMatrixEngine engine(lowered.local.num_qubits());
+    executor.run(c, engine);
+    return engine.probabilities();
+  }
+};
+
+/// Runs plan.sweep() on a thread of its own.  Leaving scope without join()
+/// (a failed assertion) aborts the plan first, so the sweep cannot be left
+/// waiting for claims.
+class SweepThread {
+ public:
+  explicit SweepThread(ex::CheckpointPlan& plan,
+                       const cu::CancelFlag* cancel = nullptr)
+      : plan_(plan), thread_([this, cancel] { finished_ = plan_.sweep(cancel); }) {}
+  SweepThread(const SweepThread&) = delete;
+  SweepThread& operator=(const SweepThread&) = delete;
+  ~SweepThread() {
+    if (!thread_.joinable()) return;
+    plan_.abort();
+    thread_.join();
+  }
+
+  /// Waits for the sweep; true when it ran to completion.
+  bool join() {
+    thread_.join();
+    return finished_;
+  }
+
+ private:
+  ex::CheckpointPlan& plan_;
+  bool finished_ = false;
+  std::thread thread_;
+};
+
+}  // namespace
+
+TEST(PipelinedCheckpointPlan, BatchMatchesInlinePlanAcrossThreadsAndWorkers) {
+  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  const cb::CompiledProgram program = compiled_program(backend, 2);
+  const std::vector<std::size_t> eligible =
+      co::reversible_ops(program.physical, true);
+  ASSERT_GE(eligible.size(), 12u);
+  // Every other eligible gate, each submitted twice: every snapshot has
+  // two declared consumers.  The base job rides along.
+  std::vector<std::size_t> gates;
+  for (std::size_t k = 0; k < eligible.size(); k += 2) {
+    gates.push_back(eligible[k]);
+    gates.push_back(eligible[k]);
+  }
+  cb::RunOptions run;
+  run.shots = 2048;
+  run.seed = 41;
+  JobSet set = make_jobs(program, gates, run);
+  set.jobs.push_back({&program, run, program.physical.size()});
+
+  cb::RunOptions lower_options;
+  lower_options.drift = 0.0;
+  const cs::DensityMatrixEngine probe(
+      backend.lower(program, lower_options).local.num_qubits());
+  // A snapshot per insertion point, then room for two only: the second
+  // budget replays gaps and packs many jobs of one segment into a shard.
+  for (const std::size_t budget :
+       {std::size_t{512} << 20, 2 * probe.state_bytes()}) {
+    const InlineRun expected =
+        inline_plan_results(backend, program, set.jobs, budget);
+    for (const int threads : {1, 2, 8}) {
+      for (const int workers : {0, 2}) {
+        ex::BatchOptions options;
+        options.caching = false;
+        options.checkpoint_memory_bytes = budget;
+        options.threads = threads;
+        options.workers = workers;
+        const ex::BatchRunner runner(backend, options);
+        const std::vector<std::vector<double>> got =
+            runner.run(set.jobs, &program);
+        const std::string label = "budget=" + std::to_string(budget) +
+                                  " threads=" + std::to_string(threads) +
+                                  " workers=" + std::to_string(workers);
+        // Jobs ahead of the first kept snapshot run cold, as inline.
+        EXPECT_EQ(runner.last_stats().checkpoint_fallbacks,
+                  expected.fallbacks)
+            << label;
+        EXPECT_EQ(runner.last_stats().checkpointed,
+                  set.jobs.size() - expected.fallbacks)
+            << label;
+        ASSERT_EQ(got.size(), expected.results.size()) << label;
+        for (std::size_t k = 0; k < got.size(); ++k)
+          EXPECT_EQ(got[k], expected.results[k]) << label << " job " << k;
+      }
+    }
+  }
+}
+
+TEST(PipelinedCheckpointPlan, CancelDuringTheSweepThrowsCancelled) {
+  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  const cb::CompiledProgram program = compiled_program(backend, 3);
+  const std::vector<std::size_t> eligible =
+      co::reversible_ops(program.physical, true);
+  cb::RunOptions run;
+  run.shots = 1024;
+  run.seed = 8;
+  JobSet set = make_jobs(program, eligible, run);
+  set.jobs.push_back({&program, run, program.physical.size()});
+
+  for (const int threads : {1, 2}) {
+    for (const int workers : {0, 2}) {
+      cu::CancelFlag cancel;
+      ex::RunHooks hooks;
+      hooks.cancel = &cancel;
+      hooks.on_job_complete = [&](std::size_t) { cancel.request(); };
+      ex::BatchOptions options;
+      options.caching = false;
+      options.threads = threads;
+      options.workers = workers;
+      EXPECT_THROW(ex::BatchRunner(backend, options)
+                       .run(set.jobs, &program, &hooks),
+                   charter::Cancelled)
+          << "threads=" << threads << " workers=" << workers;
+    }
+  }
+}
+
+TEST(PipelinedCheckpointPlan, ThrowingJobRethrowsItsError) {
+  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  const cb::CompiledProgram program = compiled_program(backend, 3);
+  const std::vector<std::size_t> eligible =
+      co::reversible_ops(program.physical, true);
+  cb::RunOptions run;
+  run.shots = 1024;
+  run.seed = 9;
+  JobSet set = make_jobs(program, eligible, run);
+  set.jobs.push_back({&program, run, program.physical.size()});
+
+  for (const int threads : {1, 2, 8}) {
+    for (const int workers : {0, 2}) {
+      ex::RunHooks hooks;
+      hooks.on_job_complete = [](std::size_t) {
+        throw std::runtime_error("observer failed");
+      };
+      ex::BatchOptions options;
+      options.caching = false;
+      options.threads = threads;
+      options.workers = workers;
+      try {
+        (void)ex::BatchRunner(backend, options)
+            .run(set.jobs, &program, &hooks);
+        ADD_FAILURE() << "expected a throw";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "observer failed")
+            << "threads=" << threads << " workers=" << workers;
+      }
+    }
+  }
+}
+
+TEST(PipelinedCheckpointPlan, BoundedSweepServesInOrderConsumers) {
+  // One pending snapshot at most: the sweep waits for every claim, and a
+  // consumer walking the segments in order still gets all of them.
+  const PlanFixture f;
+  std::vector<std::size_t> lens;
+  for (const std::size_t g : f.eligible) lens.push_back(g + 1);
+  ex::CheckpointPlan plan(f.executor, f.lowered.local, lens, 512ull << 20,
+                          /*max_pending=*/1);
+  ASSERT_EQ(plan.num_checkpoints(), lens.size());
+  SweepThread producer(plan);
+  for (const std::size_t g : f.eligible) {
+    ASSERT_TRUE(plan.wait_for_segment(plan.segment_of(g + 1)));
+    const cc::Circuit derived = f.derived(g);
+    std::optional<ex::CheckpointPlan::PreparedResume> prep =
+        plan.prepare_shared(derived, g + 1);
+    ASSERT_TRUE(prep.has_value());
+    cs::DensityMatrixEngine engine(f.lowered.local.num_qubits());
+    engine.load_state(*prep->snapshot);
+    prep->tape.run(engine, prep->resume_pos, prep->tape.size());
+    EXPECT_EQ(engine.probabilities(), f.cold(derived)) << "gate " << g;
+  }
+  EXPECT_TRUE(producer.join());
+  EXPECT_EQ(plan.stats().resumed, lens.size());
+}
+
+TEST(PipelinedCheckpointPlan, LastClaimFreesTheSnapshotAndOverClaimingThrows) {
+  const PlanFixture f;
+  const std::size_t g = f.eligible[f.eligible.size() / 2];
+  // Two declared claims on one snapshot.
+  ex::CheckpointPlan plan(f.executor, f.lowered.local, {g + 1, g + 1},
+                          512ull << 20, 1);
+  ASSERT_TRUE(plan.sweep());
+  const cc::Circuit derived = f.derived(g);
+
+  std::optional<ex::CheckpointPlan::PreparedResume> first =
+      plan.prepare_shared(derived, g + 1);
+  ASSERT_TRUE(first.has_value());
+  const std::weak_ptr<const std::vector<charter::math::cplx>> buffer =
+      first->snapshot;
+  first.reset();
+  EXPECT_FALSE(buffer.expired());  // one declared claim is still to come
+
+  std::optional<ex::CheckpointPlan::PreparedResume> last =
+      plan.prepare_shared(derived, g + 1);
+  ASSERT_TRUE(last.has_value());
+  // A third claim is an error, not a read of the released buffer...
+  EXPECT_THROW((void)plan.prepare_shared(derived, g + 1), charter::Error);
+  // ...and the last consumer's reference still reads the intact state.
+  cs::DensityMatrixEngine engine(f.lowered.local.num_qubits());
+  engine.load_state(*last->snapshot);
+  last->tape.run(engine, last->resume_pos, last->tape.size());
+  EXPECT_EQ(engine.probabilities(), f.cold(derived));
+  last.reset();
+  EXPECT_TRUE(buffer.expired());  // freed after its last consumer
+}
+
+TEST(PipelinedCheckpointPlan, CancelWakesABlockedSweepAndItsConsumers) {
+  const PlanFixture f;
+  std::vector<std::size_t> lens;
+  for (const std::size_t g : f.eligible) lens.push_back(g + 1);
+  ex::CheckpointPlan plan(f.executor, f.lowered.local, lens, 512ull << 20, 1);
+  ASSERT_GE(plan.num_checkpoints(), 3u);
+  cu::CancelFlag cancel;
+  // Nobody claims snapshot 0, so the sweep blocks on its pending bound.
+  SweepThread producer(plan, &cancel);
+  bool served = true;
+  std::thread consumer([&] { served = plan.wait_for_segment(3); });
+  EXPECT_TRUE(plan.wait_for_segment(1));
+  cancel.request();
+  EXPECT_FALSE(producer.join());
+  consumer.join();
+  EXPECT_FALSE(served);
+  EXPECT_FALSE(plan.wait_for_segment(2));
+}
+
+TEST(PipelinedCheckpointPlan, ThrowingSweepWakesEveryWaitingConsumer) {
+  // 15 qubits is past the density-matrix engine's width, so the sweep
+  // throws when it builds its engine; selecting and lowering still work.
+  const cb::FakeBackend backend = cb::FakeBackend::guadalupe();
+  cc::Circuit logical(15);
+  for (int q = 0; q < 15; ++q) logical.h(q);
+  for (int q = 0; q + 1 < 15; ++q) logical.cx(q, q + 1);
+  const cb::CompiledProgram program = backend.compile(logical);
+  const cb::LoweredRun lowered = backend.lower(program, cb::RunOptions{});
+  ASSERT_GT(lowered.local.num_qubits(), 14);
+  const cn::NoisyExecutor executor(lowered.model);
+  const std::vector<std::size_t> lens = {2, 4, lowered.local.size()};
+  ex::CheckpointPlan plan(executor, lowered.local, lens,
+                          std::numeric_limits<std::size_t>::max(), 1);
+  ASSERT_EQ(plan.num_checkpoints(), 3u);
+
+  std::vector<int> woke(3, -1);
+  std::vector<std::thread> consumers;
+  for (std::size_t s = 1; s <= 3; ++s)
+    consumers.emplace_back(
+        [&, s] { woke[s - 1] = plan.wait_for_segment(s) ? 1 : 0; });
+  EXPECT_THROW((void)plan.sweep(), charter::Error);
+  for (std::thread& t : consumers) t.join();
+  EXPECT_EQ(woke, (std::vector<int>{0, 0, 0}));
 }

@@ -6,11 +6,13 @@
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -262,14 +264,14 @@ TEST(ThreadPool, ReusableAcrossRuns) {
 }
 
 TEST(ThreadPool, MarksWorkersAndForcesNestedHelpersSerial) {
-  EXPECT_FALSE(cu::in_pool_worker());
+  EXPECT_FALSE(cu::serial_kernels());
   cu::ThreadPool pool(3);
   std::atomic<int> on_worker{0};
   pool.run(8, [&](std::int64_t, int) {
-    if (cu::in_pool_worker()) ++on_worker;
+    if (cu::serial_kernels()) ++on_worker;
   });
   EXPECT_EQ(on_worker.load(), 8);
-  EXPECT_FALSE(cu::in_pool_worker());  // only the workers are marked
+  EXPECT_FALSE(cu::serial_kernels());  // only the workers are marked
 }
 
 TEST(ThreadPool, NestedRunFallsBackToInlineSerial) {
@@ -302,6 +304,92 @@ TEST(ThreadPool, FirstExceptionPropagatesAfterDrain) {
   std::atomic<int> after{0};
   pool.run(4, [&](std::int64_t, int) { ++after; });
   EXPECT_EQ(after.load(), 4);
+}
+
+TEST(ThreadPool, CallerTaskRunsOnTheCallerWithSerialKernels) {
+  for (const int workers : {1, 3}) {
+    cu::ThreadPool pool(workers);
+    const std::thread::id caller_id = std::this_thread::get_id();
+    for (const std::int64_t n : {0, 1, 40}) {
+      std::atomic<int> tasks{0};
+      bool ran = false;
+      bool serial = false;
+      std::thread::id ran_on;
+      pool.run(
+          n, [&](std::int64_t, int) { ++tasks; }, nullptr,
+          [&] {
+            ran = true;
+            serial = cu::serial_kernels();
+            ran_on = std::this_thread::get_id();
+          });
+      EXPECT_TRUE(ran) << "n=" << n;
+      EXPECT_TRUE(serial) << "n=" << n;
+      EXPECT_EQ(ran_on, caller_id) << "n=" << n;
+      EXPECT_EQ(tasks.load(), n);
+    }
+    EXPECT_FALSE(cu::serial_kernels());  // the guard ends with the task
+  }
+}
+
+TEST(ThreadPool, CallerTaskOverlapsTheTasks) {
+  // The tasks wait for a value only the caller task produces: run() must
+  // execute both at once, or this deadlocks.
+  cu::ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool produced = false;
+  std::atomic<int> consumed{0};
+  pool.run(
+      4,
+      [&](std::int64_t, int) {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return produced; });
+        ++consumed;
+      },
+      nullptr,
+      [&] {
+        const std::lock_guard<std::mutex> lock(mu);
+        produced = true;
+        cv.notify_all();
+      });
+  EXPECT_EQ(consumed.load(), 4);
+}
+
+TEST(ThreadPool, NestedRunRunsTheCallerTaskBeforeTheTasks) {
+  cu::ThreadPool pool(2);
+  std::atomic<int> ordered{0};
+  pool.run(3, [&](std::int64_t, int) {
+    std::vector<int> order;
+    pool.run(
+        2, [&](std::int64_t i, int) { order.push_back(static_cast<int>(i)); },
+        nullptr, [&] { order.push_back(-1); });
+    if (order == std::vector<int>{-1, 0, 1}) ++ordered;
+  });
+  EXPECT_EQ(ordered.load(), 3);
+}
+
+TEST(ThreadPool, CallerTaskExceptionPropagatesAfterDrain) {
+  cu::ThreadPool pool(2);
+  std::atomic<int> completed{0};
+  EXPECT_THROW(pool.run(
+                   16, [&](std::int64_t, int) { ++completed; }, nullptr,
+                   [] { throw std::runtime_error("caller failed"); }),
+               std::runtime_error);
+  EXPECT_EQ(completed.load(), 16);
+}
+
+TEST(ParallelHelpers, SerialKernelsGuardNestsAndRestores) {
+  EXPECT_FALSE(cu::serial_kernels());
+  {
+    const cu::SerialKernels outer;
+    EXPECT_TRUE(cu::serial_kernels());
+    {
+      const cu::SerialKernels inner;
+      EXPECT_TRUE(cu::serial_kernels());
+    }
+    EXPECT_TRUE(cu::serial_kernels());
+  }
+  EXPECT_FALSE(cu::serial_kernels());
 }
 
 TEST(ThreadPool, ResolveThreadsHonorsExplicitAndAuto) {
