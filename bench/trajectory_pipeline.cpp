@@ -14,6 +14,14 @@
 //     row's folded distribution must be bit-identical to the 1-thread row
 //     (group folding is index-ordered and the amplitude-parallel sums are
 //     chunk-invariant).
+//  4. lanes: one full-noise fold group (8 unravellings of the exact tape)
+//     at n = 14 (n = 10 with --smoke), below the amplitude-parallel
+//     threshold.  The per-unravelling loop the lane batch replaced — one
+//     TrajectoryEngine per unravelling, probabilities summed in order — is
+//     kept here as the reference and timed against run_trajectory_group,
+//     whose partial must match it byte for byte.  Both run on serial
+//     kernels, as on an exec pool worker, so the row compares one core's
+//     work.
 //
 // Both rows assert exact-vs-fused-wide agreement <= 1e-12 on the folded
 // distribution, so every bench run doubles as an equivalence check at a
@@ -44,6 +52,7 @@
 #include "noise/program.hpp"
 #include "sim/trajectory.hpp"
 #include "util/cli.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace cc = charter::circ;
@@ -145,6 +154,61 @@ SweepRow bench_config(const char* name, const cn::NoiseModel& model,
   return row;
 }
 
+/// The per-unravelling group loop run_trajectory_group used before lane
+/// batching, on serial kernels as on an exec pool worker.
+std::vector<double> one_at_a_time(const cn::NoiseProgram& tape, int begin,
+                                  int end, const charter::util::Rng& seeder) {
+  const charter::util::SerialKernels serial;
+  std::vector<double> local(std::uint64_t{1} << tape.num_qubits(), 0.0);
+  for (int t = begin; t < end; ++t) {
+    cs::TrajectoryEngine engine(tape.num_qubits(),
+                                cs::trajectory_engine_seed(seeder, t));
+    tape.execute(engine);
+    const std::vector<double> p = engine.probabilities();
+    for (std::size_t i = 0; i < local.size(); ++i) local[i] += p[i];
+  }
+  return local;
+}
+
+struct LanesRow {
+  int qubits = 0;
+  double loop_ms = 0.0;
+  double ms = 0.0;
+  double speedup = 0.0;
+  bool identical = false;
+};
+
+LanesRow bench_lanes(int qubits, int rounds, int reps, std::uint64_t seed) {
+  LanesRow row;
+  row.qubits = qubits;
+  const cn::NoiseProgram tape =
+      cn::lower(line_model(qubits, /*coherent_only=*/false),
+                workload(qubits, rounds));
+  const charter::util::Rng seeder(seed);
+  const int end = cs::kTrajectoryGroupSize;
+  const auto batched = [&] {
+    const charter::util::SerialKernels serial;
+    return cs::run_trajectory_group(
+        qubits, 0, end, seeder,
+        [&](cs::NoisyEngine& engine) { tape.execute(engine); });
+  };
+  const std::vector<double> want = one_at_a_time(tape, 0, end, seeder);
+  const std::vector<double> got = batched();
+  row.identical = got.size() == want.size() &&
+                  std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(double)) == 0;
+  row.loop_ms = 1e3 * best_seconds(
+                          reps, [&] { one_at_a_time(tape, 0, end, seeder); });
+  row.ms = 1e3 * best_seconds(reps, [&] { batched(); });
+  row.speedup = row.ms > 0.0 ? row.loop_ms / row.ms : 0.0;
+  std::fprintf(stderr,
+               "note: lanes n=%d — one at a time %.1f ms, lane batch %.1f ms, "
+               "%.2fx, %s\n",
+               qubits, row.loop_ms, row.ms, row.speedup,
+               row.identical ? "identical" : "DIFFERENT");
+  return row;
+}
+
 void append_row(std::string& json, const char* name, const SweepRow& row) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
@@ -204,6 +268,19 @@ int main(int argc, char** argv) {
   append_row(json, "coherent", coh);
   append_row(json, "full_noise", fn);
 
+  const LanesRow lanes = bench_lanes(smoke ? 10 : 14, rounds, reps, seed);
+  {
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "  \"lanes\": {\"qubits\": %d, \"trajectories\": %d, "
+                  "\"loop_ms\": %.3f, \"ms\": %.3f, \"speedup\": %.3f, "
+                  "\"identical\": %s},\n",
+                  lanes.qubits, cs::kTrajectoryGroupSize, lanes.loop_ms,
+                  lanes.ms, lanes.speedup,
+                  lanes.identical ? "true" : "false");
+    json += buf;
+  }
+
   // Thread-count determinism: the fused-wide coherent sweep folded at
   // 1/2/4 OpenMP threads must be bit-identical (index-ordered group folds;
   // chunk-invariant amplitude sums in the parallel regime).
@@ -253,6 +330,11 @@ int main(int argc, char** argv) {
 
   if (!(coh.diff <= 1e-12) || !(fn.diff <= 1e-12)) {
     std::fprintf(stderr, "FAIL: fused-wide sweep diverged (> 1e-12)\n");
+    return 1;
+  }
+  if (!lanes.identical) {
+    std::fprintf(stderr,
+                 "FAIL: the lane batch changed a fold group's partial\n");
     return 1;
   }
   if (!threads_ok) {

@@ -538,7 +538,9 @@ std::vector<std::vector<double>> BatchRunner::run(
       struct TrajRun {
         std::optional<backend::LoweredRun> lowered;
         noise::NoiseProgram tape{0};
-        std::vector<std::vector<double>> partial;
+        int groups = 0;
+        /// Folds the group partials in group order as they complete.
+        std::optional<sim::TrajectoryFold> fold;
       };
       std::vector<TrajRun> runs(traj_plain.size());
       // Phase 1: lower every job's tape (one task per job).
@@ -553,17 +555,20 @@ std::vector<std::vector<double>> BatchRunner::run(
                      r.lowered->model, jobs[i].run.opt,
                      backend::resolve_fusion_width(jobs[i].run));
                  r.tape = executor.lower(r.lowered->local);
-                 r.partial.resize(static_cast<std::size_t>(
-                     sim::num_trajectory_groups(jobs[i].run.trajectories)));
+                 r.groups =
+                     sim::num_trajectory_groups(jobs[i].run.trajectories);
+                 r.fold.emplace(std::uint64_t{1}
+                                    << r.lowered->local.num_qubits(),
+                                jobs[i].run.trajectories);
                }, cancel);
       throw_if_cancelled();
-      // Phase 2: every (job, trajectory-group) pair is one task.  The fold
-      // (phase 3) merges partials in group index order, so it cannot tell
-      // which process produced which group.
+      // Phase 2: every (job, trajectory-group) pair is one task.  Each
+      // job's fold merges partials in group index order as they complete
+      // (freeing each once folded), so it cannot tell which process
+      // produced which group.
       std::vector<std::pair<std::size_t, int>> units;
       for (std::size_t k = 0; k < traj_plain.size(); ++k)
-        for (std::size_t g = 0; g < runs[k].partial.size(); ++g)
-          units.emplace_back(k, static_cast<int>(g));
+        for (int g = 0; g < runs[k].groups; ++g) units.emplace_back(k, g);
       // Multi-process mode ships each job's lowered tape (serialized once)
       // with a (begin, end, seed) assignment; the child re-runs
       // run_trajectory_group with an identically seeded Rng, so the partial
@@ -586,27 +591,23 @@ std::vector<std::vector<double>> BatchRunner::run(
             offload(wp, [&](WorkerProcess& p) {
               return p.run_trajectory_group(tapes[k], begin, end, seed);
             });
-        r.partial[static_cast<std::size_t>(g)] =
-            res ? std::move(*res)
-                : sim::run_trajectory_group(
-                      r.lowered->local.num_qubits(), begin, end,
-                      util::Rng(seed), [&](sim::NoisyEngine& engine) {
-                        r.tape.execute(engine);
-                      });
+        r.fold->add(g, res ? std::move(*res)
+                           : sim::run_trajectory_group(
+                                 r.lowered->local.num_qubits(), begin, end,
+                                 util::Rng(seed),
+                                 [&](sim::NoisyEngine& engine) {
+                                   r.tape.execute(engine);
+                                 }));
       });
       throw_if_cancelled();
-      // Phase 3: fold in group order and finalize (one task per job).
+      // Phase 3: finalize the folded averages (one task per job).
       pool().run(static_cast<std::int64_t>(traj_plain.size()),
                [&](std::int64_t k, int /*worker*/) {
                  const std::size_t i =
                      traj_plain[static_cast<std::size_t>(k)];
                  TrajRun& r = runs[static_cast<std::size_t>(k)];
-                 const std::uint64_t dim = std::uint64_t{1}
-                                           << r.lowered->local.num_qubits();
-                 results[i] = backend_.finalize(
-                     sim::fold_trajectory_groups(r.partial, dim,
-                                                 jobs[i].run.trajectories),
-                     *r.lowered, *jobs[i].program, jobs[i].run);
+                 results[i] = backend_.finalize(r.fold->take(), *r.lowered,
+                                                *jobs[i].program, jobs[i].run);
                  notify_done(i);
                }, cancel);
       throw_if_cancelled();

@@ -236,6 +236,9 @@ int worker_serve(int fd) {
           return 1;
         bool sent = false;
         try {
+          // Fits an int here; run_trajectory_group then requires a
+          // non-empty part of one fold group (InvalidArgument, answered
+          // as bad_request below), which bounds a request's work.
           if (begin > end || end > (std::uint64_t{1} << 30))
             throw ProtocolError(ErrorCode::kBadRequest,
                                 "bad trajectory range");

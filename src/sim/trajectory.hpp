@@ -11,8 +11,13 @@
 /// therefore far lower than shot-by-shot sampling and a few dozen
 /// trajectories reproduce a density-matrix run closely (validated in
 /// tests/test_sim.cpp and bench/ablation_engines).
+///
+/// TrajectoryEngine runs one unravelling; run_trajectory_group runs a fold
+/// group of them, up to four at a time in one lane-interleaved statevector,
+/// bit-identically to running each alone (see its comment).
 
 #include <functional>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -56,8 +61,6 @@ class TrajectoryEngine final : public NoisyEngine {
   const Statevector& state() const { return state_; }
 
  private:
-  void apply_pauli(int which, int q);  // 0=X, 1=Y, 2=Z
-
   Statevector state_;
   util::Rng rng_;
 };
@@ -84,15 +87,87 @@ inline std::uint64_t trajectory_engine_seed(const util::Rng& seeder,
 }
 
 /// Runs unravellings [begin, end) of the family rooted at \p seeder and
-/// returns their probability *sum* (one fold group's partial).  begin/end
-/// must lie within a single group for the deterministic-fold contract.
+/// returns their probability *sum* (one fold group's partial): for every
+/// outcome i, the unravellings' |a_i|^2 added in unravelling order.
+///
+/// One-group contract: [begin, end) must be non-empty and lie within one
+/// fold group (begin / kTrajectoryGroupSize == (end - 1) /
+/// kTrajectoryGroupSize); anything else throws InvalidArgument.  Ranges
+/// come off the wire too (the `charter worker` traj_group request), and a
+/// group-sized bound keeps one request from buying unbounded work.
+///
+/// Below amp_parallel_min_qubits() the unravellings run in lane batches.
+/// Up to four of them (4 while the block is
+/// <= 1 MiB, i.e. n <= 14; 2 at n = 15; 1 above) share one statevector of
+/// n + log2(lanes) pseudo-qubits: lane t of amplitude i sits at index
+/// i * lanes + t, and each lane draws from its own Rng stream, seeded as a
+/// lone TrajectoryEngine's.  A batch covers the largest power-of-two run of
+/// the remaining unravellings, so a group of 8 is two batches of 4.  Each
+/// lane performs the operations a lone TrajectoryEngine performs, in the
+/// same order, so every unravelling — and so the partial — is
+/// bit-identical to running them one at a time on serial kernels:
+///  - a coherent op is one call of the same kernel on the whole block with
+///    every qubit shifted up by log2(lanes); the kernels' per-element
+///    arithmetic does not depend on a qubit's bit position, except the
+///    dense two-qubit op with a qubit-0 operand (scalar on the AVX2 and
+///    AVX-512 paths, vector once shifted), which runs per lane;
+///  - thermal relaxation takes each lane's P(1) and norm as interleaved
+///    per-lane left-to-right sums (P(1) over the set-bit half only: a lone
+///    engine's sum adds +0.0 for the other half, which never changes a
+///    non-negative double).  When no lane jumps, the no-jump branch runs on
+///    the whole block, its K0 = diag(1, sqrt(1-gamma)) as a real scale of
+///    the set-bit half fused into the norm pass: a complex product with a
+///    real diagonal entry rounds each component once on every kernel path,
+///    so the values are the kernel's (only a zero's sign may differ, which
+///    no later operation or |a|^2 can observe);
+///  - rare per-lane events (a jump in any lane, Pauli draws, Kraus
+///    branches) copy that lane into a contiguous n-qubit scratch state,
+///    allocated at the first event, and run a lone engine's arithmetic on
+///    it.
+/// The lane sums are plain serial loops and the per-lane events run under
+/// util::SerialKernels, so no reduction can reassociate with
+/// OMP_NUM_THREADS; the block's kernels keep the calling thread's policy
+/// (serial on exec pool workers, OpenMP-wide off the pool), which moves no
+/// bit because they are element-wise.  The program callback drives the
+/// batch through the NoisyEngine interface once per batch; the batch cannot
+/// be read out (probabilities()) or cloned, which no program callback does.
+/// At and above amp_parallel_min_qubits() the unravellings run one at a
+/// time on TrajectoryEngine, whose kernels and chunked sums fan out over
+/// threads (a 4-lane block there would be >= 64 MiB).  Either way the
+/// result does not depend on OMP_NUM_THREADS or on the calling thread.
 std::vector<double> run_trajectory_group(
     int num_qubits, int begin, int end, const util::Rng& seeder,
     const std::function<void(NoisyEngine&)>& program);
 
-/// Merges group partials in index order and normalizes by num_trajectories.
-/// This is *the* reduction: bit-identical no matter which worker produced
-/// which partial.
+/// Incremental form of fold_trajectory_groups for partials that arrive out
+/// of order from concurrent workers: each add() folds every partial now
+/// available in group order into the running sum and frees it, so at most
+/// the out-of-order partials stay alive.  It performs the adds of
+/// fold_trajectory_groups in the same order, so take() returns the same
+/// bits.  add() is thread-safe.
+class TrajectoryFold {
+ public:
+  TrajectoryFold(std::uint64_t dim, int num_trajectories);
+
+  /// Hands over group \p group's partial (each group exactly once).
+  void add(int group, std::vector<double> partial);
+
+  /// The average over all num_trajectories unravellings; requires every
+  /// group to have been added.  Call once.
+  std::vector<double> take();
+
+ private:
+  std::mutex mu_;
+  std::vector<double> total_;
+  std::vector<std::vector<double>> pending_;  ///< empty = not (yet) held
+  int next_ = 0;                              ///< first group not folded
+  int num_trajectories_;
+};
+
+/// Merges group partials in index order and normalizes by num_trajectories
+/// (a TrajectoryFold fed in order; partials.size() must be
+/// num_trajectory_groups(num_trajectories)).  This is *the* reduction:
+/// bit-identical no matter which worker produced which partial.
 std::vector<double> fold_trajectory_groups(
     const std::vector<std::vector<double>>& partials, std::uint64_t dim,
     int num_trajectories);

@@ -30,7 +30,9 @@
 #include "exec/checkpoint.hpp"
 #include "exec/sharding.hpp"
 #include "exec/trajectory_plan.hpp"
+#include "exec/worker.hpp"
 #include "noise/executor.hpp"
+#include "noise/serialize.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/trajectory.hpp"
 #include "util/error.hpp"
@@ -921,6 +923,32 @@ TEST(MultiProcess, KilledWorkerShardIsRetriedInProcessUnchanged) {
     for (std::size_t i = 0; i < expected[k].size(); ++i)
       EXPECT_EQ(got[k][i], expected[k][i]) << "job " << k << " outcome " << i;
   }
+}
+
+TEST(MultiProcess, TrajectoryRangeSpanningFoldGroupsIsRejected) {
+  // A traj_group request must name a non-empty part of one fold group; any
+  // other range gets a structured error, and the child keeps serving.
+  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  const cb::CompiledProgram program = compiled_program(backend, 1);
+  const cb::LoweredRun lowered = backend.lower(program, cb::RunOptions{});
+  const cn::NoiseProgram tape =
+      cn::NoisyExecutor(lowered.model).lower(lowered.local);
+  const std::vector<std::uint8_t> bytes = cn::serialize_tape(tape);
+  ex::WorkerProcess worker("");
+  ASSERT_TRUE(worker.alive());
+  for (const auto& [begin, end] :
+       std::vector<std::pair<int, int>>{{0, 9}, {6, 10}, {4, 4}, {0, 1 << 30}}) {
+    EXPECT_FALSE(worker.run_trajectory_group(bytes, begin, end, 11))
+        << begin << ".." << end;
+    EXPECT_TRUE(worker.alive()) << "an error reply must not end the child";
+  }
+  const std::optional<std::vector<double>> got =
+      worker.run_trajectory_group(bytes, 8, 16, 11);
+  ASSERT_TRUE(got);
+  const std::vector<double> want = cs::run_trajectory_group(
+      tape.num_qubits(), 8, 16, cu::Rng(11),
+      [&](cs::NoisyEngine& e) { tape.execute(e); });
+  EXPECT_EQ(*got, want);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,18 +8,26 @@
 #include <cmath>
 #include <cstring>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "circuit/circuit.hpp"
 #include "math/simd_dispatch.hpp"
+#include "noise/program.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/kernels.hpp"
 #include "sim/measurement.hpp"
 #include "sim/statevector.hpp"
 #include "sim/trajectory.hpp"
 #include "stats/stats.hpp"
+#include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace cc = charter::circ;
 namespace cm = charter::math;
+namespace cn = charter::noise;
 namespace cs = charter::sim;
 using cc::GateKind;
 using cm::cplx;
@@ -532,6 +540,266 @@ TEST(Trajectory, GenericKrausSampling) {
   };
   const auto p = cs::run_trajectories(1, 4000, 19, program);
   EXPECT_NEAR(p[0], gamma, 0.03);
+}
+
+// ---- lane-batched trajectory groups ----
+
+namespace {
+
+/// Random one-qubit unitary RZ(a) SX RZ(b).
+Mat2 random_u1(charter::util::Rng& rng) {
+  const auto rz = [&] {
+    return cc::gate_unitary_1q(
+        cc::make_gate(GateKind::RZ, {0}, {rng.uniform(-M_PI, M_PI)}));
+  };
+  const Mat2 sx = cc::gate_unitary_1q(cc::make_gate(GateKind::SX, {0}));
+  const Mat2 first = rz();
+  return cm::mul(first, cm::mul(sx, rz()));
+}
+
+/// Random dense two-qubit unitary RXX(t) (u (x) v).
+cm::Mat4 random_u2(charter::util::Rng& rng) {
+  const cm::Mat4 rxx = cc::gate_unitary_2q(
+      cc::make_gate(GateKind::RXX, {0, 1}, {rng.uniform(-M_PI, M_PI)}));
+  const Mat2 u = random_u1(rng);
+  return cm::mul(rxx, cm::kron(u, random_u1(rng)));
+}
+
+/// Random three-qubit unitary: a dense 4x4 on (qa, qb) times a 2x2 on qc.
+std::array<cplx, 64> random_u3(charter::util::Rng& rng) {
+  const cm::Mat4 ab = random_u2(rng);
+  const Mat2 c = random_u1(rng);
+  std::array<cplx, 64> u{};
+  for (int r = 0; r < 8; ++r)
+    for (int k = 0; k < 8; ++k)
+      u[static_cast<std::size_t>(r * 8 + k)] = ab(r & 3, k & 3) * c(r >> 2, k >> 2);
+  return u;
+}
+
+/// Random exact tape over n qubits cycling through every op kind, a third of
+/// the ops on qubit 0 and a third on qubit 1.  Thermal damping is strong
+/// (gamma 0.3-0.95) so that within one lane batch some lanes jump and
+/// others do not; Pauli channels fire often enough to hit every branch.
+cn::NoiseProgram random_tape(int n, int num_ops, charter::util::Rng& rng) {
+  cn::NoiseProgram tape(n);
+  const auto qubit = [&](int i) {
+    return i % 3 == 2 ? static_cast<int>(rng.uniform_int(n)) : (i % 3) % n;
+  };
+  const auto other = [&](int q, int avoid = -1) {
+    int r = static_cast<int>(rng.uniform_int(n));
+    while (r == q || r == avoid) r = static_cast<int>(rng.uniform_int(n));
+    return r;
+  };
+  const double g = 0.35;
+  Mat2 k0, k1;  // amplitude damping with gamma g
+  k0(0, 0) = 1.0;
+  k0(1, 1) = std::sqrt(1.0 - g);
+  k1(0, 1) = std::sqrt(g);
+  const std::vector<Mat2> kraus = {k0, k1};
+  for (int i = 0; i < num_ops; ++i) {
+    const int q = qubit(i);
+    int kind = i % 11;
+    if ((n < 2 && (kind == 2 || kind == 3 || kind == 6 || kind >= 9)) ||
+        (n < 3 && kind == 10))
+      kind = 0;
+    switch (kind) {
+      case 0:
+        tape.append_unitary_1q(random_u1(rng), q);
+        break;
+      case 1:
+        tape.append_diag_1q(std::exp(cplx(0.0, rng.uniform(-1.0, 1.0))),
+                            std::exp(cplx(0.0, rng.uniform(-1.0, 1.0))), q);
+        break;
+      case 2:
+        tape.append_cx(q, other(q));
+        break;
+      case 3: {
+        std::array<cplx, 4> d;
+        for (cplx& v : d) v = std::exp(cplx(0.0, rng.uniform(-1.0, 1.0)));
+        tape.append_diag_2q(d, q, other(q));
+        break;
+      }
+      case 4:
+        tape.append_thermal(q, rng.uniform(0.3, 0.95), rng.uniform(0.0, 0.3));
+        break;
+      case 5:
+        tape.append_depol_1q(q, 0.4);
+        break;
+      case 6:
+        tape.append_depol_2q(q, other(q), 0.4);
+        break;
+      case 7:
+        tape.append_bitflip(q, 0.3);
+        break;
+      case 8:
+        tape.append_kraus_1q(kraus, q);
+        break;
+      case 9:
+        tape.append_unitary_2q(random_u2(rng), q, other(q));
+        break;
+      default: {
+        const int qb = other(q);
+        tape.append_unitary_3q(random_u3(rng), q, qb, other(q, qb));
+        break;
+      }
+    }
+  }
+  return tape;
+}
+
+/// The per-unravelling loop the lane batch replaced: one TrajectoryEngine
+/// per unravelling, probabilities summed in unravelling order, on serial
+/// kernels (as on an exec pool worker).
+std::vector<double> one_at_a_time(int n, int begin, int end,
+                                  const charter::util::Rng& seeder,
+                                  const cn::NoiseProgram& tape) {
+  const charter::util::SerialKernels serial;
+  std::vector<double> local(std::uint64_t{1} << n, 0.0);
+  for (int t = begin; t < end; ++t) {
+    cs::TrajectoryEngine engine(n, cs::trajectory_engine_seed(seeder, t));
+    tape.execute(engine);
+    const std::vector<double> p = engine.probabilities();
+    for (std::size_t i = 0; i < local.size(); ++i) local[i] += p[i];
+  }
+  return local;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+}  // namespace
+
+TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
+  namespace ms = charter::math::simd;
+  const ms::SimdPath original = ms::active_path();
+  charter::util::Rng rng(2022);
+  int checked = 0;
+  for (const ms::SimdPath path : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
+                                  ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
+    if (!ms::set_path(path)) continue;
+    for (int n = 1; n <= 14; ++n) {
+      const cn::NoiseProgram exact = random_tape(n, 44, rng);
+      std::vector<const cn::NoiseProgram*> tapes = {&exact};
+      std::vector<cn::NoiseProgram> wide;
+      if (n >= 2) wide.push_back(cn::fused_wide(exact, 0, 2));
+      if (n >= 3) wide.push_back(cn::fused_wide(exact, 0, 3));
+      for (const cn::NoiseProgram& w : wide) tapes.push_back(&w);
+      // Above 10 qubits one tape per width, rotating through the three
+      // kinds, keeps the sanitizer legs fast.
+      if (n > 10) tapes = {tapes[static_cast<std::size_t>(n) % tapes.size()]};
+      // Every group size at small widths, one per width above.
+      for (int size = n <= 6 ? 1 : 1 + n % 8; size <= 8;
+           size += n <= 6 ? 1 : 8) {
+        const int begin = cs::kTrajectoryGroupSize * (n % 3);
+        const charter::util::Rng seeder(100 + n);
+        for (const cn::NoiseProgram* tape : tapes) {
+          const std::vector<double> want =
+              one_at_a_time(n, begin, begin + size, seeder, *tape);
+          const std::vector<double> got = cs::run_trajectory_group(
+              n, begin, begin + size, seeder,
+              [&](cs::NoisyEngine& e) { tape->execute(e); });
+          EXPECT_TRUE(same_bytes(got, want))
+              << ms::path_name(path) << " n=" << n << " size=" << size
+              << " ops=" << tape->size();
+          ++checked;
+        }
+      }
+    }
+  }
+  ms::set_path(original);
+  EXPECT_GT(checked, 0);
+}
+
+TEST(TrajectoryLanes, StrongDampingSplitsLanesWithinABatch) {
+  // One thermal op with gamma near 1 on |+>: each lane jumps with
+  // probability ~0.5, so a 4-lane batch mixes jumping and non-jumping
+  // lanes in the same op.  A lane that jumps ends exactly in |0>; one that
+  // does not keeps P(1) = c = (1 - gamma) / (2 - gamma).
+  const double gamma = 0.999;
+  const double c = (1.0 - gamma) / (2.0 - gamma);
+  cn::NoiseProgram tape(1);
+  tape.append_unitary_1q(cc::gate_unitary_1q(cc::make_gate(GateKind::H, {0})),
+                         0);
+  tape.append_thermal(0, gamma, 0.0);
+  const charter::util::Rng seeder(5);
+  bool mixed = false;
+  for (int g = 0; g < 8; ++g) {
+    const int begin = g * cs::kTrajectoryGroupSize;
+    const std::vector<double> sum = cs::run_trajectory_group(
+        1, begin, begin + 4, seeder,
+        [&](cs::NoisyEngine& e) { tape.execute(e); });
+    const long stayed = std::lround(sum[1] / c);
+    mixed = mixed || (stayed > 0 && stayed < 4);
+    EXPECT_TRUE(
+        same_bytes(sum, one_at_a_time(1, begin, begin + 4, seeder, tape)));
+  }
+  EXPECT_TRUE(mixed);
+}
+
+TEST(TrajectoryLanes, RangeMustBeOneNonEmptyGroupPart) {
+  const charter::util::Rng seeder(1);
+  const auto program = [](cs::NoisyEngine&) {};
+  for (const auto& [begin, end] :
+       std::vector<std::pair<int, int>>{{0, 0}, {3, 2}, {-1, 2}, {6, 10},
+                                        {0, 9}, {8, 17}, {0, 1 << 30}}) {
+    EXPECT_THROW(cs::run_trajectory_group(2, begin, end, seeder, program),
+                 charter::InvalidArgument)
+        << begin << ".." << end;
+  }
+  EXPECT_NO_THROW(cs::run_trajectory_group(2, 8, 16, seeder, program));
+  EXPECT_NO_THROW(cs::run_trajectory_group(2, 13, 14, seeder, program));
+}
+
+TEST(TrajectoryLanes, FoldMatchesInOrderSumInAnyArrivalOrder) {
+  charter::util::Rng rng(3);
+  const int trajectories = 29;
+  const int groups = cs::num_trajectory_groups(trajectories);
+  std::vector<std::vector<double>> partials(static_cast<std::size_t>(groups));
+  for (auto& p : partials) {
+    p.resize(16);
+    for (double& v : p) v = rng.uniform();
+  }
+  std::vector<double> want(16, 0.0);  // the in-order fold, then 1/N
+  for (const auto& p : partials)
+    for (std::size_t i = 0; i < want.size(); ++i) want[i] += p[i];
+  for (double& v : want) v *= 1.0 / trajectories;
+  EXPECT_TRUE(same_bytes(cs::fold_trajectory_groups(partials, 16, trajectories),
+                         want));
+  for (const std::vector<int>& order :
+       {std::vector<int>{0, 1, 2, 3}, {3, 2, 1, 0}, {2, 0, 3, 1}}) {
+    cs::TrajectoryFold fold(16, trajectories);
+    for (const int g : order) fold.add(g, partials[static_cast<std::size_t>(g)]);
+    EXPECT_TRUE(same_bytes(fold.take(), want));
+  }
+  cs::TrajectoryFold fold(16, trajectories);
+  fold.add(1, partials[1]);
+  EXPECT_THROW(fold.add(1, partials[1]), charter::InvalidArgument);
+  EXPECT_THROW(fold.take(), charter::InvalidArgument);
+}
+
+TEST(TrajectoryLanes, RunTrajectoriesIsIdenticalAcrossOpenMpWidths) {
+  // One inline group of 8 at n = 12: its reductions are long enough that an
+  // OpenMP-wide parallel_sum would reassociate them with the team width.
+  charter::util::Rng rng(12);
+  const cn::NoiseProgram tape = random_tape(12, 60, rng);
+  const auto run = [&] {
+    return cs::run_trajectories(
+        12, 8, 77, [&](cs::NoisyEngine& e) { tape.execute(e); });
+  };
+#ifdef _OPENMP
+  const int max_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const std::vector<double> one = run();
+  for (const int width : {2, 4}) {
+    omp_set_num_threads(width);
+    EXPECT_TRUE(same_bytes(run(), one)) << "OpenMP width " << width;
+  }
+  omp_set_num_threads(max_threads);
+#else
+  EXPECT_TRUE(same_bytes(run(), run()));
+#endif
 }
 
 // ---- measurement utilities ----

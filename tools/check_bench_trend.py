@@ -146,6 +146,20 @@ def check_trajectory(path, data):
             and row["tape_ops_fused_wide"] >= row["tape_ops_exact"]
         ):
             ok = fail(path, f"'{name}': wide fusion did not shrink the tape")
+    lanes = data.get("lanes")
+    if not isinstance(lanes, dict):
+        ok = fail(path, "row 'lanes' missing")
+    else:
+        ok &= require_number(path, lanes, "qubits", minimum=1)
+        ok &= require_number(path, lanes, "loop_ms", minimum=0.0)
+        ok &= require_number(path, lanes, "ms", minimum=0.0)
+        ok &= require_number(path, lanes, "speedup", minimum=0.0)
+        if lanes.get("identical") is not True:
+            ok = fail(
+                path,
+                "'lanes': the lane-batched fold group was not byte-identical "
+                "to the one-at-a-time loop",
+            )
     rows = data.get("threads")
     if not isinstance(rows, list) or not rows:
         ok = fail(path, "metric 'threads' missing or empty")
@@ -338,7 +352,8 @@ def summarize(path, data):
             f"simd={data['simd_active']} "
             f"width={data['fusion_width']} "
             f"coherent={data['coherent']['speedup']:.2f}x "
-            f"full_noise={data['full_noise']['speedup']:.2f}x"
+            f"full_noise={data['full_noise']['speedup']:.2f}x "
+            f"lanes={data['lanes']['speedup']:.2f}x"
         )
     else:
         rows = {r["kernel"]: r["speedup"] for r in data["simd"]}
