@@ -13,7 +13,12 @@
 //     equivalence check on real workload shapes.
 //  2. The fused pair kernels vs. the sequential two-pass forms they
 //     replaced (on the active path).
-//  3. Exact-tape end-to-end execution on the density-matrix engine.
+//  3. diag_run[]: runs of k = 1..8 diagonal ops on a 16-pseudo-qubit
+//     statevector block (the 4-lane trajectory block at n = 14, qubits
+//     shifted up by 2, plus ops on bits 0 and 1), one apply_diag_run call
+//     against k per-op calls on the active path.  The two must agree byte
+//     for byte; any mismatch exits 1.
+//  4. Exact-tape end-to-end execution on the density-matrix engine.
 //
 // Emits JSON (like bench_exec_batching) so the perf trajectory can be
 // tracked across commits; CI uploads the --smoke output as the
@@ -24,9 +29,11 @@
 //                          [--out PATH]
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -273,6 +280,74 @@ int main(int argc, char** argv) {
   (void)r_1q;
   (void)r_diag;
 
+  // ---- diagonal runs: one sweep vs. k per-op calls (active path) --------
+  json += "  \"diag_run\": [\n";
+  double run_speedup_4 = 0.0;
+  {
+    // Serial, as on the exec pool workers that run lane batches.
+    const charter::util::SerialKernels serial;
+    constexpr int kRunQubits = 16;
+    const std::uint64_t run_dim = 1ULL << kRunQubits;
+    const std::vector<cplx> run_input = random_state(run_dim, /*seed=*/7);
+    std::vector<charter::math::DiagOp> ops;
+    for (int j = 0; j < 8; ++j) {
+      // ZZ-style phases on lane-shifted qubit pairs, RZ-style phases on
+      // single qubits; op 3 sits on bit 0 and op 5 on bits 1 and 7.
+      const int qa = j == 3 ? 0 : j == 5 ? 1 : 2 + (3 * j) % 14;
+      const int qb = j == 5 ? 7 : 2 + (3 * j + 5) % 14;
+      const cplx e0 = std::exp(cplx(0.0, 0.1 * (j + 1)));
+      const cplx e1 = std::exp(cplx(0.0, -0.2 * (j + 1)));
+      if (j % 2 == 1)
+        ops.push_back({1ULL << qa, 1ULL << qb, {e0, e1, e1, e0}});
+      else
+        ops.push_back({1ULL << qa, 0, {e0, e1, e0, e1}});
+    }
+    const auto per_op = [&](cplx* a, int k) {
+      for (int j = 0; j < k; ++j) {
+        const charter::math::DiagOp& op = ops[static_cast<std::size_t>(j)];
+        const int qa = std::countr_zero(op.amask);
+        if (op.bmask == 0)
+          cs::kernels::apply_diag_1q(a, run_dim, qa, op.d[0], op.d[1]);
+        else
+          cs::kernels::apply_diag_2q(a, run_dim, qa,
+                                     std::countr_zero(op.bmask), op.d);
+      }
+    };
+    std::vector<cplx> work = run_input;
+    for (int k = 1; k <= 8; ++k) {
+      std::vector<cplx> want = run_input;
+      std::vector<cplx> got = run_input;
+      per_op(want.data(), k);
+      cs::kernels::apply_diag_run(got.data(), run_dim, ops.data(), k);
+      const bool identical =
+          std::memcmp(want.data(), got.data(), run_dim * sizeof(cplx)) == 0;
+      const double per_op_ms = 1e3 * best_seconds(reps, [&] {
+        for (int r = 0; r < kernel_rounds; ++r) per_op(work.data(), k);
+      });
+      const double run_ms = 1e3 * best_seconds(reps, [&] {
+        for (int r = 0; r < kernel_rounds; ++r)
+          cs::kernels::apply_diag_run(work.data(), run_dim, ops.data(), k);
+      });
+      const double speedup = run_ms > 0.0 ? per_op_ms / run_ms : 0.0;
+      if (k == 4) run_speedup_4 = speedup;
+      char buf[256];
+      std::snprintf(buf, sizeof(buf),
+                    "    {\"k\": %d, \"per_op_ms\": %.4f, \"run_ms\": %.4f, "
+                    "\"speedup\": %.3f, \"identical\": %s}%s\n",
+                    k, per_op_ms, run_ms, speedup,
+                    identical ? "true" : "false", k < 8 ? "," : "");
+      json += buf;
+      if (!identical) {
+        std::fprintf(stderr,
+                     "FAIL: diag_run k=%d on path %s differs from %d per-op "
+                     "calls\n",
+                     k, simd::path_name(best), k);
+        std::exit(1);
+      }
+    }
+  }
+  json += "  ],\n";
+
   // ---- raw kernel micro-benchmark: one fused pass vs. two passes --------
   // (on the best-available path, which stays active from here on)
   simd::set_path(best);
@@ -316,8 +391,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr,
                "note: best-vs-scalar speedups — unitary_1q_pair %.2fx, "
                "cx_pair %.2fx, diag_2q_pair %.2fx, thermal_block %.2fx, "
-               "depol2q_block %.2fx (path %s)\n",
+               "depol2q_block %.2fx; diag_run k=4 vs per-op %.2fx "
+               "(path %s)\n",
                r_pair.speedup, r_cx.speedup, r_zz.speedup, r_thermal.speedup,
-               r_depol2q.speedup, simd::path_name(best));
+               r_depol2q.speedup, run_speedup_4, simd::path_name(best));
   return 0;
 }

@@ -10,10 +10,24 @@
 #include <array>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 
 namespace charter::math {
 
 using cplx = std::complex<double>;
+
+/// One op of a diagonal run (simd::KernelTable::apply_diag_run): amplitude
+/// i is multiplied by d[bit(i & amask) + 2*bit(i & bmask)].  A one-qubit
+/// op has bmask = 0 and d = {d0, d1, d0, d1}.
+struct DiagOp {
+  std::uint64_t amask = 0;
+  std::uint64_t bmask = 0;
+  std::array<cplx, 4> d{};
+};
+
+/// Most ops one apply_diag_run call takes; the tape interpreter splits
+/// longer runs.
+inline constexpr int kMaxDiagRun = 16;
 
 /// Row-major 2x2 complex matrix.
 struct Mat2 {

@@ -81,6 +81,13 @@ struct KernelTable {
   /// Dense 4x4 unitary on (qa, qb); index convention bit(qa) + 2*bit(qb).
   /// Hot on fused-wide tapes (noise::fused_wide emits kUnitary2q ops).
   void (*apply_2q)(cplx* a, std::uint64_t dim, int qa, int qb, const Mat4& u);
+  /// A run of 1 <= k <= kMaxDiagRun diagonal ops in one sweep: each
+  /// element is multiplied by ops[0]'s factor, then ops[1]'s, and so on,
+  /// with the path's own complex multiply.  That multiply is element-wise,
+  /// so the result is byte-identical to k apply_diag_1q / apply_diag_2q
+  /// calls on the same path.
+  void (*apply_diag_run)(cplx* a, std::uint64_t dim, const DiagOp* ops,
+                         int k);
 
   // ---- fused density-matrix pair kernels --------------------------------
   void (*apply_1q_pair)(cplx* a, std::uint64_t dim, int qa, const Mat2& ua,

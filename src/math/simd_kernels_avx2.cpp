@@ -23,6 +23,7 @@
 #include <utility>
 
 #include "math/simd.hpp"
+#include "math/simd_diag_run.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CHARTER_SIMD_HAS_AVX2)
@@ -141,6 +142,10 @@ void k_apply_diag_2q(cplx* a, std::uint64_t dim, int qa, int qb,
         (((i + 1) & amask) ? 1u : 0u) | (((i + 1) & bmask) ? 2u : 0u);
     cmul(CVec4d::load(a + i), CVec4d::set(d[lo], d[hi])).store(a + i);
   });
+}
+
+void k_apply_diag_run(cplx* a, std::uint64_t dim, const DiagOp* ops, int k) {
+  diag_run<CVec4d, 2>(a, dim, ops, k);
 }
 
 void k_apply_2q(cplx* a, std::uint64_t dim, int qa, int qb, const Mat4& u) {
@@ -532,6 +537,7 @@ constexpr KernelTable kAvx2Table = {
     .apply_cx = k_apply_cx,
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
+    .apply_diag_run = k_apply_diag_run,
     .apply_1q_pair = k_apply_1q_pair,
     .apply_cx_pair = k_apply_cx_pair,
     .apply_diag_rowcol = k_apply_diag_rowcol,

@@ -30,6 +30,7 @@
 #include <utility>
 
 #include "math/simd.hpp"
+#include "math/simd_diag_run.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CHARTER_SIMD_HAS_AVX512)
@@ -217,6 +218,14 @@ void k_apply_diag_2q(cplx* a, std::uint64_t dim, int qa, int qb,
         CVec8d::set4(d[sel(i)], d[sel(i + 1)], d[sel(i + 2)], d[sel(i + 3)]);
     cmul(CVec8d::load(a + i), m).store(a + i);
   });
+}
+
+void k_apply_diag_run(cplx* a, std::uint64_t dim, const DiagOp* ops, int k) {
+  if (dim < 8) {
+    narrow()->apply_diag_run(a, dim, ops, k);
+    return;
+  }
+  diag_run<CVec8d, 4>(a, dim, ops, k);
 }
 
 void k_apply_2q(cplx* a, std::uint64_t dim, int qa, int qb, const Mat4& u) {
@@ -651,6 +660,7 @@ constexpr KernelTable kAvx512Table = {
     .apply_cx = k_apply_cx,
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
+    .apply_diag_run = k_apply_diag_run,
     .apply_1q_pair = k_apply_1q_pair,
     .apply_cx_pair = k_apply_cx_pair,
     .apply_diag_rowcol = k_apply_diag_rowcol,

@@ -75,6 +75,18 @@ void k_apply_diag_2q(cplx* a, std::uint64_t dim, int qa, int qb,
   });
 }
 
+void k_apply_diag_run(cplx* a, std::uint64_t dim, const DiagOp* ops, int k) {
+  util::parallel_for(static_cast<std::int64_t>(dim), [=](std::int64_t i) {
+    const std::uint64_t ui = static_cast<std::uint64_t>(i);
+    cplx v = a[ui];
+    for (int j = 0; j < k; ++j) {
+      const DiagOp& op = ops[j];
+      v *= op.d[((ui & op.amask) ? 1u : 0u) | ((ui & op.bmask) ? 2u : 0u)];
+    }
+    a[ui] = v;
+  });
+}
+
 void k_apply_2q(cplx* a, std::uint64_t dim, int qa, int qb, const Mat4& u) {
   const std::uint64_t amask = 1ULL << qa;
   const std::uint64_t bmask = 1ULL << qb;
@@ -262,6 +274,7 @@ constexpr KernelTable kScalarTable = {
     .apply_cx = k_apply_cx,
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
+    .apply_diag_run = k_apply_diag_run,
     .apply_1q_pair = k_apply_1q_pair,
     .apply_cx_pair = k_apply_cx_pair,
     .apply_diag_rowcol = k_apply_diag_rowcol,

@@ -11,6 +11,7 @@
 // two-qubit depolarizing block.
 
 #include "math/simd.hpp"
+#include "math/simd_diag_run.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CHARTER_SIMD_HAS_WIDTH2)
@@ -52,6 +53,10 @@ void k_apply_diag_2q(cplx* a, std::uint64_t dim, int qa, int qb,
     const unsigned idx = ((ui & amask) ? 1u : 0u) | ((ui & bmask) ? 2u : 0u);
     cmul(CVec2d::load(a + ui), CVec2d::from(d[idx])).store(a + ui);
   });
+}
+
+void k_apply_diag_run(cplx* a, std::uint64_t dim, const DiagOp* ops, int k) {
+  diag_run<CVec2d, 1>(a, dim, ops, k);
 }
 
 void k_apply_2q(cplx* a, std::uint64_t dim, int qa, int qb, const Mat4& u) {
@@ -197,6 +202,7 @@ const KernelTable kWidth2Table = {
     .apply_cx = nullptr,  // (pure permutations, no arithmetic)
     .apply_diag_2q = k_apply_diag_2q,
     .apply_2q = k_apply_2q,
+    .apply_diag_run = k_apply_diag_run,
     .apply_1q_pair = k_apply_1q_pair,
     .apply_cx_pair = nullptr,
     .apply_diag_rowcol = k_apply_diag_rowcol,

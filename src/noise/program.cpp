@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "util/error.hpp"
@@ -21,6 +22,17 @@ using math::Mat2;
 // ---------------------------------------------------------------------------
 // Append API
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// Multi-qubit ops need distinct operands: a repeated one would reach the
+/// kernels as a repeated mask, which is not the op the kind names.
+void require_distinct(bool distinct, const char* kind) {
+  if (!distinct)
+    throw InvalidArgument(std::string(kind) + ": qubit operands coincide");
+}
+
+}  // namespace
 
 void NoiseProgram::append_unitary_1q(const Mat2& u, int q) {
   TapeOp op;
@@ -41,6 +53,7 @@ void NoiseProgram::append_diag_1q(cplx d0, cplx d1, int q) {
 }
 
 void NoiseProgram::append_cx(int c, int t) {
+  require_distinct(c != t, "cx");
   TapeOp op;
   op.kind = TapeOpKind::kCx;
   op.q0 = static_cast<std::int16_t>(c);
@@ -50,6 +63,7 @@ void NoiseProgram::append_cx(int c, int t) {
 
 void NoiseProgram::append_diag_2q(const std::array<cplx, 4>& d, int qa,
                                   int qb) {
+  require_distinct(qa != qb, "diag2q");
   TapeOp op;
   op.kind = TapeOpKind::kDiag2q;
   op.q0 = static_cast<std::int16_t>(qa);
@@ -77,6 +91,7 @@ void NoiseProgram::append_depol_1q(int q, double p) {
 }
 
 void NoiseProgram::append_depol_2q(int qa, int qb, double p) {
+  require_distinct(qa != qb, "depol2q");
   TapeOp op;
   op.kind = TapeOpKind::kDepol2q;
   op.q0 = static_cast<std::int16_t>(qa);
@@ -106,6 +121,7 @@ void NoiseProgram::append_kraus_1q(std::span<const Mat2> kraus, int q) {
 }
 
 void NoiseProgram::append_unitary_2q(const math::Mat4& u, int qa, int qb) {
+  require_distinct(qa != qb, "unitary2q");
   TapeOp op;
   op.kind = TapeOpKind::kUnitary2q;
   op.q0 = static_cast<std::int16_t>(qa);
@@ -117,6 +133,7 @@ void NoiseProgram::append_unitary_2q(const math::Mat4& u, int qa, int qb) {
 
 void NoiseProgram::append_unitary_3q(const std::array<cplx, 64>& u, int qa,
                                      int qb, int qc) {
+  require_distinct(qa != qb && qa != qc && qb != qc, "unitary3q");
   TapeOp op;
   op.kind = TapeOpKind::kUnitary3q;
   op.q0 = static_cast<std::int16_t>(qa);
@@ -133,29 +150,47 @@ void NoiseProgram::append_unitary_3q(const std::array<cplx, 64>& u, int qa,
 
 namespace {
 
+bool is_diag(TapeOpKind kind) {
+  return kind == TapeOpKind::kDiag1q || kind == TapeOpKind::kDiag2q;
+}
+
+/// A kDiag1q/kDiag2q tape op as a run element (masks in qubit space).
+math::DiagOp diag_op(const NoiseProgram& p, const TapeOp& op) {
+  const std::array<cplx, 4>& d = p.diag(op.payload);
+  if (op.kind == TapeOpKind::kDiag1q)
+    return {std::uint64_t{1} << op.q0, 0, {d[0], d[1], d[0], d[1]}};
+  return {std::uint64_t{1} << op.q0, std::uint64_t{1} << op.q1, d};
+}
+
 /// Shared interpreter body.  Instantiated for the abstract interface
 /// (virtual dispatch, any engine) and for the concrete final density-matrix
 /// engine, where every apply_* call devirtualizes into a single pair-kernel
-/// pass over vec(rho).
+/// pass over vec(rho).  Each maximal run of consecutive diagonal ops inside
+/// [begin, end) goes to the engine as one apply_diag_run call (split every
+/// kMaxDiagRun ops); a run never reaches past \p end, so a region boundary
+/// is an op boundary exactly as before.
 template <typename Engine>
 void run_impl(const NoiseProgram& p, Engine& engine, std::size_t begin,
               std::size_t end) {
+  std::array<math::DiagOp, math::kMaxDiagRun> run;
   for (std::size_t i = begin; i < end; ++i) {
     const TapeOp& op = p.op(i);
     switch (op.kind) {
       case TapeOpKind::kUnitary1q:
         engine.apply_unitary_1q(p.mat(op.payload), op.q0);
         break;
-      case TapeOpKind::kDiag1q: {
-        const std::array<cplx, 4>& d = p.diag(op.payload);
-        engine.apply_diag_1q(d[0], d[1], op.q0);
+      case TapeOpKind::kDiag1q:
+      case TapeOpKind::kDiag2q: {
+        int k = 0;
+        run[0] = diag_op(p, op);
+        while (++k < math::kMaxDiagRun && i + 1 < end &&
+               is_diag(p.op(i + 1).kind))
+          run[static_cast<std::size_t>(k)] = diag_op(p, p.op(++i));
+        engine.apply_diag_run(run.data(), k);
         break;
       }
       case TapeOpKind::kCx:
         engine.apply_cx(op.q0, op.q1);
-        break;
-      case TapeOpKind::kDiag2q:
-        engine.apply_diag_2q(p.diag(op.payload), op.q0, op.q1);
         break;
       case TapeOpKind::kThermal:
         engine.apply_thermal_relaxation(op.q0, op.a, op.b);

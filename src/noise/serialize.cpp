@@ -185,6 +185,13 @@ NoiseProgram deserialize_tape(std::span<const std::uint8_t> bytes) {
         reject("op " + std::to_string(i) + ": qubit operand " +
                std::to_string(operands[k]) + " outside the " +
                std::to_string(num_qubits) + "-qubit register");
+    // Coincident operands would reach the kernels as a repeated mask: a
+    // two-qubit depolarizing block on {q, q} is not even a channel.
+    for (int k = 1; k < shape.operands; ++k)
+      for (int m = 0; m < k; ++m)
+        if (operands[k] == operands[m])
+          reject("op " + std::to_string(i) + ": qubit operand " +
+                 std::to_string(operands[k]) + " repeats");
     if (shape.payload_kind != 0 && op.payload >= slot_count(shape.payload_kind))
       reject("op " + std::to_string(i) + ": payload slot " +
              std::to_string(op.payload) + " out of range");

@@ -87,6 +87,10 @@ void DensityMatrixEngine::apply_diag_2q(const std::array<cplx, 4>& d, int qa,
   apply_diag(d, 1ULL << qa, 1ULL << qb);
 }
 
+void DensityMatrixEngine::apply_diag_run(const math::DiagOp* ops, int k) {
+  for (int j = 0; j < k; ++j) apply_diag(ops[j].d, ops[j].amask, ops[j].bmask);
+}
+
 void DensityMatrixEngine::apply_unitary_2q(const math::Mat4& u, int qa,
                                            int qb) {
   // Dense gates have no fused pair kernel; two passes over vec(rho) —

@@ -45,6 +45,9 @@ class DensityMatrixEngine final : public NoisyEngine {
   void apply_cx(int c, int t) override;
   void apply_diag_2q(const std::array<math::cplx, 4>& d, int qa,
                      int qb) override;
+  /// One apply_diag_rowcol pass per op: a one-pass run form measured no
+  /// gain while vec(rho) fits in L2 (ROADMAP, diagonal runs).
+  void apply_diag_run(const math::DiagOp* ops, int k) override;
   void apply_unitary_2q(const math::Mat4& u, int qa, int qb) override;
   void apply_unitary_3q(const std::array<math::cplx, 64>& u, int qa, int qb,
                         int qc) override;

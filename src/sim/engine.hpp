@@ -45,6 +45,12 @@ class NoisyEngine {
   virtual void apply_diag_2q(const std::array<math::cplx, 4>& d, int qa,
                              int qb) = 0;
 
+  /// A run of 1 <= k <= math::kMaxDiagRun consecutive diagonal ops, masks
+  /// in qubit space (bit q = qubit q); same result as applying them one by
+  /// one with apply_diag_1q / apply_diag_2q.  The tape interpreter hands
+  /// every maximal run of kDiag1q/kDiag2q ops to this.
+  virtual void apply_diag_run(const math::DiagOp* ops, int k) = 0;
+
   /// Dense two-qubit unitary; index convention bit(qa) + 2*bit(qb).
   /// Emitted by the wide-gate fusion pass (noise::fused_wide).
   virtual void apply_unitary_2q(const math::Mat4& u, int qa, int qb) = 0;

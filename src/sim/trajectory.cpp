@@ -169,6 +169,16 @@ class LaneBatch final : public NoisyEngine {
                      int qb) override {
     kernels::apply_diag_2q(data(), size(), qa + shift_, qb + shift_, d);
   }
+  void apply_diag_run(const math::DiagOp* ops, int k) override {
+    CHARTER_ASSERT(k >= 1 && k <= math::kMaxDiagRun, "diagonal run length");
+    std::array<math::DiagOp, math::kMaxDiagRun> shifted;
+    for (int j = 0; j < k; ++j) {
+      shifted[j] = ops[j];
+      shifted[j].amask <<= shift_;
+      shifted[j].bmask <<= shift_;
+    }
+    kernels::apply_diag_run(data(), size(), shifted.data(), k);
+  }
   void apply_unitary_2q(const math::Mat4& u, int qa, int qb) override {
     require(qa >= 0 && qa < n_ && qb >= 0 && qb < n_ && qa != qb,
             "qubits out of range");
@@ -383,6 +393,12 @@ void TrajectoryEngine::apply_diag_2q(const std::array<cplx, 4>& d, int qa,
                                      int qb) {
   kernels::apply_diag_2q(state_.mutable_amplitudes().data(), state_.dim(), qa,
                          qb, d);
+}
+
+void TrajectoryEngine::apply_diag_run(const math::DiagOp* ops, int k) {
+  CHARTER_ASSERT(k >= 1 && k <= math::kMaxDiagRun, "diagonal run length");
+  kernels::apply_diag_run(state_.mutable_amplitudes().data(), state_.dim(),
+                          ops, k);
 }
 
 void TrajectoryEngine::apply_unitary_2q(const math::Mat4& u, int qa, int qb) {

@@ -41,6 +41,7 @@ class TrajectoryEngine final : public NoisyEngine {
   void apply_cx(int c, int t) override;
   void apply_diag_2q(const std::array<math::cplx, 4>& d, int qa,
                      int qb) override;
+  void apply_diag_run(const math::DiagOp* ops, int k) override;
   void apply_unitary_2q(const math::Mat4& u, int qa, int qb) override;
   void apply_unitary_3q(const std::array<math::cplx, 64>& u, int qa, int qb,
                         int qc) override;
@@ -111,6 +112,12 @@ inline std::uint64_t trajectory_engine_seed(const util::Rng& seeder,
 ///    arithmetic does not depend on a qubit's bit position, except the
 ///    dense two-qubit op with a qubit-0 operand (scalar on the AVX2 and
 ///    AVX-512 paths, vector once shifted), which runs per lane;
+///  - a run of consecutive diagonal ops (NoisyEngine::apply_diag_run) is
+///    one kernels::apply_diag_run sweep of the block with every mask
+///    shifted up by log2(lanes): each element takes the ops' factors in
+///    tape order with the per-op kernels' complex multiply, so each lane
+///    gets the bytes of a lone engine's per-op calls, with one pass over
+///    the block instead of one per op;
 ///  - thermal relaxation takes each lane's P(1) and norm as interleaved
 ///    per-lane left-to-right sums (P(1) over the set-bit half only: a lone
 ///    engine's sum adds +0.0 for the other half, which never changes a

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 
@@ -521,6 +522,74 @@ TEST(TapeSerialization, AcceptsOnlyKnownOptLevels) {
       }
     }
   }
+}
+
+TEST(TapeSerialization, RejectsCoincidentOperands) {
+  // Op 0 starts after the header: magic (4), version (4), width (4), level
+  // (1) and eight u64 counts; its operands follow the kind byte as three
+  // little-endian int16 (q0 at +1, q1 at +3, q2 at +5).
+  constexpr std::size_t kOp0 = 4 + 4 + 4 + 1 + 8 * 8;
+  const auto restamp = [](std::vector<std::uint8_t> blob) {
+    const std::size_t body = blob.size() - sizeof(std::uint64_t);
+    const std::uint64_t sum = charter::util::checksum(
+        std::span<const std::uint8_t>(blob.data(), body));
+    for (std::size_t k = 0; k < sizeof(std::uint64_t); ++k)
+      blob[body + k] = static_cast<std::uint8_t>(sum >> (8 * k));
+    return blob;
+  };
+  // Copies operand `from` over operand `to` of op 0.
+  const auto coincide = [&](const std::vector<std::uint8_t>& good, int to,
+                            int from) {
+    std::vector<std::uint8_t> bad = good;
+    for (std::size_t b = 0; b < 2; ++b)
+      bad[kOp0 + 1 + 2 * static_cast<std::size_t>(to) + b] =
+          bad[kOp0 + 1 + 2 * static_cast<std::size_t>(from) + b];
+    return restamp(bad);
+  };
+  const charter::math::Mat4 u4 = charter::math::Mat4::identity();
+  std::array<charter::math::cplx, 64> u8{};
+  for (int k = 0; k < 8; ++k) u8[static_cast<std::size_t>(9 * k)] = 1.0;
+  const std::array<charter::math::cplx, 4> d = {1.0, 1.0, 1.0, -1.0};
+
+  const std::vector<std::pair<const char*, std::function<void(cn::NoiseProgram&)>>>
+      kinds = {
+          {"cx", [](cn::NoiseProgram& t) { t.append_cx(0, 1); }},
+          {"diag2q", [&](cn::NoiseProgram& t) { t.append_diag_2q(d, 0, 1); }},
+          {"depol2q", [](cn::NoiseProgram& t) { t.append_depol_2q(0, 1, 0.1); }},
+          {"unitary2q",
+           [&](cn::NoiseProgram& t) { t.append_unitary_2q(u4, 0, 1); }},
+          {"unitary3q",
+           [&](cn::NoiseProgram& t) { t.append_unitary_3q(u8, 0, 1, 2); }},
+      };
+  for (const auto& [name, append] : kinds) {
+    cn::NoiseProgram tape(3);
+    append(tape);
+    const std::vector<std::uint8_t> good = cn::serialize_tape(tape);
+    EXPECT_EQ(restamp(good), good);
+    EXPECT_NO_THROW(cn::deserialize_tape(good)) << name;
+    std::vector<std::pair<int, int>> pairs = {{1, 0}};
+    if (std::string(name) == "unitary3q") pairs = {{1, 0}, {2, 0}, {2, 1}};
+    for (const auto& [to, from] : pairs) {
+      try {
+        cn::deserialize_tape(coincide(good, to, from));
+        ADD_FAILURE() << name << ": operand " << to << " = " << from
+                      << " accepted";
+      } catch (const charter::InvalidArgument& e) {
+        EXPECT_NE(std::string(e.what()).find("repeats"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+
+  // The append API refuses the same ops.
+  cn::NoiseProgram tape(3);
+  EXPECT_THROW(tape.append_cx(1, 1), charter::InvalidArgument);
+  EXPECT_THROW(tape.append_diag_2q(d, 2, 2), charter::InvalidArgument);
+  EXPECT_THROW(tape.append_depol_2q(0, 0, 0.1), charter::InvalidArgument);
+  EXPECT_THROW(tape.append_unitary_2q(u4, 1, 1), charter::InvalidArgument);
+  EXPECT_THROW(tape.append_unitary_3q(u8, 0, 1, 0), charter::InvalidArgument);
+  EXPECT_THROW(tape.append_unitary_3q(u8, 0, 2, 2), charter::InvalidArgument);
+  EXPECT_EQ(tape.size(), 0u);
 }
 
 TEST(TapeSerialization, RandomizedRoundTripsStayLossless) {

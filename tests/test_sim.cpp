@@ -647,9 +647,97 @@ cn::NoiseProgram random_tape(int n, int num_ops, charter::util::Rng& rng) {
   return tape;
 }
 
+/// Random exact tape dominated by diagonal runs: runs of 1..16 mixed
+/// kDiag1q/kDiag2q ops (a third of the operands on qubit 0, a third on
+/// qubit 1), each followed by a noise or dense op that ends the run.
+cn::NoiseProgram run_heavy_tape(int n, int num_runs, charter::util::Rng& rng) {
+  cn::NoiseProgram tape(n);
+  const auto qubit = [&] {
+    const int pick = static_cast<int>(rng.uniform_int(3));
+    return pick < 2 ? pick % n : static_cast<int>(rng.uniform_int(n));
+  };
+  const auto phase = [&] { return std::exp(cplx(0.0, rng.uniform(-1.0, 1.0))); };
+  for (int r = 0; r < num_runs; ++r) {
+    const int len = 1 + r % cm::kMaxDiagRun;
+    for (int j = 0; j < len; ++j) {
+      const int qa = qubit();
+      if (n < 2 || rng.uniform_int(2) == 0) {
+        tape.append_diag_1q(phase(), phase(), qa);
+        continue;
+      }
+      int qb = qubit();
+      while (qb == qa) qb = static_cast<int>(rng.uniform_int(n));
+      tape.append_diag_2q({phase(), phase(), phase(), phase()}, qa, qb);
+    }
+    const int q = qubit();
+    switch (r % 4) {
+      case 0:
+        tape.append_thermal(q, rng.uniform(0.3, 0.95), rng.uniform(0.0, 0.3));
+        break;
+      case 1:
+        tape.append_depol_1q(q, 0.4);
+        break;
+      case 2:
+        tape.append_unitary_1q(random_u1(rng), q);
+        break;
+      default:
+        if (n >= 2) tape.append_cx(q, (q + 1) % n);
+        else tape.append_bitflip(q, 0.3);
+        break;
+    }
+  }
+  return tape;
+}
+
+/// The tape interpreter without diagonal runs: one engine call per op,
+/// diagonal ops through plain apply_diag_1q / apply_diag_2q.
+void execute_op_by_op(const cn::NoiseProgram& tape, cs::NoisyEngine& e) {
+  e.reset();
+  for (std::size_t i = 0; i < tape.size(); ++i) {
+    const cn::TapeOp& op = tape.op(i);
+    switch (op.kind) {
+      case cn::TapeOpKind::kUnitary1q:
+        e.apply_unitary_1q(tape.mat(op.payload), op.q0);
+        break;
+      case cn::TapeOpKind::kDiag1q: {
+        const std::array<cplx, 4>& d = tape.diag(op.payload);
+        e.apply_diag_1q(d[0], d[1], op.q0);
+        break;
+      }
+      case cn::TapeOpKind::kCx:
+        e.apply_cx(op.q0, op.q1);
+        break;
+      case cn::TapeOpKind::kDiag2q:
+        e.apply_diag_2q(tape.diag(op.payload), op.q0, op.q1);
+        break;
+      case cn::TapeOpKind::kThermal:
+        e.apply_thermal_relaxation(op.q0, op.a, op.b);
+        break;
+      case cn::TapeOpKind::kDepol1q:
+        e.apply_depolarizing_1q(op.q0, op.a);
+        break;
+      case cn::TapeOpKind::kDepol2q:
+        e.apply_depolarizing_2q(op.q0, op.q1, op.a);
+        break;
+      case cn::TapeOpKind::kBitflip:
+        e.apply_bitflip(op.q0, op.a);
+        break;
+      case cn::TapeOpKind::kKraus1q:
+        e.apply_kraus_1q(tape.kraus(op.payload), op.q0);
+        break;
+      case cn::TapeOpKind::kUnitary2q:
+        e.apply_unitary_2q(tape.mat4(op.payload), op.q0, op.q1);
+        break;
+      case cn::TapeOpKind::kUnitary3q:
+        e.apply_unitary_3q(tape.mat8(op.payload), op.q0, op.q1, op.q2);
+        break;
+    }
+  }
+}
+
 /// The per-unravelling loop the lane batch replaced: one TrajectoryEngine
-/// per unravelling, probabilities summed in unravelling order, on serial
-/// kernels (as on an exec pool worker).
+/// per unravelling driven op by op, probabilities summed in unravelling
+/// order, on serial kernels (as on an exec pool worker).
 std::vector<double> one_at_a_time(int n, int begin, int end,
                                   const charter::util::Rng& seeder,
                                   const cn::NoiseProgram& tape) {
@@ -657,7 +745,7 @@ std::vector<double> one_at_a_time(int n, int begin, int end,
   std::vector<double> local(std::uint64_t{1} << n, 0.0);
   for (int t = begin; t < end; ++t) {
     cs::TrajectoryEngine engine(n, cs::trajectory_engine_seed(seeder, t));
-    tape.execute(engine);
+    execute_op_by_op(tape, engine);
     const std::vector<double> p = engine.probabilities();
     for (std::size_t i = 0; i < local.size(); ++i) local[i] += p[i];
   }
@@ -681,12 +769,13 @@ TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
     if (!ms::set_path(path)) continue;
     for (int n = 1; n <= 14; ++n) {
       const cn::NoiseProgram exact = random_tape(n, 44, rng);
-      std::vector<const cn::NoiseProgram*> tapes = {&exact};
+      const cn::NoiseProgram runs = run_heavy_tape(n, 20, rng);
+      std::vector<const cn::NoiseProgram*> tapes = {&exact, &runs};
       std::vector<cn::NoiseProgram> wide;
       if (n >= 2) wide.push_back(cn::fused_wide(exact, 0, 2));
       if (n >= 3) wide.push_back(cn::fused_wide(exact, 0, 3));
       for (const cn::NoiseProgram& w : wide) tapes.push_back(&w);
-      // Above 10 qubits one tape per width, rotating through the three
+      // Above 10 qubits one tape per width, rotating through the four
       // kinds, keeps the sanitizer legs fast.
       if (n > 10) tapes = {tapes[static_cast<std::size_t>(n) % tapes.size()]};
       // Every group size at small widths, one per width above.
@@ -710,6 +799,69 @@ TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
   }
   ms::set_path(original);
   EXPECT_GT(checked, 0);
+}
+
+// A region boundary ends a diagonal run, so splitting a tape anywhere
+// changes no byte: run(0, m) then run(m, size) equals one run over the
+// whole tape on every engine, and equals the op-by-op interpreter.
+TEST(DiagonalRuns, SplitPointsAndPerOpCallsAreByteIdentical) {
+  const charter::util::SerialKernels serial;
+  namespace ms = charter::math::simd;
+  const ms::SimdPath original = ms::active_path();
+  for (const ms::SimdPath path : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
+                                  ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
+    if (!ms::set_path(path)) continue;
+    charter::util::Rng rng(77 + static_cast<std::uint64_t>(path));
+    for (const int n : {1, 3, 5}) {
+      const cn::NoiseProgram tape = run_heavy_tape(n, 8, rng);
+      const std::size_t size = tape.size();
+      const auto dm_bytes = [&](const auto& drive) {
+        cs::DensityMatrixEngine e(n);
+        e.reset();
+        drive(e);
+        return e.raw();
+      };
+      const auto sv_bytes = [&](const auto& drive) {
+        cs::TrajectoryEngine e(n, 99);
+        e.reset();
+        drive(e);
+        return e.state().amplitudes();
+      };
+      const auto same = [](const std::vector<cplx>& a,
+                           const std::vector<cplx>& b) {
+        return a.size() == b.size() &&
+               std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
+      };
+      const auto whole = [&](cs::NoisyEngine& e) { tape.run(e, 0, size); };
+      const auto per_op = [&](cs::NoisyEngine& e) { execute_op_by_op(tape, e); };
+      const std::vector<cplx> dm = dm_bytes(whole);
+      const std::vector<cplx> sv = sv_bytes(whole);
+      EXPECT_TRUE(same(dm_bytes(per_op), dm)) << ms::path_name(path);
+      EXPECT_TRUE(same(sv_bytes(per_op), sv)) << ms::path_name(path);
+
+      const charter::util::Rng seeder(5 + n);
+      const std::vector<double> lanes = cs::run_trajectory_group(
+          n, 0, 8, seeder, [&](cs::NoisyEngine& e) { tape.execute(e); });
+      EXPECT_TRUE(same_bytes(lanes, one_at_a_time(n, 0, 8, seeder, tape)))
+          << ms::path_name(path) << " n=" << n;
+      for (std::size_t m = 0; m <= size; ++m) {
+        const auto split = [&](cs::NoisyEngine& e) {
+          tape.run(e, 0, m);
+          tape.run(e, m, size);
+        };
+        EXPECT_TRUE(same(dm_bytes(split), dm)) << "dm m=" << m;
+        EXPECT_TRUE(same(sv_bytes(split), sv)) << "sv m=" << m;
+        const std::vector<double> got = cs::run_trajectory_group(
+            n, 0, 8, seeder, [&](cs::NoisyEngine& e) {
+              e.reset();
+              split(e);
+            });
+        EXPECT_TRUE(same_bytes(got, lanes))
+            << ms::path_name(path) << " lanes n=" << n << " m=" << m;
+      }
+    }
+  }
+  ms::set_path(original);
 }
 
 TEST(TrajectoryLanes, StrongDampingSplitsLanesWithinABatch) {

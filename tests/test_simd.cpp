@@ -19,7 +19,8 @@
 //     of the AVX-512 table equals the AVX2 entry at density-matrix widths
 //     1..8 on every qubit, depol2q_block equals its scalar reference on
 //     every path, and the qft7 / adder9 exact tapes leave the same vec(rho)
-//     on the avx2 and avx512 paths.
+//     on the avx2 and avx512 paths.  On every path, apply_diag_run equals
+//     its k per-op diagonal calls at widths 1..16 for k = 1..16.
 //
 // The sweep runs on the dispatch *table* functions directly, so it tests
 // exactly what sim/kernels.hpp forwards to.
@@ -28,6 +29,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <complex>
 #include <cstring>
 #include <string>
@@ -667,6 +669,62 @@ TEST(SimdKernels, Depol2qBlockBitIdenticalToReferenceOnEveryPath) {
     }
   }
   ms::set_path(original);
+}
+
+// apply_diag_run multiplies each element by every op's factor in order with
+// the path's own complex multiply, so on every path it equals k per-op
+// calls byte for byte: statevector widths 1..16, runs of k = 1..16 mixing
+// one- and two-qubit ops, qubits 0 and 1 (the lane-gathered masks) included.
+TEST(SimdKernels, DiagRunBitIdenticalToPerOpCallsOnEveryPath) {
+  [[maybe_unused]] const SerialKernels serial{};
+  const ms::SimdPath original = ms::active_path();
+  int checked = 0;
+  for (const ms::SimdPath path : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
+                                  ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
+    if (!ms::path_available(path)) continue;
+    ASSERT_TRUE(ms::set_path(path));
+    const ms::KernelTable& table = ms::active();
+    Rng rng(0xd1a9 + static_cast<std::uint64_t>(path));
+    for (int n = 1; n <= 16; ++n) {
+      const std::uint64_t dim = 1ULL << n;
+      // Half the operands on qubit 0 or 1, the rest anywhere.
+      const auto qubit = [&] {
+        return static_cast<int>(rng.uniform_int(2) == 0
+                                    ? rng.uniform_int(n < 2 ? 1 : 2)
+                                    : rng.uniform_int(n));
+      };
+      for (int k = 1; k <= charter::math::kMaxDiagRun; ++k) {
+        std::vector<charter::math::DiagOp> ops;
+        for (int j = 0; j < k; ++j) {
+          const int qa = qubit();
+          const std::array<cplx, 4> d = random_diag4(rng);
+          if (n < 2 || rng.uniform_int(2) == 0) {
+            ops.push_back({1ULL << qa, 0, {d[0], d[1], d[0], d[1]}});
+            continue;
+          }
+          int qb = qubit();
+          while (qb == qa) qb = static_cast<int>(rng.uniform_int(n));
+          ops.push_back({1ULL << qa, 1ULL << qb, d});
+        }
+        std::vector<cplx> want = random_state(dim, rng);
+        std::vector<cplx> got = want;
+        for (const charter::math::DiagOp& op : ops) {
+          const int qa = std::countr_zero(op.amask);
+          if (op.bmask == 0)
+            table.apply_diag_1q(want.data(), dim, qa, op.d[0], op.d[1]);
+          else
+            table.apply_diag_2q(want.data(), dim, qa,
+                                std::countr_zero(op.bmask), op.d);
+        }
+        table.apply_diag_run(got.data(), dim, ops.data(), k);
+        EXPECT_TRUE(bit_identical(want, got))
+            << "path=" << table.name << " n=" << n << " k=" << k;
+        ++checked;
+      }
+    }
+  }
+  ms::set_path(original);
+  EXPECT_GE(checked, 16 * 16);
 }
 
 // End to end on the benchmark circuits: the exact tapes of qft7 (lagos) and

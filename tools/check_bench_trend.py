@@ -110,6 +110,21 @@ def check_kernels(path, data):
         )
     if expected - seen:
         ok = fail(path, f"per-ISA rows missing kernels: {expected - seen}")
+    # Diagonal runs: one apply_diag_run sweep against k per-op calls on the
+    # active path, k = 1..8, which must agree byte for byte.
+    runs = data.get("diag_run")
+    if not isinstance(runs, list):
+        ok = fail(path, "'diag_run' rows missing")
+        runs = []
+    ks = set()
+    for row in runs:
+        ks.add(row.get("k"))
+        for key in ("per_op_ms", "run_ms", "speedup"):
+            ok &= require_number(path, row, key, minimum=0.0)
+        if row.get("identical") is not True:
+            ok = fail(path, f"diag_run k={row.get('k')} not byte-identical")
+    if set(range(1, 9)) - ks:
+        ok = fail(path, f"diag_run rows missing k: {set(range(1, 9)) - ks}")
     ok &= require_number(path, data, "kernel_pair_speedup", minimum=0.0)
     ok &= require_number(path, data, "tape_ops_exact", minimum=1)
     return ok
@@ -357,6 +372,7 @@ def summarize(path, data):
         )
     else:
         rows = {r["kernel"]: r["speedup"] for r in data["simd"]}
+        runs = {r["k"]: r["speedup"] for r in data["diag_run"]}
         print(
             f"{path}: sim_kernels simd={data['simd_active']} "
             f"1q={rows.get('unitary_1q', 0):.2f}x "
@@ -365,7 +381,8 @@ def summarize(path, data):
             f"diag_2q_pair={rows.get('diag_2q_pair', 0):.2f}x "
             f"thermal_block={rows.get('thermal_block', 0):.2f}x "
             f"depol2q_block={rows.get('depol2q_block', 0):.2f}x "
-            f"pair={data['kernel_pair_speedup']:.2f}x"
+            f"pair={data['kernel_pair_speedup']:.2f}x "
+            f"diag_run_k4={runs.get(4, 0):.2f}x"
         )
 
 
