@@ -10,10 +10,11 @@
 //  2. full_noise: every channel on.  Stochastic channels are fusion
 //     barriers, so the tape stays draw-for-draw aligned and the speedup is
 //     honest but modest — recorded so the trend shows both regimes.
-//  3. threads[]: the fused-wide sweep re-run at 1/2/4 OpenMP threads; each
-//     row's folded distribution must be bit-identical to the 1-thread row
-//     (group folding is index-ordered and the amplitude-parallel sums are
-//     chunk-invariant).
+//  3. threads[]: the fused-wide sweep re-run on 1 thread (under the exec
+//     mark, as on an exec pool worker) and on the kernel pool's width (off
+//     the exec pool); each row's folded distribution must be bit-identical
+//     to the 1-thread row (group folding is index-ordered and the
+//     amplitude-parallel sums are chunk-invariant).
 //  4. lanes: one full-noise fold group (8 unravellings of the exact tape)
 //     at n = 14 (n = 10 with --smoke), below the amplitude-parallel
 //     threshold.  The per-unravelling loop the lane batch replaced — one
@@ -38,12 +39,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "bench/common.hpp"
 #include "circuit/circuit.hpp"
@@ -281,26 +279,20 @@ int main(int argc, char** argv) {
     json += buf;
   }
 
-  // Thread-count determinism: the fused-wide coherent sweep folded at
-  // 1/2/4 OpenMP threads must be bit-identical (index-ordered group folds;
-  // chunk-invariant amplitude sums in the parallel regime).
+  // Thread-count determinism: the fused-wide coherent sweep folded on one
+  // marked thread and on the kernel pool must be bit-identical
+  // (index-ordered group folds; chunk-invariant amplitude sums in the
+  // parallel regime).
   const cn::NoiseProgram wide_tape =
       cn::fused_wide(cn::lower(coherent, circuit));
   json += "  \"threads\": [\n";
   std::vector<double> one_thread;
   bool threads_ok = true;
-#ifdef _OPENMP
-  const int max_omp = omp_get_max_threads();
-#else
-  const int max_omp = 1;
-#endif
-  bool first = true;
-  for (int t = 1; t <= 4; t *= 2) {
-#ifdef _OPENMP
-    omp_set_num_threads(std::min(t, max_omp));
-#else
-    if (t > 1) break;
-#endif
+  const int width = charter::util::kernel_pool_width();
+  for (const int t :
+       width > 1 ? std::vector<int>{1, width} : std::vector<int>{1}) {
+    std::optional<charter::util::SerialKernels> mark;
+    if (t == 1) mark.emplace();
     const double ms = 1e3 * best_seconds(1, [&] {
                         sweep(wide_tape, qubits, trajectories, seed);
                       });
@@ -312,8 +304,7 @@ int main(int argc, char** argv) {
         std::memcmp(p.data(), one_thread.data(),
                     p.size() * sizeof(double)) == 0;
     threads_ok = threads_ok && identical;
-    if (!first) json += ",\n";
-    first = false;
+    if (t != 1) json += ",\n";
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "    {\"threads\": %d, \"ms\": %.3f, "
@@ -321,9 +312,6 @@ int main(int argc, char** argv) {
                   t, ms, identical ? "true" : "false");
     json += buf;
   }
-#ifdef _OPENMP
-  omp_set_num_threads(max_omp);
-#endif
   json += "\n  ]\n}\n";
   std::fputs(json.c_str(), stdout);
   charter::bench::write_output_file(cli.get_string("out"), json);

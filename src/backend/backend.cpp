@@ -97,7 +97,7 @@ std::string run_environment_summary() {
   std::string out = "simd=";
   out += simd::path_name(simd::active_path());
   out += " (available: " + simd::available_paths() + ")";
-  out += ", threads=" + std::to_string(util::num_threads());
+  out += ", threads=" + std::to_string(util::kernel_pool_width());
   out += ", dm_max_qubits=" +
          std::to_string(sim::DensityMatrixEngine::kMaxQubits);
   out += ", fusion_width=" + std::to_string(noise::fusion_width());

@@ -7,8 +7,8 @@
 
 #include "exec/strategy.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace charter::core {
 
@@ -209,8 +209,11 @@ CharterReport CharterAnalyzer::analyze(const CompiledProgram& program,
   const exec::BatchRunner runner(backend_, options_.exec);
   exec::BatchRunner::Stats total_stats;
   report.impacts.resize(chosen.size());
-  const std::size_t chunk_size = std::max<std::size_t>(
-      256, 8 * static_cast<std::size_t>(util::num_threads()));
+  const int width = options_.exec.pool != nullptr
+                        ? options_.exec.pool->num_workers()
+                        : util::resolve_threads(options_.exec.threads);
+  const std::size_t chunk_size =
+      std::max<std::size_t>(256, 8 * static_cast<std::size_t>(width));
   ProgressRelay relay(hooks, chosen.size() + 1);
 
   // Plan the execution strategy once for the whole family: every chunk of

@@ -166,8 +166,8 @@ bool send_result(int fd, std::uint64_t id, const std::vector<double>& probs) {
 
 int worker_serve(int fd) {
   // A worker child is one core's worth of the parent's sweep: its siblings
-  // and the parent's coordinator run beside it, so an OpenMP team here
-  // would only oversubscribe the cores.
+  // and the parent's coordinator run beside it.  The mark also keeps a
+  // plain-fork child off the kernel pool, whose threads it did not inherit.
   const util::SerialKernels serial;
   long kill_after = -1;
   if (const char* s = std::getenv("CHARTER_WORKER_KILL_AFTER"))

@@ -98,8 +98,8 @@ inline void diag_run_chunk(cplx* a, std::uint64_t lo, std::uint64_t hi,
 }
 
 /// The sweep for k = 4 * full + Tail ops, block by block.  The grain keeps
-/// the per-op kernels' threshold: they go OpenMP-parallel at the same dim
-/// (W amplitudes per iteration, grain 1024).
+/// the per-op kernels' threshold: they fan out at the same dim (W
+/// amplitudes per iteration, grain 1024).
 template <int Tail, typename V, int W>
 void diag_run_sweep(cplx* a, std::uint64_t dim,
                     const DiagRunFactors<V, W>& r, int full) {

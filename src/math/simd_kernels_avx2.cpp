@@ -498,7 +498,7 @@ void k_depol2q_block(cplx* a, std::uint64_t dim, std::uint64_t ra,
     return;
   }
   // Every mask >= 2: two groups per register.  The grain keeps the scalar
-  // loop's OpenMP threshold (parallel from n = 8 on).
+  // loop's fan-out size.
   util::parallel_for(
       static_cast<std::int64_t>(dim >> 5),
       [=](std::int64_t i) {

@@ -273,10 +273,9 @@ void k_apply_2q(cplx* a, std::uint64_t dim, int qa, int qb, const Mat4& u) {
 // FMAs.  Shapes neither case covers (both masks < 4, n = 1) forward to the
 // AVX2 entry.
 //
-// OpenMP grains keep each loop's parallel threshold at the vec(rho) size of
-// the form it stands in for: four groups per iteration is twice an AVX2
-// iteration (parallel from n = 7 on, as there), and depol2q's four groups
-// are four scalar iterations (parallel from n = 8 on).
+// Grains keep each loop's fan-out threshold at the vec(rho) size of the
+// form it stands in for: four groups per iteration is twice an AVX2
+// iteration, and depol2q's four groups are four scalar iterations.
 constexpr std::int64_t kWideGrain = 512;
 constexpr std::int64_t kDepol2qGrain = 256;
 

@@ -10,6 +10,8 @@
 // they share the scalar implementations via table_scalar(), as does the
 // two-qubit depolarizing block.
 
+#include <bit>
+
 #include "math/simd.hpp"
 #include "math/simd_diag_run.hpp"
 #include "util/parallel.hpp"
@@ -56,6 +58,13 @@ void k_apply_diag_2q(cplx* a, std::uint64_t dim, int qa, int qb,
 }
 
 void k_apply_diag_run(cplx* a, std::uint64_t dim, const DiagOp* ops, int k) {
+  // A lone op runs faster through its own kernel, with the same bytes.
+  const int qa = std::countr_zero(ops[0].amask);
+  if (k == 1 && ops[0].bmask == 0)
+    return k_apply_diag_1q(a, dim, qa, ops[0].d[0], ops[0].d[1]);
+  if (k == 1)
+    return k_apply_diag_2q(a, dim, qa, std::countr_zero(ops[0].bmask),
+                           ops[0].d);
   diag_run<CVec2d, 1>(a, dim, ops, k);
 }
 

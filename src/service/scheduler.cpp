@@ -62,15 +62,27 @@ struct Scheduler::Job {
     const std::lock_guard<std::mutex> lock(mu);
     return snapshot_locked();
   }
-
-  void transition(JobPhase next) {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      phase = next;
-    }
-    cv.notify_all();
-  }
 };
+
+void Scheduler::finish(Job& job, JobPhase terminal) {
+  {
+    // mu_ before job.mu, the dispatcher's order: the job turns terminal,
+    // which wakes await(), only once it is retired and counted.
+    const std::lock_guard<std::mutex> lock(mu_);
+    switch (terminal) {
+      case JobPhase::kDone: ++stats_.done; break;
+      case JobPhase::kCancelled: ++stats_.cancelled; break;
+      case JobPhase::kFailed: ++stats_.failed; break;
+      default: break;
+    }
+    retire_locked(job.id);
+    running_ = nullptr;
+    const std::lock_guard<std::mutex> job_lock(job.mu);
+    job.phase = terminal;
+  }
+  job.cv.notify_all();
+  drained_cv_.notify_all();
+}
 
 Scheduler::Scheduler(const backend::Backend& backend,
                      SchedulerOptions options)
@@ -313,39 +325,24 @@ void Scheduler::dispatcher_main() {
     }
 
     if (job->cancel.requested()) {
-      job->transition(JobPhase::kCancelled);
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.cancelled;
-      retire_locked(job->id);
-      running_ = nullptr;
-      drained_cv_.notify_all();
+      finish(*job, JobPhase::kCancelled);
       continue;
     }
 
     if (on_job_start) on_job_start(job->snapshot());
-    run_job(*job);
-
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      switch (job->snapshot().phase) {
-        case JobPhase::kDone: ++stats_.done; break;
-        case JobPhase::kCancelled: ++stats_.cancelled; break;
-        case JobPhase::kFailed: ++stats_.failed; break;
-        default: break;
-      }
-      retire_locked(job->id);
-      running_ = nullptr;
-    }
-    drained_cv_.notify_all();
+    finish(*job, run_job(*job));
   }
 }
 
-void Scheduler::run_job(Job& job) {
+JobPhase Scheduler::run_job(Job& job) {
   // The job owns its compiled program only while it runs.  Finished jobs
   // stay in jobs_ for status/fetch (up to kRetainedJobs of them), and every
   // retained circuit would grow the daemon by a few KiB per job.
   const backend::CompiledProgram program = std::move(job.program);
-  job.transition(JobPhase::kRunning);
+  {
+    const std::lock_guard<std::mutex> lock(job.mu);
+    job.phase = JobPhase::kRunning;  // await() waits for a terminal phase
+  }
 
   core::AnalysisHooks hooks;
   hooks.cancel = &job.cancel;
@@ -380,15 +377,13 @@ void Scheduler::run_job(Job& job) {
       job.characterization =
           characterizer.characterize(program, job.result, &hooks);
     }
-    job.transition(JobPhase::kDone);
+    return JobPhase::kDone;
   } catch (const Cancelled&) {
-    job.transition(JobPhase::kCancelled);
+    return JobPhase::kCancelled;
   } catch (const std::exception& e) {
-    {
-      const std::lock_guard<std::mutex> lock(job.mu);
-      job.error = e.what();
-    }
-    job.transition(JobPhase::kFailed);
+    const std::lock_guard<std::mutex> lock(job.mu);
+    job.error = e.what();
+    return JobPhase::kFailed;
   }
 }
 

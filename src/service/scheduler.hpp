@@ -180,7 +180,10 @@ class Scheduler {
 
   void dispatcher_main();
   std::shared_ptr<Job> pick_next_locked();
-  void run_job(Job& job);
+  /// Runs \p job and returns its terminal phase; finish() publishes it.
+  JobPhase run_job(Job& job);
+  /// Counts and retires \p job, then makes \p terminal its visible phase.
+  void finish(Job& job, JobPhase terminal);
   std::shared_ptr<Job> find(std::uint64_t id) const;
   /// Records that \p id reached a terminal phase and evicts the oldest
   /// terminal job past kRetainedJobs.  Caller holds mu_.

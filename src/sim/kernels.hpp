@@ -42,10 +42,9 @@
 /// tests or gathers remain in the inner loop, and each path performs the
 /// same two multiplies in the same order as the two-pass form, so the
 /// result is bit-identical to it on every path.  It parallelizes over
-/// columns with grain 32, i.e. from n = 6 on: the width at which the
-/// per-amplitude diagonal loops went parallel.  That only matters off the
-/// exec pool (direct FakeBackend::run calls); the checkpoint base sweep
-/// runs under util::SerialKernels.
+/// columns with grain 32, so it fans out on the kernel pool from n = 8 on.
+/// That only matters off the exec pool (direct FakeBackend::run calls);
+/// the checkpoint base sweep runs under util::SerialKernels.
 ///
 /// Diagonal runs.  The tape interpreter hands a run of consecutive
 /// diagonal ops to the statevector engines as one apply_diag_run call:
@@ -64,7 +63,8 @@
 /// streams a kernel reads all advance sequentially through memory and each
 /// cache line is touched exactly once per pass.
 ///
-/// All kernels are OpenMP-parallel above a size threshold and in-place.
+/// All kernels are in-place, and fan out on the kernel pool above a size
+/// threshold (util/parallel.hpp).
 
 #include <array>
 #include <cstdint>
@@ -232,17 +232,13 @@ inline void apply_swap(cplx* a, std::uint64_t dim, int qa, int qb) {
   });
 }
 
-/// Squared norm of the state.  Scalar on every SIMD dispatch path, but not
-/// order-fixed across OpenMP widths: off-pool at dim >= 2 * grain,
-/// util::parallel_sum reduces through an OpenMP tree whose association
-/// depends on OMP_NUM_THREADS.  Inside util::ThreadPool workers and nested
-/// regions it is the serial left-to-right sum.  (parallel_sum_chunked
-/// would fix the association for every width, but it regroups sums past
-/// kChunkedSumLen entries and so changes bits on the pool-worker path —
-/// the 14-qubit trajectory renormalization included.)
+/// Squared norm of the state: the serial left-to-right sum on every thread
+/// and SIMD path (Statevector::norm_sq switches to the chunked sum from
+/// amp_parallel_min_qubits() on).
 inline double norm_sq(const cplx* a, std::uint64_t dim) {
-  return util::parallel_sum(static_cast<std::int64_t>(dim),
-                            [=](std::int64_t i) { return std::norm(a[i]); });
+  double total = 0.0;
+  for (std::uint64_t i = 0; i < dim; ++i) total += std::norm(a[i]);
+  return total;
 }
 
 /// Scales all amplitudes by \p s.

@@ -163,12 +163,14 @@ double Statevector::probability_one(int q) const {
   const auto term = [=](std::int64_t i) {
     return (static_cast<std::uint64_t>(i) & mask) ? std::norm(a[i]) : 0.0;
   };
-  // Above the amplitude-parallelism threshold the trajectory groups run
-  // serially and this reduction may fan out over threads, so it must use the
-  // thread-count-invariant chunked sum to keep per-path bit-determinism.
+  // Above the amplitude-parallelism threshold this reduction may fan out
+  // over threads, so it uses the thread-count-invariant chunked sum.
   if (num_qubits_ >= amp_parallel_min_qubits())
     return util::parallel_sum_chunked(static_cast<std::int64_t>(dim()), term);
-  return util::parallel_sum(static_cast<std::int64_t>(dim()), term);
+  double total = 0.0;
+  for (std::int64_t i = 0; i < static_cast<std::int64_t>(dim()); ++i)
+    total += term(i);
+  return total;
 }
 
 double Statevector::norm_sq() const {

@@ -18,10 +18,10 @@ namespace charter::sim {
 
 /// Width (in qubits) at and above which the statevector/trajectory engines
 /// switch to *amplitude-level* parallelism: trajectory groups run serially
-/// so the O(2^n) kernels may fan out over OpenMP instead, and state
+/// so the O(2^n) kernels may fan out on the kernel pool instead, and state
 /// reductions (norm, marginals) use the thread-count-invariant chunked sum.
-/// Below the threshold everything behaves exactly as before — per-job/
-/// per-group parallelism with serial kernels.  Default 20; override with
+/// Below the threshold the parallelism is per job / per group, and the
+/// reductions are serial left-to-right sums.  Default 20; override with
 /// CHARTER_AMP_PARALLEL_MIN_QUBITS (read once at first use).
 int amp_parallel_min_qubits();
 

@@ -343,9 +343,7 @@ class LaneBatch final : public NoisyEngine {
 
   /// Runs \p fn on lane \p t alone: the lane is copied into a contiguous
   /// n-qubit scratch state (allocated at the first such event), so \p fn
-  /// sees exactly the state and qubit positions a lone engine has.  It runs
-  /// on serial kernels, as on a pool worker: a lone engine's norms are
-  /// parallel_sum reductions, which an OpenMP team would reassociate.
+  /// sees exactly the state and qubit positions a lone engine has.
   template <typename Fn>
   void on_lane(int t, Fn&& fn) {
     if (!scratch_) scratch_.emplace(n_);
@@ -353,10 +351,7 @@ class LaneBatch final : public NoisyEngine {
     cplx* a = data() + t;
     const std::uint64_t lanes = static_cast<std::uint64_t>(lanes_);
     for (std::uint64_t i = 0; i < dim_; ++i) s[i] = a[i * lanes];
-    {
-      const util::SerialKernels serial;
-      fn(*scratch_);
-    }
+    fn(*scratch_);
     for (std::uint64_t i = 0; i < dim_; ++i) a[i * lanes] = s[i];
   }
 
@@ -533,17 +528,12 @@ std::vector<double> run_trajectories(
     fold.add(static_cast<int>(g), run_trajectory_group(num_qubits, begin,
                                                        end, seeder, program));
   };
-  if (num_qubits >= amp_parallel_min_qubits()) {
-    // Amplitude-parallel regime: each O(2^n) kernel pass dwarfs the
-    // per-group overhead, so run the groups serially and let the kernels'
-    // own OpenMP loops fan out instead.  (On pool workers the kernels stay
-    // serial per the nesting contract — the serial group loop is then just
-    // the order parallel_for_dynamic would have produced, so results are
-    // bit-identical either way.)
+  // Below the amplitude-parallel threshold the groups run as kernel-pool
+  // tasks (off an exec thread); from it on they run here in order and the
+  // kernels fan out.  The fold adds them in index order either way.
+  if (num_qubits >= amp_parallel_min_qubits() || num_groups < 2 ||
+      !util::run_on_kernel_pool(num_groups, run_group))
     for (std::int64_t g = 0; g < num_groups; ++g) run_group(g);
-  } else {
-    util::parallel_for_dynamic(num_groups, run_group);
-  }
   return fold.take();
 }
 

@@ -131,17 +131,16 @@ inline std::uint64_t trajectory_engine_seed(const util::Rng& seeder,
 ///    branches) copy that lane into a contiguous n-qubit scratch state,
 ///    allocated at the first event, and run a lone engine's arithmetic on
 ///    it.
-/// The lane sums are plain serial loops and the per-lane events run under
-/// util::SerialKernels, so no reduction can reassociate with
-/// OMP_NUM_THREADS; the block's kernels keep the calling thread's policy
-/// (serial on exec pool workers, OpenMP-wide off the pool), which moves no
+/// The lane sums and a lone engine's reductions below the threshold are
+/// plain serial loops; the block's kernels keep the calling thread's policy
+/// (serial on exec pool workers, on the kernel pool off it), which moves no
 /// bit because they are element-wise.  The program callback drives the
 /// batch through the NoisyEngine interface once per batch; the batch cannot
 /// be read out (probabilities()) or cloned, which no program callback does.
 /// At and above amp_parallel_min_qubits() the unravellings run one at a
 /// time on TrajectoryEngine, whose kernels and chunked sums fan out over
 /// threads (a 4-lane block there would be >= 64 MiB).  Either way the
-/// result does not depend on OMP_NUM_THREADS or on the calling thread.
+/// result does not depend on the calling thread.
 std::vector<double> run_trajectory_group(
     int num_qubits, int begin, int end, const util::Rng& seeder,
     const std::function<void(NoisyEngine&)>& program);

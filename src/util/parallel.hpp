@@ -1,23 +1,23 @@
 #pragma once
 
 /// \file parallel.hpp
-/// Shared-memory parallel loop helpers.
+/// Shared-memory parallel loop helpers for the simulation kernels.
 ///
-/// Following the HPC guides, all parallelism in charter goes through these
-/// high-level abstractions rather than ad-hoc thread management: OpenMP when
-/// available, serial fallback otherwise.  Kernels stay oblivious to the
-/// threading backend.  A thread holding a SerialKernels guard runs every
-/// helper serially, so the exec layer's threads (pool workers, the sweep
-/// coordinator, worker drivers and children) never stack OpenMP teams on
-/// the cores they already occupy.
+/// Kernels stay oblivious to threads: parallel_for fans a loop over a
+/// large enough state out on the kernel pool, one process-wide
+/// util::ThreadPool created on first use at the hardware width, and
+/// otherwise runs it inline in index order.  The kernel pool runs one loop
+/// at a time (a caller that finds it busy runs its loop inline) and is
+/// never used from a thread holding a SerialKernels mark.  The exec
+/// layer's threads hold one (pool workers, the caller task, the worker
+/// driver threads, the `charter worker` serve loop), and so do the kernel
+/// pool's own workers: the two kinds of parallelism never stack, and a
+/// forked worker child never touches the kernel pool.
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace charter::util {
 
@@ -29,16 +29,9 @@ inline thread_local int t_serial_kernels = 0;
 /// True while a SerialKernels guard is alive on this thread.
 inline bool serial_kernels() { return detail::t_serial_kernels > 0; }
 
-/// Scoped "serial kernels on this thread" guard.  While one is alive, the
-/// helpers below treat the thread exactly like a nested OpenMP region and
-/// stay serial.  Every thread that runs simulation work beside other such
-/// threads holds one: util::ThreadPool workers (for their lifetime), the
-/// coordinator while it runs a ThreadPool::run caller task, the
-/// multi-process driver threads and the `charter worker` serve loop.  Each
-/// of them is one core's worth of work, so an OpenMP team on top would only
-/// oversubscribe the cores; and order-dependent reductions (parallel_sum)
-/// can never reassociate differently when the exec layer's `threads` or
-/// `workers` knob changes.  Guards nest.
+/// Scoped exec mark: while one is alive, the helpers below and
+/// util::ThreadPool::run run inline on this thread, one core's worth of
+/// work beside other marked threads.  Guards nest.
 class SerialKernels {
  public:
   SerialKernels() { ++detail::t_serial_kernels; }
@@ -47,70 +40,40 @@ class SerialKernels {
   SerialKernels& operator=(const SerialKernels&) = delete;
 };
 
-/// Number of hardware threads the parallel helpers will use.
-inline int num_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
+/// Threads a kernel-pool loop runs on: the hardware thread count.
+int kernel_pool_width();
 
-/// Runs fn(i) for i in [0, n); parallel when n is large enough to amortize
-/// scheduling overhead.  fn must be safe to invoke concurrently for distinct i.
+/// Runs task(t) for every t in [0, tasks) on the kernel pool and the
+/// calling thread; thread p first runs tasks p, p + width, ..., then takes
+/// over unclaimed ones.  Returns false, having run nothing, on a marked
+/// thread, while the pool runs another caller's loop, or on a host with a
+/// single hardware thread.
+bool run_on_kernel_pool(std::int64_t tasks,
+                        const std::function<void(std::int64_t)>& task);
+
+/// A loop of at least this many grains fans out.  A kernel's grain makes
+/// 2 * grain iterations the same state size on every SIMD path, so the cut
+/// is four times that size: every density-matrix kernel fans out by
+/// vec(rho) at n = 9 (4 MiB), the statevector kernels from 2^13-2^16
+/// amplitudes, and a small state never pays a pool wake per tape op.
+inline constexpr std::int64_t kKernelPoolMinGrains = 8;
+
+/// Runs fn(i) for i in [0, n); fn must be safe to invoke concurrently for
+/// distinct i.  A loop of at least kKernelPoolMinGrains grains runs on the
+/// kernel pool, one contiguous slice per thread, so each thread finds the
+/// slice it swept at the previous call in its cache (a 4 MiB vec(rho) fits
+/// four 2 MiB L2 caches).
 template <typename Fn>
 void parallel_for(std::int64_t n, Fn&& fn, std::int64_t grain = 1024) {
-#ifdef _OPENMP
-  if (n >= 2 * grain && omp_get_max_threads() > 1 && !omp_in_parallel() &&
-      !serial_kernels()) {
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < n; ++i) fn(i);
-    return;
+  if (n >= kKernelPoolMinGrains * grain && !serial_kernels()) {
+    const std::int64_t slices = kernel_pool_width();
+    if (run_on_kernel_pool(slices, [&](std::int64_t s) {
+          const std::int64_t end = (s + 1) * n / slices;
+          for (std::int64_t i = s * n / slices; i < end; ++i) fn(i);
+        }))
+      return;
   }
-#else
-  (void)grain;
-#endif
   for (std::int64_t i = 0; i < n; ++i) fn(i);
-}
-
-/// Dynamic-schedule variant of parallel_for for loops whose iterations have
-/// irregular cost (whole-circuit simulation jobs, per-gate analysis runs).
-/// Same policy guards as parallel_for: serial when OpenMP is absent, when the
-/// loop is too small to amortize scheduling (< \p min_parallel iterations),
-/// or when already inside a parallel region (inner kernels detect nesting and
-/// stay serial).  fn must be safe to invoke concurrently for distinct i.
-template <typename Fn>
-void parallel_for_dynamic(std::int64_t n, Fn&& fn,
-                          std::int64_t min_parallel = 2) {
-#ifdef _OPENMP
-  if (n >= min_parallel && omp_get_max_threads() > 1 && !omp_in_parallel() &&
-      !serial_kernels()) {
-#pragma omp parallel for schedule(dynamic)
-    for (std::int64_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-#else
-  (void)min_parallel;
-#endif
-  for (std::int64_t i = 0; i < n; ++i) fn(i);
-}
-
-/// Parallel sum-reduction of fn(i) over i in [0, n).
-template <typename Fn>
-double parallel_sum(std::int64_t n, Fn&& fn, std::int64_t grain = 1024) {
-  double total = 0.0;
-#ifdef _OPENMP
-  if (n >= 2 * grain && omp_get_max_threads() > 1 && !omp_in_parallel() &&
-      !serial_kernels()) {
-#pragma omp parallel for schedule(static) reduction(+ : total)
-    for (std::int64_t i = 0; i < n; ++i) total += fn(i);
-    return total;
-  }
-#else
-  (void)grain;
-#endif
-  for (std::int64_t i = 0; i < n; ++i) total += fn(i);
-  return total;
 }
 
 /// Fixed chunk length of parallel_sum_chunked's association tree (a power
@@ -120,14 +83,11 @@ inline constexpr std::int64_t kChunkedSumLen = 8192;
 
 /// Thread-count-*invariant* sum-reduction: fn(i) is accumulated serially
 /// within fixed-length chunks and the per-chunk partials are folded serially
-/// in chunk-index order.  Unlike parallel_sum — whose OpenMP reduction tree
-/// reassociates with the worker count — the association here is a function
-/// of n alone, so the result is bit-identical at every thread count, inside
-/// nested regions and under SerialKernels (where the chunk loop runs
-/// serially), and on a machine with no OpenMP at all.  Used by the
-/// amplitude-parallel large-n statevector path, whose reductions would
-/// otherwise break the bit-determinism contract the trajectory fold relies
-/// on.
+/// in chunk-index order.  The association is a function of n alone, so the
+/// result is bit-identical whether the chunks run on the kernel pool or
+/// inline on a marked thread.  Used by the amplitude-parallel large-n
+/// statevector path, whose reductions would otherwise break the
+/// bit-determinism contract the trajectory fold relies on.
 template <typename Fn>
 double parallel_sum_chunked(std::int64_t n, Fn&& fn) {
   if (n <= kChunkedSumLen) {

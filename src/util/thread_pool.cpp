@@ -2,7 +2,28 @@
 
 #include "util/parallel.hpp"
 
+#include <vector>
+
 namespace charter::util {
+
+namespace {
+
+/// Spins until ready() holds or \p window has passed, and returns ready().
+template <typename Ready>
+bool spin_until(std::chrono::microseconds window, Ready ready) {
+  const auto deadline = std::chrono::steady_clock::now() + window;
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 64; ++i) {
+      if (ready()) return true;
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+  }
+  return ready();
+}
+
+}  // namespace
 
 int resolve_threads(int threads) {
   if (threads >= 1) return threads;
@@ -10,7 +31,47 @@ int resolve_threads(int threads) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int num_workers) {
+int kernel_pool_width() {
+  static const int width = resolve_threads(0);
+  return width;
+}
+
+bool run_on_kernel_pool(std::int64_t tasks,
+                        const std::function<void(std::int64_t)>& task) {
+  static std::atomic<bool> busy{false};
+  if (serial_kernels() || kernel_pool_width() < 2 ||
+      busy.exchange(true, std::memory_order_acquire))
+    return false;
+  struct Release {
+    ~Release() { busy.store(false, std::memory_order_release); }
+  } release;
+  // Never destroyed, so no exit-time destructor joins workers that another
+  // thread may still be using.  The caller takes tasks too.
+  const int width = kernel_pool_width();
+  static ThreadPool* const pool =
+      new ThreadPool(width - 1, std::chrono::milliseconds(2));
+  // Thread p is the caller for p = 0 and worker p - 1 otherwise.
+  static std::vector<std::atomic<std::int64_t>> claimed(
+      static_cast<std::size_t>(width));
+  for (auto& c : claimed) c.store(0, std::memory_order_relaxed);
+  const auto drain = [&](int p) {
+    for (int k = 0; k < width; ++k) {
+      const int q = (p + k) % width;
+      std::atomic<std::int64_t>& next = claimed[static_cast<std::size_t>(q)];
+      for (std::int64_t t;
+           (t = q + width * next.fetch_add(1, std::memory_order_relaxed)) <
+           tasks;)
+        task(t);
+    }
+  };
+  pool->run(
+      pool->num_workers(), [&](std::int64_t, int w) { drain(w + 1); },
+      nullptr, [&] { drain(0); });
+  return true;
+}
+
+ThreadPool::ThreadPool(int num_workers, std::chrono::microseconds spin)
+    : spin_(spin) {
   if (num_workers < 1) num_workers = 1;
   threads_.reserve(static_cast<std::size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w)
@@ -31,6 +92,11 @@ void ThreadPool::worker_main(int worker) {
   std::uint64_t seen = 0;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
+    lock.unlock();
+    spin_until(spin_, [&] {
+      return generation_.load(std::memory_order_relaxed) != seen;
+    });
+    lock.lock();
     work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
     if (stop_) return;
     seen = generation_;
@@ -78,20 +144,20 @@ void ThreadPool::run(std::int64_t n,
   active_ = num_workers();
   ++generation_;
   work_cv_.notify_all();
+  lock.unlock();
+  std::exception_ptr caller_error;
   if (caller) {
-    lock.unlock();
-    std::exception_ptr err;
-    {
-      const SerialKernels serial;
-      try {
-        caller();
-      } catch (...) {
-        err = std::current_exception();
-      }
+    const SerialKernels serial;
+    try {
+      caller();
+    } catch (...) {
+      caller_error = std::current_exception();
     }
-    lock.lock();
-    if (err && !first_error_) first_error_ = err;
   }
+  spin_until(spin_,
+             [&] { return active_.load(std::memory_order_relaxed) == 0; });
+  lock.lock();
+  if (caller_error && !first_error_) first_error_ = caller_error;
   done_cv_.wait(lock, [&] { return active_ == 0; });
   fn_ = nullptr;
   cancel_ = nullptr;

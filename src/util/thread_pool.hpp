@@ -1,43 +1,41 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// The exec layer's worker pool.
+/// The worker pool behind both kinds of parallelism.
 ///
-/// util::parallel_for and friends lean on OpenMP and are the right tool for
-/// data-parallel kernels *inside* one simulation.  The sharded analysis
-/// driver (exec/sharding.hpp) needs something those helpers cannot give:
+/// The exec layer runs a family of simulations as tasks on its own pool;
+/// util::parallel_for fans one large kernel loop out on the kernel pool
+/// (util/parallel.hpp), a process-wide instance of the same class.  What
+/// the sharded analysis driver (exec/sharding.hpp) needs from it:
 ///
 ///  - an explicit, per-batch thread count (the `threads` knob that flows
-///    from CharterOptions down to the CLI and benches), independent of
-///    OMP_NUM_THREADS;
+///    from CharterOptions down to the CLI and benches);
 ///  - stable worker identities, so each worker can own long-lived scratch
 ///    (a cloned simulation engine) across many tasks;
 ///  - a guarantee that *nothing numeric* changes with the worker count:
-///    every task body runs under a util::SerialKernels guard, so the nested
-///    util::parallel_* helpers stay serial and order-dependent reductions
-///    (parallel_sum feeding trajectory renormalization) cannot reassociate
-///    differently at different widths;
+///    every task body runs under a util::SerialKernels mark, so the nested
+///    util::parallel_* helpers run inline and never wait on another pool;
 ///  - a caller task: run() can execute one more function on the calling
 ///    thread while the workers claim tasks, which is how the checkpointed
 ///    sweep overlaps its base sweep (the producer) with the shard replays
 ///    (the consumers) without spawning a thread per batch.
 ///
-/// The pool spawns its workers up front and keeps them parked on a condition
-/// variable between run() calls.  run() is a dynamic self-scheduling loop:
-/// workers claim task indices from a shared atomic counter, so irregular
+/// The pool spawns its workers up front and parks them on a condition
+/// variable between run() calls (the kernel pool, handed one run per
+/// kernel call, spins a while first).  run() is a dynamic self-scheduling
+/// loop: workers claim task indices from a shared counter, so irregular
 /// task costs (deep vs. shallow resumed suffixes) balance automatically.
 /// Determinism is the caller's contract: tasks write results keyed by task
 /// index and never reduce across tasks inside the pool — the coordinating
 /// thread folds in index order afterwards.
 ///
-/// Serial-kernel threads: workers hold a SerialKernels guard for their whole
-/// life, and the caller task runs under one too, so parallel_for /
-/// parallel_for_dynamic / parallel_sum stay serial there at *every* pool
-/// width, including 1 — the pool's threads plus the caller are the whole
-/// parallelism.  A run() issued from a serial-kernel thread (accidental
-/// nesting from a task body) executes inline on that thread.
+/// Workers hold a SerialKernels mark for their whole life, and the caller
+/// task runs under one too, so the pool's threads plus the caller are the
+/// whole parallelism at *every* pool width, including 1.  A run() issued
+/// from a marked thread (nesting from a task body) executes inline.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 
@@ -73,9 +71,10 @@ class CancelFlag {
 /// Fixed-width pool of parked worker threads with dynamic task claiming.
 class ThreadPool {
  public:
-  /// Spawns \p num_workers threads (clamped to >= 1).  Workers idle on a
-  /// condition variable until run() publishes work.
-  explicit ThreadPool(int num_workers);
+  /// Spawns \p num_workers threads (clamped to >= 1).  Between runs a
+  /// worker spins for up to \p spin, then parks on a condition variable
+  /// until run() publishes work; run() waits for the drain the same way.
+  explicit ThreadPool(int num_workers, std::chrono::microseconds spin = {});
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
   ~ThreadPool();
@@ -118,8 +117,10 @@ class ThreadPool {
   const CancelFlag* cancel_ = nullptr;
   std::int64_t total_ = 0;
   std::int64_t next_ = 0;             ///< next unclaimed task (under mu_)
-  std::uint64_t generation_ = 0;      ///< bumped per run(); wakes workers
-  int active_ = 0;                    ///< workers still draining this run
+  // Changed under mu_; atomic so that spinning threads may peek at them.
+  std::atomic<std::uint64_t> generation_{0};  ///< bumped per run()
+  std::atomic<int> active_{0};  ///< workers still draining this run
+  const std::chrono::microseconds spin_;
   std::exception_ptr first_error_;
   bool stop_ = false;
   std::vector<std::thread> threads_;

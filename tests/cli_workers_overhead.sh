@@ -3,9 +3,9 @@
 #
 # `charter analyze --workers 2` must not be dramatically slower than the
 # same analysis in-process.  Worker children and the parent's driver threads
-# run their kernels serially; when they ran OpenMP-wide, every child's team
-# fought the others for the cores and this run took tens to hundreds of
-# times as long.  Spawning
+# run their kernels serially; when each child fanned its kernels out, the
+# children fought each other for the cores and this run took tens to
+# hundreds of times as long.  Spawning
 # and IPC legitimately cost ~2x on this small input, so the gate is 10x: far
 # above the overhead, far below the cliff.  Each side takes the best of
 # three runs, and the two reports must agree apart from their timings.

@@ -7,15 +7,13 @@
 #include <cmath>
 #include <cstring>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "algos/algorithms.hpp"
 #include "backend/backend.hpp"
 #include "stats/stats.hpp"
 #include "transpile/topology.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace ca = charter::algos;
 namespace cb = charter::backend;
@@ -185,10 +183,9 @@ TEST(Backend, EnginesAgreeOnSmallPrograms) {
   EXPECT_LT(charter::stats::tvd(p_dm, p_mc), 0.03);
 }
 
-TEST(Backend, TrajectoryRunIsIdenticalAcrossOpenMpWidths) {
-  // Eight trajectories are one fold group, run inline off the exec pool;
-  // at 12 qubits its reductions are long enough that an OpenMP-wide sum
-  // would reassociate with the team width.  The bytes must not move.
+TEST(Backend, TrajectoryRunIsIdenticalOnTheKernelPoolAndMarked) {
+  // Off the exec pool, 24 trajectories are three fold groups that run as
+  // kernel-pool tasks; the bytes must equal the marked, inline run.
   const cb::FakeBackend backend =
       cb::FakeBackend::from_topology(ct::line(12), 7);
   const cb::CompiledProgram prog = backend.compile(ca::tfim(12, 1));
@@ -196,24 +193,15 @@ TEST(Backend, TrajectoryRunIsIdenticalAcrossOpenMpWidths) {
   cb::RunOptions mc;
   mc.shots = 0;
   mc.engine = cb::EngineKind::kTrajectory;
-  mc.trajectories = 8;
+  mc.trajectories = 24;
   mc.seed = 9;
-#ifdef _OPENMP
-  const int max_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const std::vector<double> one = backend.run(prog, mc);
-  for (const int width : {2, 4}) {
-    omp_set_num_threads(width);
-    const std::vector<double> got = backend.run(prog, mc);
-    ASSERT_EQ(got.size(), one.size());
-    EXPECT_EQ(std::memcmp(got.data(), one.data(), one.size() * sizeof(double)),
-              0)
-        << "OpenMP width " << width;
-  }
-  omp_set_num_threads(max_threads);
-#else
-  EXPECT_EQ(backend.run(prog, mc), backend.run(prog, mc));
-#endif
+  const std::vector<double> pooled = backend.run(prog, mc);
+  const charter::util::SerialKernels mark;
+  const std::vector<double> marked = backend.run(prog, mc);
+  ASSERT_EQ(pooled.size(), marked.size());
+  EXPECT_EQ(std::memcmp(pooled.data(), marked.data(),
+                        marked.size() * sizeof(double)),
+            0);
 }
 
 TEST(Backend, CompactionKeepsWideDeviceFeasible) {

@@ -13,9 +13,6 @@
 #include <span>
 #include <string>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "circuit/circuit.hpp"
 #include "core/reversal.hpp"
@@ -28,6 +25,7 @@
 #include "sim/trajectory.hpp"
 #include "util/byte_io.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace cc = charter::circ;
@@ -112,17 +110,11 @@ TEST(NoiseProgram, ExactTapeMatchesStreamingWalkBitExactly) {
   EXPECT_EQ(max_abs_diff(whole.raw(), stepped.raw()), 0.0);
 }
 
-// Called off the thread pool, as by the coordinator's checkpoint base sweep,
-// the diagonal kernel runs OpenMP-parallel from n = 6 and every
-// density-matrix kernel by n = 8.  None of them reduces across iterations,
-// so an exact tape must leave a byte-identical vec(rho) at every OpenMP
-// width.
-TEST(NoiseProgram, ExactTapeIsBitIdenticalAcrossOpenMpWidths) {
-#ifndef _OPENMP
-  GTEST_SKIP() << "built without OpenMP";
-#else
-  const int original = omp_get_max_threads();
-  for (const int n : {6, 8}) {
+// Off the exec pool (a direct FakeBackend::run), every density-matrix
+// kernel fans out on the kernel pool at n = 9.  None reduces across
+// iterations, so vec(rho) must equal the marked, inline run's bytes.
+TEST(NoiseProgram, ExactTapeIsBitIdenticalOnTheKernelPoolAndMarked) {
+  for (const int n : {6, 9}) {
     const cn::NoiseModel m = line_model(n, 40 + static_cast<std::uint64_t>(n));
     const cc::Circuit c =
         random_basis_circuit(n, 10 * n, static_cast<std::uint64_t>(n));
@@ -133,21 +125,19 @@ TEST(NoiseProgram, ExactTapeIsBitIdenticalAcrossOpenMpWidths) {
                   tape.op(i).kind == cn::TapeOpKind::kDiag2q;
     ASSERT_GT(diag_ops, 0u);
 
-    std::vector<charter::math::cplx> states[2];
-    const int widths[2] = {1, 4};
-    for (int k = 0; k < 2; ++k) {
-      omp_set_num_threads(widths[k]);
+    const auto run = [&] {
       cs::DensityMatrixEngine engine(n);
       tape.execute(engine);
-      states[k] = engine.raw();
-    }
-    omp_set_num_threads(original);
-    ASSERT_EQ(std::memcmp(states[0].data(), states[1].data(),
-                          states[0].size() * sizeof(charter::math::cplx)),
+      return engine.raw();
+    };
+    const std::vector<charter::math::cplx> pooled = run();
+    const charter::util::SerialKernels mark;
+    const std::vector<charter::math::cplx> marked = run();
+    ASSERT_EQ(std::memcmp(pooled.data(), marked.data(),
+                          marked.size() * sizeof(charter::math::cplx)),
               0)
         << "n=" << n;
   }
-#endif
 }
 
 TEST(NoiseProgram, BoundariesPartitionTheTape) {

@@ -8,10 +8,6 @@
 #include <cmath>
 #include <cstring>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "circuit/circuit.hpp"
 #include "math/simd_dispatch.hpp"
 #include "noise/program.hpp"
@@ -931,27 +927,29 @@ TEST(TrajectoryLanes, FoldMatchesInOrderSumInAnyArrivalOrder) {
   EXPECT_THROW(fold.take(), charter::InvalidArgument);
 }
 
-TEST(TrajectoryLanes, RunTrajectoriesIsIdenticalAcrossOpenMpWidths) {
-  // One inline group of 8 at n = 12: its reductions are long enough that an
-  // OpenMP-wide parallel_sum would reassociate them with the team width.
-  charter::util::Rng rng(12);
-  const cn::NoiseProgram tape = random_tape(12, 60, rng);
-  const auto run = [&] {
-    return cs::run_trajectories(
-        12, 8, 77, [&](cs::NoisyEngine& e) { tape.execute(e); });
+TEST(TrajectoryLanes, RunTrajectoriesIsIdenticalOnTheKernelPoolAndMarked) {
+  // Off an exec thread, one fold group at n = 12 runs inline, unmarked,
+  // three run as kernel-pool tasks, and at n = 17, made amplitude-parallel,
+  // the kernels and the chunked norms fan out.  The bytes must equal the
+  // marked, inline run.
+  struct Case {
+    int n, trajectories, ops, threshold;
   };
-#ifdef _OPENMP
-  const int max_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const std::vector<double> one = run();
-  for (const int width : {2, 4}) {
-    omp_set_num_threads(width);
-    EXPECT_TRUE(same_bytes(run(), one)) << "OpenMP width " << width;
+  const int saved = cs::amp_parallel_min_qubits();
+  for (const Case c : {Case{12, 8, 60, saved}, Case{12, 24, 60, saved},
+                       Case{17, 4, 40, 17}}) {
+    charter::util::Rng rng(static_cast<std::uint64_t>(c.n));
+    const cn::NoiseProgram tape = random_tape(c.n, c.ops, rng);
+    cs::set_amp_parallel_min_qubits(c.threshold);
+    const auto run = [&] {
+      return cs::run_trajectories(c.n, c.trajectories, 77,
+                                  [&](cs::NoisyEngine& e) { tape.execute(e); });
+    };
+    const std::vector<double> pooled = run();
+    const charter::util::SerialKernels mark;
+    EXPECT_TRUE(same_bytes(pooled, run())) << "n=" << c.n;
   }
-  omp_set_num_threads(max_threads);
-#else
-  EXPECT_TRUE(same_bytes(run(), run()));
-#endif
+  cs::set_amp_parallel_min_qubits(saved);
 }
 
 // ---- measurement utilities ----

@@ -44,10 +44,6 @@
 #include "sim/density_matrix.hpp"
 #include "util/rng.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace ms = charter::math::simd;
 using charter::math::cplx;
 using charter::math::Mat2;
@@ -513,21 +509,6 @@ void expect_dm_entries_identical(const ms::KernelTable& x,
   });
 }
 
-/// Runs the enclosing test's kernels on one OpenMP thread.  Byte identity
-/// does not depend on the OpenMP width (test_noise_program pins that), and
-/// OpenMP teams spinning on a host oversubscribed by `ctest -j` ran these
-/// vec(rho)-sized checks ~50x slower than serial.
-class SerialKernels {
-#ifdef _OPENMP
- public:
-  SerialKernels() : saved_(omp_get_max_threads()) { omp_set_num_threads(1); }
-  ~SerialKernels() { omp_set_num_threads(saved_); }
-
- private:
-  int saved_;
-#endif
-};
-
 }  // namespace
 
 TEST(SimdDispatch, ScalarAlwaysAvailable) {
@@ -628,7 +609,6 @@ TEST(SimdKernels, AllPathsAgreeWithinTolerance) {
 // to AVX2 on the shapes they do not cover (n = 1), so every entry must
 // match AVX2 byte for byte: the default path's output may not move.
 TEST(SimdKernels, Avx512DensityMatrixEntriesMatchAvx2Bitwise) {
-  [[maybe_unused]] const SerialKernels serial{};
   if (!ms::path_available(ms::SimdPath::kAvx512) ||
       !ms::path_available(ms::SimdPath::kAvx2))
     GTEST_SKIP() << "needs both the avx2 and the avx512 path";
@@ -642,7 +622,6 @@ TEST(SimdKernels, Avx512DensityMatrixEntriesMatchAvx2Bitwise) {
 // on every path, so each path equals the reference loop exactly, for every
 // ordered pair of qubits including qubit 0.
 TEST(SimdKernels, Depol2qBlockBitIdenticalToReferenceOnEveryPath) {
-  [[maybe_unused]] const SerialKernels serial{};
   const ms::SimdPath original = ms::active_path();
   for (const ms::SimdPath path : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
                                   ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
@@ -676,7 +655,6 @@ TEST(SimdKernels, Depol2qBlockBitIdenticalToReferenceOnEveryPath) {
 // calls byte for byte: statevector widths 1..16, runs of k = 1..16 mixing
 // one- and two-qubit ops, qubits 0 and 1 (the lane-gathered masks) included.
 TEST(SimdKernels, DiagRunBitIdenticalToPerOpCallsOnEveryPath) {
-  [[maybe_unused]] const SerialKernels serial{};
   const ms::SimdPath original = ms::active_path();
   int checked = 0;
   for (const ms::SimdPath path : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
@@ -731,7 +709,6 @@ TEST(SimdKernels, DiagRunBitIdenticalToPerOpCallsOnEveryPath) {
 // adder9 (guadalupe) leave a byte-identical vec(rho) on the avx2 and avx512
 // paths.
 TEST(SimdKernels, ExactTapesBitIdenticalOnAvx2AndAvx512) {
-  [[maybe_unused]] const SerialKernels serial{};
   if (!ms::path_available(ms::SimdPath::kAvx512) ||
       !ms::path_available(ms::SimdPath::kAvx2))
     GTEST_SKIP() << "needs both the avx2 and the avx512 path";

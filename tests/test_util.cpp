@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -106,25 +108,78 @@ TEST(Rng, SplitStreamsIndependentAndDeterministic) {
   EXPECT_GT(seen.size(), 60u);  // no collisions expected
 }
 
-TEST(Parallel, ForCoversAllIndices) {
-  std::vector<int> hits(10000, 0);
-  cu::parallel_for(10000, [&](std::int64_t i) { hits[i] += 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
+TEST(KernelPool, RunsEveryIndexExactlyOnce) {
+  // Lengths around the cut.  The caller starts at index 0 and waits there
+  // for a worker, since it would take over every unclaimed slice.
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::int64_t grain : {1, 7, 1024}) {
+    const std::int64_t cut = cu::kKernelPoolMinGrains * grain;
+    for (const std::int64_t n : {cut - 1, cut, 5 * cut + 3}) {
+      const bool fans_out = cu::kernel_pool_width() > 1 && n >= cut;
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      std::atomic<bool> off_caller{false};
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      cu::parallel_for(
+          n,
+          [&](std::int64_t i) {
+            ++hits[static_cast<std::size_t>(i)];
+            if (std::this_thread::get_id() != caller) off_caller = true;
+            while (i == 0 && fans_out && !off_caller &&
+                   std::chrono::steady_clock::now() < deadline)
+              std::this_thread::yield();
+          },
+          grain);
+      for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "n=" << n;
+      EXPECT_EQ(off_caller.load(), fans_out) << "n=" << n;
+    }
+  }
 }
 
-TEST(Parallel, SumMatchesSerial) {
-  const std::int64_t n = 100000;
-  const double got = cu::parallel_sum(n, [](std::int64_t i) {
-    return 1.0 / ((i + 1.0) * (i + 1.0));
-  });
-  double want = 0.0;
-  for (std::int64_t i = 0; i < n; ++i) want += 1.0 / ((i + 1.0) * (i + 1.0));
-  EXPECT_NEAR(got, want, 1e-9);
+TEST(KernelPool, MarkedThreadRunsTheLoopInlineInOrder) {
+  EXPECT_FALSE(cu::serial_kernels());
+  const cu::SerialKernels mark;
+  {
+    const cu::SerialKernels nested;  // marks nest
+  }
+  EXPECT_TRUE(cu::serial_kernels());
+  const std::thread::id caller = std::this_thread::get_id();
+  std::int64_t next = 0;
+  cu::parallel_for(1 << 14, [&](std::int64_t i) {
+    EXPECT_EQ(i, next++);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  }, /*grain=*/1);
+  EXPECT_EQ(next, 1 << 14);
+  EXPECT_FALSE(cu::run_on_kernel_pool(1, [](std::int64_t) {}));
 }
 
-TEST(Parallel, SmallLoopStaysCorrect) {
-  double total = cu::parallel_sum(3, [](std::int64_t i) { return i * 1.0; });
-  EXPECT_DOUBLE_EQ(total, 3.0);
+TEST(KernelPool, ConcurrentOffPoolCallersBothGetCorrectResults) {
+  // Whenever one caller holds the pool, the other runs its loop inline.
+  std::atomic<int> wrong{0};
+  const auto caller = [&](std::int64_t seed) {
+    for (std::int64_t n = 4096 + seed; n < 9000; n += 97) {
+      std::vector<std::int64_t> out(static_cast<std::size_t>(n), -1);
+      cu::parallel_for(
+          n, [&](std::int64_t i) { out[std::size_t(i)] = i * seed; }, 16);
+      for (std::int64_t i = 0; i < n; ++i)
+        wrong += out[std::size_t(i)] != i * seed;
+    }
+  };
+  std::thread a(caller, 3), b(caller, 5);
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(KernelPool, ChunkedSumIsByteIdenticalMarkedAndUnmarked) {
+  const std::int64_t n = 40 * cu::kChunkedSumLen + 123;
+  const auto term = [](std::int64_t i) {
+    return std::sin(0.7 * i) * static_cast<double>(1 + i % 1000);
+  };
+  const double pooled = cu::parallel_sum_chunked(n, term);
+  const cu::SerialKernels mark;
+  const double marked = cu::parallel_sum_chunked(n, term);
+  EXPECT_EQ(std::memcmp(&pooled, &marked, sizeof(double)), 0);
 }
 
 TEST(Cli, ParsesTypedFlags) {
@@ -376,20 +431,6 @@ TEST(ThreadPool, CallerTaskExceptionPropagatesAfterDrain) {
                    [] { throw std::runtime_error("caller failed"); }),
                std::runtime_error);
   EXPECT_EQ(completed.load(), 16);
-}
-
-TEST(ParallelHelpers, SerialKernelsGuardNestsAndRestores) {
-  EXPECT_FALSE(cu::serial_kernels());
-  {
-    const cu::SerialKernels outer;
-    EXPECT_TRUE(cu::serial_kernels());
-    {
-      const cu::SerialKernels inner;
-      EXPECT_TRUE(cu::serial_kernels());
-    }
-    EXPECT_TRUE(cu::serial_kernels());
-  }
-  EXPECT_FALSE(cu::serial_kernels());
 }
 
 TEST(ThreadPool, ResolveThreadsHonorsExplicitAndAuto) {

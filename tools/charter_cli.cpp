@@ -4,7 +4,7 @@
 // Subcommands:
 //   list                          show the built-in benchmark algorithms
 //   version                       build/runtime diagnostics (SIMD dispatch,
-//                                 OpenMP width, engine cutoffs)
+//                                 kernel-pool width, engine cutoffs)
 //   inspect  --algo <key>         compiled-circuit statistics + diagram
 //   analyze  --algo <key>         per-gate criticality ranking
 //                                 (--progress for live status, --json for
