@@ -18,7 +18,13 @@
 //     shifted up by 2, plus ops on bits 0 and 1), one apply_diag_run call
 //     against k per-op calls on the active path.  The two must agree byte
 //     for byte; any mismatch exits 1.
-//  4. Exact-tape end-to-end execution on the density-matrix engine.
+//  4. lane_thermal[]: the no-jump thermal op of the trajectory lane batch
+//     on a 4-lane block at n = 14, serial, on every available path: the
+//     historical three passes (P(1); damp + norm; scale), copied below,
+//     against the two KernelTable passes (lane_thermal_sums, then
+//     lane_damp_scale).  P(1), the norm and the block must agree byte for
+//     byte; any mismatch exits 1.
+//  5. Exact-tape end-to-end execution on the density-matrix engine.
 //
 // Emits JSON (like bench_exec_batching) so the perf trajectory can be
 // tracked across commits; CI uploads the --smoke output as the
@@ -164,6 +170,50 @@ RowResult bench_kernel_row(std::string& json, bool& first_row,
     std::exit(1);
   }
   return row;
+}
+
+/// Lanes, width and qubit of the lane_thermal rows.
+constexpr int kLanes = 4;
+constexpr int kLaneQubits = 14;
+constexpr int kLaneQubit = 5;
+
+/// The lane batch's historical no-jump thermal op on a kLanes-lane block
+/// of \p dim amplitudes per lane: a half-block pass for P(1), a pass that
+/// damps the set-bit amplitudes and sums the norm, and a scale pass.
+void three_pass_thermal(cplx* a, std::uint64_t dim, std::uint64_t mask,
+                        double keep, double* p1, double* norm) {
+  constexpr int L = kLanes;
+  std::fill(p1, p1 + L, 0.0);
+  std::fill(norm, norm + L, 0.0);
+  for (std::uint64_t base = mask; base < dim; base += 2 * mask) {
+    const cplx* x = a + base * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int t = 0; t < L; ++t) p1[t] += std::norm(x[i + t]);
+  }
+  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
+    const cplx* clear = a + base * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int t = 0; t < L; ++t) norm[t] += std::norm(clear[i + t]);
+    cplx* set = a + (base + mask) * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int t = 0; t < L; ++t) {
+        set[i + t] *= keep;
+        norm[t] += std::norm(set[i + t]);
+      }
+  }
+  double scale[L];
+  for (int t = 0; t < L; ++t) scale[t] = 1.0 / std::sqrt(norm[t]);
+  for (std::uint64_t i = 0; i < dim * L; i += L)
+    for (int t = 0; t < L; ++t) a[i + t] *= scale[t];
+}
+
+/// The same op as the two KernelTable passes of the active path.
+void two_pass_thermal(cplx* a, std::uint64_t dim, std::uint64_t mask,
+                      double keep, double* p1, double* norm) {
+  cs::kernels::lane_thermal_sums(a, dim, kLanes, mask, keep, p1, norm);
+  double scale[kLanes];
+  for (int t = 0; t < kLanes; ++t) scale[t] = 1.0 / std::sqrt(norm[t]);
+  cs::kernels::lane_damp_scale(a, dim, kLanes, mask, keep, scale);
 }
 
 }  // namespace
@@ -347,6 +397,65 @@ int main(int argc, char** argv) {
     }
   }
   json += "  ],\n";
+
+  // ---- lane-batch thermal: three historical passes vs. two (every path) -
+  json += "  \"lane_thermal\": [\n";
+  {
+    const std::uint64_t lane_dim = 1ULL << kLaneQubits;
+    const std::uint64_t mask = 1ULL << kLaneQubit;
+    const double keep = std::sqrt(1.0 - 0.01);
+    const std::vector<cplx> lane_input =
+        random_state(lane_dim * kLanes, /*seed=*/11);
+    bool first = true;
+    for (const simd::SimdPath path :
+         {simd::SimdPath::kScalar, simd::SimdPath::kWidth2,
+          simd::SimdPath::kAvx2, simd::SimdPath::kAvx512}) {
+      if (!simd::set_path(path)) continue;
+      double want_p1[kLanes], want_norm[kLanes], p1[kLanes], norm[kLanes];
+      std::vector<cplx> want = lane_input;
+      std::vector<cplx> got = lane_input;
+      three_pass_thermal(want.data(), lane_dim, mask, keep, want_p1,
+                         want_norm);
+      two_pass_thermal(got.data(), lane_dim, mask, keep, p1, norm);
+      const bool identical =
+          std::memcmp(want.data(), got.data(), got.size() * sizeof(cplx)) ==
+              0 &&
+          std::memcmp(want_p1, p1, sizeof(p1)) == 0 &&
+          std::memcmp(want_norm, norm, sizeof(norm)) == 0;
+      // The two forms alternate rep by rep, so a drift in host speed
+      // reaches both best-of times alike.
+      std::vector<cplx> work = lane_input;
+      double three_ms = 1e300, two_ms = 1e300;
+      for (int rep = 0; rep < reps; ++rep) {
+        three_ms = std::min(three_ms, 1e3 * best_seconds(1, [&] {
+          for (int r = 0; r < kernel_rounds; ++r)
+            three_pass_thermal(work.data(), lane_dim, mask, keep, p1, norm);
+        }));
+        two_ms = std::min(two_ms, 1e3 * best_seconds(1, [&] {
+          for (int r = 0; r < kernel_rounds; ++r)
+            two_pass_thermal(work.data(), lane_dim, mask, keep, p1, norm);
+        }));
+      }
+      char buf[256];
+      std::snprintf(buf, sizeof(buf),
+                    "%s    {\"path\": \"%s\", \"three_pass_ms\": %.4f, "
+                    "\"two_pass_ms\": %.4f, \"speedup\": %.3f, "
+                    "\"identical\": %s}",
+                    first ? "" : ",\n", simd::path_name(path), three_ms,
+                    two_ms, two_ms > 0.0 ? three_ms / two_ms : 0.0,
+                    identical ? "true" : "false");
+      json += buf;
+      first = false;
+      if (!identical) {
+        std::fprintf(stderr,
+                     "FAIL: lane_thermal on path %s differs from the "
+                     "three-pass loops\n",
+                     simd::path_name(path));
+        std::exit(1);
+      }
+    }
+  }
+  json += "\n  ],\n";
 
   // ---- raw kernel micro-benchmark: one fused pass vs. two passes --------
   // (on the best-available path, which stays active from here on)

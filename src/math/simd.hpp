@@ -32,7 +32,9 @@
 ///    so results are bit-identical run-to-run and across thread counts;
 ///  - the scalar path is bit-identical to the pre-SIMD kernels;
 ///  - paths agree with each other to <= 1e-12 in max-abs amplitude
-///    difference (FMA and reassociation change rounding, never physics).
+///    difference (FMA and reassociation change rounding, never physics);
+///  - some entries are exact on every path: apply_diag_run against the
+///    per-op calls, depol2q_block, and the two lane-batch thermal passes.
 
 #include <array>
 #include <cstdint>
@@ -67,7 +69,9 @@ inline std::array<std::uint64_t, 16> depol2q_offsets(std::uint64_t ra,
 /// amplitude count (a power of two), qubit q maps to bit q of the index.
 /// The density-matrix entries see vec(rho) as 2n pseudo-qubits (row bits
 /// 0..n-1, column bits n..2n-1); apply_diag_rowcol alone takes n instead of
-/// dim, because it walks vec(rho) as 2^n contiguous column segments.
+/// dim, because it walks vec(rho) as 2^n contiguous column segments.  The
+/// lane-batch entries take the amplitude count of one lane, and a lane
+/// count.
 struct KernelTable {
   const char* name;  ///< "scalar", "sse2"/"neon", "avx2", or "avx512"
 
@@ -129,6 +133,26 @@ struct KernelTable {
 
   /// acc[i] += src[i] for i in [0, n) — the Kraus-sum accumulation loop.
   void (*accum_add)(cplx* acc, const cplx* src, std::uint64_t n);
+
+  // ---- trajectory lane batch: the no-jump thermal branch -----------------
+  // A lane block interleaves `lanes` (1, 2 or 4) unravellings of `dim`
+  // amplitudes each: amplitude i of lane t sits at a[i * lanes + t], and
+  // `mask` = 1 << q tests qubit q of i.  |z|^2 is re*re + im*im, two
+  // products and one add (no FMA).  Every path is byte-identical to the
+  // scalar body; both entries run serially.
+
+  /// The read pass: for each lane t, summing left to right in ascending i,
+  /// p1[t] = sum of |a|^2 over set-bit i, and norm[t] = sum over all i of
+  /// |a|^2 on clear bits and |a * keep|^2 on set bits (the no-jump norm).
+  void (*lane_thermal_sums)(const cplx* a, std::uint64_t dim, int lanes,
+                            std::uint64_t mask, double keep, double* p1,
+                            double* norm);
+  /// The write pass: each amplitude of lane t becomes
+  /// (set bit ? a * keep : a) * scale[t], every real product rounded
+  /// separately.
+  void (*lane_damp_scale)(cplx* a, std::uint64_t dim, int lanes,
+                          std::uint64_t mask, double keep,
+                          const double* scale);
 };
 
 /// Table getters, one per translation unit.  A getter returns nullptr when

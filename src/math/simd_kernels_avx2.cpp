@@ -529,6 +529,90 @@ void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
   if (n & 1) acc[n - 1] += src[n - 1];
 }
 
+// ---- lane batch ----------------------------------------------------------
+// A row of two lanes is one register [re0, im0, re1, im1]; its squares
+// plus their pairwise swap give [|x0|^2, |x0|^2, |x1|^2, |x1|^2], so one add
+// per row advances both lanes' chains (a four-lane row is two registers,
+// two independent chains).  A lone lane forwards to scalar.
+
+inline __m256d abs2_dup(__m256d x) {
+  const __m256d sq = _mm256_mul_pd(x, x);
+  return _mm256_add_pd(sq, _mm256_permute_pd(sq, 0x5));
+}
+
+template <int L>
+void lane_thermal_sums_l(const cplx* a, std::uint64_t dim, std::uint64_t mask,
+                         double keep, double* p1, double* norm) {
+  constexpr int R = L / 2;  // registers per row
+  const __m256d k = _mm256_set1_pd(keep);
+  __m256d s1[R], sn[R];
+  for (int r = 0; r < R; ++r) s1[r] = sn[r] = _mm256_setzero_pd();
+  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
+    const cplx* clear = a + base * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int r = 0; r < R; ++r)
+        sn[r] = _mm256_add_pd(sn[r],
+                              abs2_dup(CVec4d::load(clear + i + 2 * r).v));
+    const cplx* set = clear + mask * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int r = 0; r < R; ++r) {
+        const __m256d x = CVec4d::load(set + i + 2 * r).v;
+        s1[r] = _mm256_add_pd(s1[r], abs2_dup(x));
+        sn[r] = _mm256_add_pd(sn[r], abs2_dup(_mm256_mul_pd(x, k)));
+      }
+  }
+  for (int r = 0; r < R; ++r) {
+    alignas(32) double b1[4], bn[4];
+    _mm256_store_pd(b1, s1[r]);
+    _mm256_store_pd(bn, sn[r]);
+    for (int t = 0; t < 2; ++t) {
+      p1[2 * r + t] = b1[2 * t];
+      norm[2 * r + t] = bn[2 * t];
+    }
+  }
+}
+
+template <int L>
+void lane_damp_scale_l(cplx* a, std::uint64_t dim, std::uint64_t mask,
+                       double keep, const double* scale) {
+  constexpr int R = L / 2;
+  const __m256d k = _mm256_set1_pd(keep);
+  __m256d s[R];
+  for (int r = 0; r < R; ++r)
+    s[r] = _mm256_set_pd(scale[2 * r + 1], scale[2 * r + 1], scale[2 * r],
+                         scale[2 * r]);
+  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
+    cplx* clear = a + base * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int r = 0; r < R; ++r) {
+        cplx* p = clear + i + 2 * r;
+        CVec4d{_mm256_mul_pd(CVec4d::load(p).v, s[r])}.store(p);
+      }
+    cplx* set = clear + mask * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int r = 0; r < R; ++r) {
+        cplx* p = set + i + 2 * r;
+        CVec4d{_mm256_mul_pd(_mm256_mul_pd(CVec4d::load(p).v, k), s[r])}
+            .store(p);
+      }
+  }
+}
+
+void k_lane_thermal_sums(const cplx* a, std::uint64_t dim, int lanes,
+                         std::uint64_t mask, double keep, double* p1,
+                         double* norm) {
+  if (lanes == 4) return lane_thermal_sums_l<4>(a, dim, mask, keep, p1, norm);
+  if (lanes == 2) return lane_thermal_sums_l<2>(a, dim, mask, keep, p1, norm);
+  table_scalar()->lane_thermal_sums(a, dim, lanes, mask, keep, p1, norm);
+}
+
+void k_lane_damp_scale(cplx* a, std::uint64_t dim, int lanes,
+                       std::uint64_t mask, double keep, const double* scale) {
+  if (lanes == 4) return lane_damp_scale_l<4>(a, dim, mask, keep, scale);
+  if (lanes == 2) return lane_damp_scale_l<2>(a, dim, mask, keep, scale);
+  table_scalar()->lane_damp_scale(a, dim, lanes, mask, keep, scale);
+}
+
 constexpr KernelTable kAvx2Table = {
     .name = "avx2",
     .apply_1q = k_apply_1q,
@@ -546,6 +630,8 @@ constexpr KernelTable kAvx2Table = {
     .bitflip_block = k_bitflip_block,
     .depol2q_block = k_depol2q_block,
     .accum_add = k_accum_add,
+    .lane_thermal_sums = k_lane_thermal_sums,
+    .lane_damp_scale = k_lane_damp_scale,
 };
 
 }  // namespace

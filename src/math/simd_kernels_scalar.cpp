@@ -274,6 +274,61 @@ void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
                      [=](std::int64_t i) { acc[i] += src[i]; });
 }
 
+/// The lane-batch passes for a constant lane count L.  Each walks the
+/// block as runs of `mask` rows with qubit q clear, then `mask` rows with
+/// it set, which is ascending i; each lane's sums are their own chain.
+/// A complex times a real rounds each component once.
+template <int L>
+void lane_thermal_sums_l(const cplx* a, std::uint64_t dim, std::uint64_t mask,
+                         double keep, double* p1, double* norm) {
+  double s1[L] = {}, sn[L] = {};
+  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
+    const cplx* clear = a + base * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int t = 0; t < L; ++t) sn[t] += std::norm(clear[i + t]);
+    const cplx* set = clear + mask * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int t = 0; t < L; ++t) {
+        s1[t] += std::norm(set[i + t]);
+        sn[t] += std::norm(set[i + t] * keep);
+      }
+  }
+  for (int t = 0; t < L; ++t) {
+    p1[t] = s1[t];
+    norm[t] = sn[t];
+  }
+}
+
+template <int L>
+void lane_damp_scale_l(cplx* a, std::uint64_t dim, std::uint64_t mask,
+                       double keep, const double* scale) {
+  double s[L];
+  for (int t = 0; t < L; ++t) s[t] = scale[t];
+  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
+    cplx* clear = a + base * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int t = 0; t < L; ++t) clear[i + t] *= s[t];
+    cplx* set = clear + mask * L;
+    for (std::uint64_t i = 0; i < mask * L; i += L)
+      for (int t = 0; t < L; ++t) set[i + t] = set[i + t] * keep * s[t];
+  }
+}
+
+void k_lane_thermal_sums(const cplx* a, std::uint64_t dim, int lanes,
+                         std::uint64_t mask, double keep, double* p1,
+                         double* norm) {
+  if (lanes == 4) return lane_thermal_sums_l<4>(a, dim, mask, keep, p1, norm);
+  if (lanes == 2) return lane_thermal_sums_l<2>(a, dim, mask, keep, p1, norm);
+  lane_thermal_sums_l<1>(a, dim, mask, keep, p1, norm);
+}
+
+void k_lane_damp_scale(cplx* a, std::uint64_t dim, int lanes,
+                       std::uint64_t mask, double keep, const double* scale) {
+  if (lanes == 4) return lane_damp_scale_l<4>(a, dim, mask, keep, scale);
+  if (lanes == 2) return lane_damp_scale_l<2>(a, dim, mask, keep, scale);
+  lane_damp_scale_l<1>(a, dim, mask, keep, scale);
+}
+
 constexpr KernelTable kScalarTable = {
     .name = "scalar",
     .apply_1q = k_apply_1q,
@@ -291,6 +346,8 @@ constexpr KernelTable kScalarTable = {
     .bitflip_block = k_bitflip_block,
     .depol2q_block = k_depol2q_block,
     .accum_add = k_accum_add,
+    .lane_thermal_sums = k_lane_thermal_sums,
+    .lane_damp_scale = k_lane_damp_scale,
 };
 
 }  // namespace

@@ -55,6 +55,15 @@
 /// density-matrix engine keeps one apply_diag_rowcol pass per op: a run
 /// form of it measured 0.86-1.12x while vec(rho) fits in L2 (ROADMAP).
 ///
+/// Lane-batch thermal passes.  The trajectory lane batch (sim/trajectory.hpp)
+/// runs a thermal op in two passes over its interleaved block:
+/// lane_thermal_sums reads every lane's P(1) and no-jump norm, and, when no
+/// lane jumps, lane_damp_scale damps the |1> half and renormalizes each
+/// lane in one write.  Both sum and multiply in the scalar body's order on
+/// every path (no FMA), so they are byte-identical everywhere and a lane's
+/// bytes equal a lone engine's.  They run serially, as the lane batch's
+/// groups are already one task each.
+///
 /// These kernels are what the NoiseProgram tape interpreter dispatches to
 /// through the engine (see noise/program.hpp).
 ///
@@ -63,8 +72,8 @@
 /// streams a kernel reads all advance sequentially through memory and each
 /// cache line is touched exactly once per pass.
 ///
-/// All kernels are in-place, and fan out on the kernel pool above a size
-/// threshold (util/parallel.hpp).
+/// All kernels are in-place, and, apart from the lane-batch passes, fan out
+/// on the kernel pool above a size threshold (util/parallel.hpp).
 
 #include <array>
 #include <cstdint>
@@ -158,6 +167,26 @@ inline void apply_diag_2q(cplx* a, std::uint64_t dim, int qa, int qb,
 inline void apply_diag_run(cplx* a, std::uint64_t dim, const math::DiagOp* ops,
                            int k) {
   math::simd::active().apply_diag_run(a, dim, ops, k);
+}
+
+/// The read pass of a thermal op on a trajectory lane block (\p lanes
+/// unravellings of \p dim amplitudes, amplitude i of lane t at
+/// a[i * lanes + t]): per lane, p1 = P(qubit is 1) and norm = the squared
+/// norm after K0 = diag(1, keep), each a left-to-right sum in ascending i.
+/// Serial; byte-identical on every path.
+inline void lane_thermal_sums(const cplx* a, std::uint64_t dim, int lanes,
+                              std::uint64_t mask, double keep, double* p1,
+                              double* norm) {
+  math::simd::active().lane_thermal_sums(a, dim, lanes, mask, keep, p1, norm);
+}
+
+/// The write pass of a no-jump thermal op on a lane block: K0 on the
+/// set-bit amplitudes, then each lane scaled by scale[t].  Serial;
+/// byte-identical on every path.
+inline void lane_damp_scale(cplx* a, std::uint64_t dim, int lanes,
+                            std::uint64_t mask, double keep,
+                            const double* scale) {
+  math::simd::active().lane_damp_scale(a, dim, lanes, mask, keep, scale);
 }
 
 /// Applies a general 4x4 unitary on (qa, qb); matrix index convention as in

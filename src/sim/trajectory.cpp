@@ -6,7 +6,6 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <type_traits>
 
 #include "sim/kernels.hpp"
 #include "util/error.hpp"
@@ -203,7 +202,13 @@ class LaneBatch final : public NoisyEngine {
 
   void apply_thermal_relaxation(int q, double gamma, double pz) override {
     if (gamma > 0.0) {
-      const std::array<double, kMaxLanes> p1 = lane_p1(q);
+      // One read pass for every lane's P(1) and no-jump norm; when no lane
+      // jumps, one write pass damps and renormalizes them all.
+      const std::uint64_t mask = std::uint64_t{1} << q;
+      const double keep = std::sqrt(1.0 - gamma);
+      std::array<double, kMaxLanes> p1{}, norm{};
+      kernels::lane_thermal_sums(data(), dim_, lanes_, mask, keep, p1.data(),
+                                 norm.data());
       std::array<bool, kMaxLanes> jump{};
       bool any_jump = false;
       for (int t = 0; t < lanes_; ++t) {
@@ -211,7 +216,14 @@ class LaneBatch final : public NoisyEngine {
         any_jump = any_jump || jump[t];
       }
       if (!any_jump) {
-        damp_and_normalize(q, std::sqrt(1.0 - gamma));
+        std::array<double, kMaxLanes> scale{};
+        for (int t = 0; t < lanes_; ++t) {
+          const double nrm = std::sqrt(norm[t]);
+          CHARTER_ASSERT(nrm > 0.0, "cannot normalize zero state");
+          scale[t] = 1.0 / nrm;
+        }
+        kernels::lane_damp_scale(data(), dim_, lanes_, mask, keep,
+                                 scale.data());
       } else {
         for (int t = 0; t < lanes_; ++t)
           on_lane(t, [&](Statevector& sv) {
@@ -269,76 +281,6 @@ class LaneBatch final : public NoisyEngine {
   cplx* data() { return block_.data(); }
   std::uint64_t size() const {
     return dim_ * static_cast<std::uint64_t>(lanes_);
-  }
-
-  /// Calls fn(std::integral_constant<int, L>{}) for the batch's lane count
-  /// L, so the lane loops compile with a constant trip count.
-  template <typename Fn>
-  auto by_lanes(Fn&& fn) const {
-    switch (lanes_) {
-      case 4:
-        return fn(std::integral_constant<int, 4>{});
-      case 2:
-        return fn(std::integral_constant<int, 2>{});
-      default:
-        return fn(std::integral_constant<int, 1>{});
-    }
-  }
-
-  /// Per-lane P(qubit q is 1): each lane's left-to-right sum of |a_i|^2
-  /// over the set-bit amplitudes in ascending index order.  A lone engine's
-  /// sum also adds +0.0 for every clear-bit amplitude, which never changes
-  /// a non-negative double, so each lane's sum carries its exact bits.  The
-  /// lanes' chains are independent, so their adds overlap without any one
-  /// chain being reassociated.
-  std::array<double, kMaxLanes> lane_p1(int q) const {
-    const std::uint64_t mask = std::uint64_t{1} << q;
-    return by_lanes([&](auto lanes) {
-      constexpr int L = lanes;
-      std::array<double, kMaxLanes> s{};
-      for (std::uint64_t base = mask; base < dim_; base += 2 * mask) {
-        const cplx* a = block_.data() + base * L;
-        for (std::uint64_t i = 0; i < mask * L; i += L)
-          for (int t = 0; t < L; ++t) s[t] += std::norm(a[i + t]);
-      }
-      return s;
-    });
-  }
-
-  /// The no-jump branch on every lane: K0 = diag(1, keep) on qubit q, then
-  /// the lone engine's Statevector::normalize() (serial left-to-right norm,
-  /// then one scale by 1/sqrt(norm)).  K0 is applied as a real scale of the
-  /// set-bit amplitudes inside the norm pass.  That is value-identical to
-  /// the apply_diag_1q kernel: on every path, a complex product with (1, 0)
-  /// or (keep, 0) rounds each component once, to x * 1 or x * keep, as the
-  /// cross terms are exact zeros.  Only the sign of a zero component can
-  /// differ, and no later sum, product or |a|^2 can tell the two apart.
-  void damp_and_normalize(int q, double keep) {
-    const std::uint64_t mask = std::uint64_t{1} << q;
-    cplx* a = data();
-    by_lanes([&](auto lanes) {
-      constexpr int L = lanes;
-      std::array<double, kMaxLanes> norm{};
-      for (std::uint64_t base = 0; base < dim_; base += 2 * mask) {
-        const cplx* clear = a + base * L;
-        for (std::uint64_t i = 0; i < mask * L; i += L)
-          for (int t = 0; t < L; ++t) norm[t] += std::norm(clear[i + t]);
-        cplx* set = a + (base + mask) * L;
-        for (std::uint64_t i = 0; i < mask * L; i += L)
-          for (int t = 0; t < L; ++t) {
-            set[i + t] *= keep;
-            norm[t] += std::norm(set[i + t]);
-          }
-      }
-      std::array<double, kMaxLanes> scale{};
-      for (int t = 0; t < L; ++t) {
-        const double nrm = std::sqrt(norm[t]);
-        CHARTER_ASSERT(nrm > 0.0, "cannot normalize zero state");
-        scale[t] = 1.0 / nrm;
-      }
-      for (std::uint64_t i = 0; i < dim_ * L; i += L)
-        for (int t = 0; t < L; ++t) a[i + t] *= scale[t];
-    });
   }
 
   /// Runs \p fn on lane \p t alone: the lane is copied into a contiguous

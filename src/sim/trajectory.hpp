@@ -118,15 +118,22 @@ inline std::uint64_t trajectory_engine_seed(const util::Rng& seeder,
 ///    tape order with the per-op kernels' complex multiply, so each lane
 ///    gets the bytes of a lone engine's per-op calls, with one pass over
 ///    the block instead of one per op;
-///  - thermal relaxation takes each lane's P(1) and norm as interleaved
-///    per-lane left-to-right sums (P(1) over the set-bit half only: a lone
-///    engine's sum adds +0.0 for the other half, which never changes a
-///    non-negative double).  When no lane jumps, the no-jump branch runs on
-///    the whole block, its K0 = diag(1, sqrt(1-gamma)) as a real scale of
-///    the set-bit half fused into the norm pass: a complex product with a
-///    real diagonal entry rounds each component once on every kernel path,
-///    so the values are the kernel's (only a zero's sign may differ, which
-///    no later operation or |a|^2 can observe);
+///  - thermal relaxation makes two passes over the block, two KernelTable
+///    entries that are byte-identical on every path.  The read pass
+///    (kernels::lane_thermal_sums) takes every lane's P(1) and its no-jump
+///    norm at once, as per-lane left-to-right sums in ascending index
+///    order: P(1) over the set-bit amplitudes only (a lone engine's sum
+///    adds +0.0 for the others, which never changes a non-negative
+///    double), the norm over all of them with the set-bit ones taken
+///    times keep = sqrt(1-gamma).  The draws follow.  When no lane jumps,
+///    the write pass (kernels::lane_damp_scale) applies
+///    K0 = diag(1, keep) and each lane's 1/sqrt(norm) in one sweep, every
+///    real product rounded on its own: a complex product with a real
+///    diagonal entry rounds each component once on every kernel path, so
+///    the values are those of a lone engine's kernel and normalize()
+///    (only a zero's sign may differ, which no later operation or |a|^2
+///    can observe).  When any lane jumps, the norm is dropped and every
+///    lane takes a lone engine's branch with the same P(1);
 ///  - rare per-lane events (a jump in any lane, Pauli draws, Kraus
 ///    branches) copy that lane into a contiguous n-qubit scratch state,
 ///    allocated at the first event, and run a lone engine's arithmetic on

@@ -685,6 +685,22 @@ cn::NoiseProgram run_heavy_tape(int n, int num_runs, charter::util::Rng& rng) {
   return tape;
 }
 
+/// Random exact tape dominated by thermal relaxation: \p rounds rounds of a
+/// random one-qubit unitary on every qubit (so each has a sizable P(1))
+/// followed by a thermal op on every qubit, gamma 0.05-0.7 and pz > 0.
+/// Some ops then jump on no lane (the two-pass branch) and others on some
+/// lanes of a batch but not all.
+cn::NoiseProgram thermal_heavy_tape(int n, int rounds,
+                                    charter::util::Rng& rng) {
+  cn::NoiseProgram tape(n);
+  for (int r = 0; r < rounds; ++r) {
+    for (int q = 0; q < n; ++q) tape.append_unitary_1q(random_u1(rng), q);
+    for (int q = 0; q < n; ++q)
+      tape.append_thermal(q, rng.uniform(0.05, 0.7), rng.uniform(0.01, 0.2));
+  }
+  return tape;
+}
+
 /// The tape interpreter without diagonal runs: one engine call per op,
 /// diagonal ops through plain apply_diag_1q / apply_diag_2q.
 void execute_op_by_op(const cn::NoiseProgram& tape, cs::NoisyEngine& e) {
@@ -774,6 +790,10 @@ TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
       // Above 10 qubits one tape per width, rotating through the four
       // kinds, keeps the sanitizer legs fast.
       if (n > 10) tapes = {tapes[static_cast<std::size_t>(n) % tapes.size()]};
+      // Every width runs the thermal-heavy tape, one round above 10 qubits.
+      const cn::NoiseProgram thermal =
+          thermal_heavy_tape(n, n > 10 ? 1 : 3, rng);
+      tapes.push_back(&thermal);
       // Every group size at small widths, one per width above.
       for (int size = n <= 6 ? 1 : 1 + n % 8; size <= 8;
            size += n <= 6 ? 1 : 8) {

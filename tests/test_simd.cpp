@@ -20,7 +20,9 @@
 //     1..8 on every qubit, depol2q_block equals its scalar reference on
 //     every path, and the qft7 / adder9 exact tapes leave the same vec(rho)
 //     on the avx2 and avx512 paths.  On every path, apply_diag_run equals
-//     its k per-op diagonal calls at widths 1..16 for k = 1..16.
+//     its k per-op diagonal calls at widths 1..16 for k = 1..16, and the
+//     lane batch's two thermal passes (lane_thermal_sums, lane_damp_scale)
+//     equal the scalar body, which equals the historical three-pass loops.
 //
 // The sweep runs on the dispatch *table* functions directly, so it tests
 // exactly what sim/kernels.hpp forwards to.
@@ -30,6 +32,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <complex>
 #include <cstring>
 #include <string>
@@ -252,6 +255,34 @@ void ref_depol2q_block(cplx* a, std::uint64_t dim, std::uint64_t ra,
           a[idx[r][c]] *= (1.0 - lambda);
       }
   }
+}
+
+// The trajectory lane batch's historical no-jump thermal loops, three
+// passes over `lanes` interleaved unravellings (amplitude i of lane t at
+// a[i * lanes + t]): P(1) per lane, then K0 = diag(1, keep) on the set-bit
+// amplitudes with the no-jump norm, then a scale by scale[t].
+void ref_lane_p1(const cplx* a, std::uint64_t dim, int lanes,
+                 std::uint64_t mask, double* p1) {
+  for (int t = 0; t < lanes; ++t) p1[t] = 0.0;
+  for (std::uint64_t i = 0; i < dim; ++i)
+    if (i & mask)
+      for (int t = 0; t < lanes; ++t) p1[t] += std::norm(a[i * lanes + t]);
+}
+
+void ref_lane_damp_norm(cplx* a, std::uint64_t dim, int lanes,
+                        std::uint64_t mask, double keep, double* norm) {
+  for (int t = 0; t < lanes; ++t) norm[t] = 0.0;
+  for (std::uint64_t i = 0; i < dim; ++i)
+    for (int t = 0; t < lanes; ++t) {
+      if (i & mask) a[i * lanes + t] *= keep;
+      norm[t] += std::norm(a[i * lanes + t]);
+    }
+}
+
+void ref_lane_scale(cplx* a, std::uint64_t dim, int lanes,
+                    const double* scale) {
+  for (std::uint64_t i = 0; i < dim; ++i)
+    for (int t = 0; t < lanes; ++t) a[i * lanes + t] *= scale[t];
 }
 
 // ---------------------------------------------------------------------------
@@ -703,6 +734,68 @@ TEST(SimdKernels, DiagRunBitIdenticalToPerOpCallsOnEveryPath) {
   }
   ms::set_path(original);
   EXPECT_GE(checked, 16 * 16);
+}
+
+// The lane batch's two thermal passes reproduce the historical three byte
+// for byte on every path: P(1), the no-jump norm and the damped, scaled
+// block, for 1, 2 and 4 lanes at widths 1..12, every qubit, several keeps.
+// Each path is compared with the scalar body, and the scalar body with the
+// historical loops.
+TEST(SimdKernels, LaneThermalKernelsBitIdenticalOnEveryPath) {
+  const ms::KernelTable& scalar = *ms::table_scalar();
+  const ms::SimdPath original = ms::active_path();
+  int checked = 0;
+  for (const ms::SimdPath path : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
+                                  ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
+    if (!ms::set_path(path)) continue;
+    const ms::KernelTable& table = ms::active();
+    Rng rng(0x7e4a);
+    for (const int lanes : {1, 2, 4})
+      for (int n = 1; n <= 12; ++n)
+        for (int q = 0; q < n; ++q)
+          for (const double gamma : {0.01, 0.5, 0.9}) {
+            const std::uint64_t dim = 1ULL << n;
+            const std::uint64_t mask = 1ULL << q;
+            const double keep = std::sqrt(1.0 - gamma);
+            const std::vector<cplx> input =
+                random_state(dim * static_cast<std::uint64_t>(lanes), rng);
+            double scale[4];
+            for (double& s : scale) s = rng.uniform(0.5, 2.0);
+            const std::string where = std::string("path=") + table.name +
+                                " lanes=" + std::to_string(lanes) +
+                                " n=" + std::to_string(n) +
+                                " q=" + std::to_string(q) +
+                                " gamma=" + std::to_string(gamma);
+
+            double want_p1[4], want_norm[4];
+            std::vector<cplx> want = input;
+            ref_lane_p1(want.data(), dim, lanes, mask, want_p1);
+            ref_lane_damp_norm(want.data(), dim, lanes, mask, keep, want_norm);
+            ref_lane_scale(want.data(), dim, lanes, scale);
+
+            const auto passes = [&](const ms::KernelTable& k, double* p1,
+                                    double* norm) {
+              std::vector<cplx> out = input;
+              k.lane_thermal_sums(out.data(), dim, lanes, mask, keep, p1,
+                                  norm);
+              k.lane_damp_scale(out.data(), dim, lanes, mask, keep, scale);
+              return out;
+            };
+            double base_p1[4], base_norm[4], p1[4], norm[4];
+            const std::vector<cplx> base = passes(scalar, base_p1, base_norm);
+            const std::vector<cplx> got = passes(table, p1, norm);
+            const std::size_t bytes = sizeof(double) * lanes;
+            EXPECT_EQ(std::memcmp(base_p1, want_p1, bytes), 0) << where;
+            EXPECT_EQ(std::memcmp(base_norm, want_norm, bytes), 0) << where;
+            EXPECT_TRUE(bit_identical(base, want)) << where;
+            EXPECT_EQ(std::memcmp(p1, base_p1, bytes), 0) << where;
+            EXPECT_EQ(std::memcmp(norm, base_norm, bytes), 0) << where;
+            EXPECT_TRUE(bit_identical(got, base)) << where;
+            ++checked;
+          }
+  }
+  ms::set_path(original);
+  EXPECT_GE(checked, 3 * 78 * 3);
 }
 
 // End to end on the benchmark circuits: the exact tapes of qft7 (lagos) and

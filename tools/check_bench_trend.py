@@ -125,6 +125,25 @@ def check_kernels(path, data):
             ok = fail(path, f"diag_run k={row.get('k')} not byte-identical")
     if set(range(1, 9)) - ks:
         ok = fail(path, f"diag_run rows missing k: {set(range(1, 9)) - ks}")
+    # Lane-batch thermal: the historical three passes against the two
+    # KernelTable passes on every available path, which must agree byte
+    # for byte; the scalar and the active path must both have a row.
+    lanes = data.get("lane_thermal")
+    if not isinstance(lanes, list):
+        ok = fail(path, "'lane_thermal' rows missing")
+        lanes = []
+    lane_paths = set()
+    for row in lanes:
+        lane_paths.add(row.get("path"))
+        for key in ("three_pass_ms", "two_pass_ms", "speedup"):
+            ok &= require_number(path, row, key, minimum=0.0)
+        if row.get("identical") is not True:
+            ok = fail(
+                path, f"lane_thermal on {row.get('path')} not byte-identical"
+            )
+    missing = {"scalar", data.get("simd_active")} - lane_paths
+    if missing:
+        ok = fail(path, f"lane_thermal rows missing paths: {missing}")
     ok &= require_number(path, data, "kernel_pair_speedup", minimum=0.0)
     ok &= require_number(path, data, "tape_ops_exact", minimum=1)
     return ok
@@ -373,6 +392,7 @@ def summarize(path, data):
     else:
         rows = {r["kernel"]: r["speedup"] for r in data["simd"]}
         runs = {r["k"]: r["speedup"] for r in data["diag_run"]}
+        lanes = {r["path"]: r["speedup"] for r in data["lane_thermal"]}
         print(
             f"{path}: sim_kernels simd={data['simd_active']} "
             f"1q={rows.get('unitary_1q', 0):.2f}x "
@@ -382,7 +402,8 @@ def summarize(path, data):
             f"thermal_block={rows.get('thermal_block', 0):.2f}x "
             f"depol2q_block={rows.get('depol2q_block', 0):.2f}x "
             f"pair={data['kernel_pair_speedup']:.2f}x "
-            f"diag_run_k4={runs.get(4, 0):.2f}x"
+            f"diag_run_k4={runs.get(4, 0):.2f}x "
+            f"lane_thermal={lanes.get(data['simd_active'], 0):.2f}x"
         )
 
 
