@@ -19,12 +19,20 @@
 //     against k per-op calls on the active path.  The two must agree byte
 //     for byte; any mismatch exits 1.
 //  4. lane_thermal[]: the no-jump thermal op of the trajectory lane batch
-//     on a 4-lane block at n = 14, serial, on every available path: the
-//     historical three passes (P(1); damp + norm; scale), copied below,
-//     against the two KernelTable passes (lane_thermal_sums, then
-//     lane_damp_scale).  P(1), the norm and the block must agree byte for
-//     byte; any mismatch exits 1.
-//  5. Exact-tape end-to-end execution on the density-matrix engine.
+//     on a 4-lane block at n = 14, serial (util::SerialKernels), on every
+//     available path: the historical three passes (P(1); damp + norm;
+//     scale), copied below, against two lane_sweep passes (its sums-only
+//     form, then its one-damp-op form).  P(1), the norm and the block must
+//     agree byte for byte; any mismatch exits 1.
+//  5. lane_sweep[]: the lane batch's deferred ops on the same block, every
+//     available path, one lane_sweep pass against the separate passes it
+//     replaces, for three shapes: a damp-and-scale then the next thermal
+//     op's sums, a diagonal op then the sums, and a damp-and-scale then a
+//     three-op diagonal run without sums.  The separate form runs each op
+//     kind on its own (diagonal runs through apply_diag_run on the shifted
+//     block).  The block, P(1) and the norm must agree byte for byte; any
+//     mismatch exits 1.
+//  6. Exact-tape end-to-end execution on the density-matrix engine.
 //
 // Emits JSON (like bench_exec_batching) so the perf trajectory can be
 // tracked across commits; CI uploads the --smoke output as the
@@ -207,13 +215,64 @@ void three_pass_thermal(cplx* a, std::uint64_t dim, std::uint64_t mask,
     for (int t = 0; t < L; ++t) a[i + t] *= scale[t];
 }
 
-/// The same op as the two KernelTable passes of the active path.
+/// The no-jump damp-and-scale of \p mask with the scales 1/sqrt(norm).
+charter::math::LaneOp damp_op(std::uint64_t mask, double keep,
+                              const double* norm) {
+  charter::math::LaneOp op{.damp = true, .mask = mask, .keep = keep};
+  for (int t = 0; t < kLanes; ++t) op.scale[t] = 1.0 / std::sqrt(norm[t]);
+  return op;
+}
+
+/// The same op as two lane_sweep passes of the active path: the sums
+/// alone, then the damp-and-scale alone.
 void two_pass_thermal(cplx* a, std::uint64_t dim, std::uint64_t mask,
                       double keep, double* p1, double* norm) {
-  cs::kernels::lane_thermal_sums(a, dim, kLanes, mask, keep, p1, norm);
-  double scale[kLanes];
-  for (int t = 0; t < kLanes; ++t) scale[t] = 1.0 / std::sqrt(norm[t]);
-  cs::kernels::lane_damp_scale(a, dim, kLanes, mask, keep, scale);
+  cs::kernels::lane_sweep(a, dim, kLanes, nullptr, 0, mask, keep, p1, norm);
+  const charter::math::LaneOp op = damp_op(mask, keep, norm);
+  cs::kernels::lane_sweep(a, dim, kLanes, &op, 1, 0, 0.0, nullptr, nullptr);
+}
+
+/// One lane_sweep row shape: deferred ops, then the sums of \p sums_mask
+/// (0: none).
+struct SweepShape {
+  const char* name;
+  std::vector<charter::math::LaneOp> ops;
+  std::uint64_t sums_mask;
+};
+
+/// The shape's ops as separate passes: each maximal run of diagonal ops as
+/// one apply_diag_run call on the block (masks shifted by log2(kLanes)),
+/// each damp-and-scale as a one-op lane_sweep, then the sums alone.
+void separate_passes(cplx* a, std::uint64_t dim, const SweepShape& shape,
+                     double keep, double* p1, double* norm) {
+  const std::vector<charter::math::LaneOp>& ops = shape.ops;
+  for (std::size_t j = 0; j < ops.size();) {
+    if (ops[j].damp) {
+      cs::kernels::lane_sweep(a, dim, kLanes, &ops[j], 1, 0, 0.0, nullptr,
+                              nullptr);
+      ++j;
+      continue;
+    }
+    charter::math::DiagOp run[charter::math::kMaxDiagRun];
+    int k = 0;
+    for (; j < ops.size() && !ops[j].damp; ++j, ++k) {
+      run[k] = ops[j].diag;
+      run[k].amask *= kLanes;
+      run[k].bmask *= kLanes;
+    }
+    cs::kernels::apply_diag_run(a, dim * kLanes, run, k);
+  }
+  if (shape.sums_mask != 0)
+    cs::kernels::lane_sweep(a, dim, kLanes, nullptr, 0, shape.sums_mask, keep,
+                            p1, norm);
+}
+
+/// The shape's ops and sums as one lane_sweep pass.
+void one_sweep(cplx* a, std::uint64_t dim, const SweepShape& shape,
+               double keep, double* p1, double* norm) {
+  cs::kernels::lane_sweep(a, dim, kLanes, shape.ops.data(),
+                          static_cast<int>(shape.ops.size()), shape.sums_mask,
+                          keep, p1, norm);
 }
 
 }  // namespace
@@ -401,6 +460,9 @@ int main(int argc, char** argv) {
   // ---- lane-batch thermal: three historical passes vs. two (every path) -
   json += "  \"lane_thermal\": [\n";
   {
+    // Serial, as on the exec pool workers that run lane batches (the
+    // damp-only sweep would fan out here otherwise).
+    const charter::util::SerialKernels serial;
     const std::uint64_t lane_dim = 1ULL << kLaneQubits;
     const std::uint64_t mask = 1ULL << kLaneQubit;
     const double keep = std::sqrt(1.0 - 0.01);
@@ -452,6 +514,93 @@ int main(int argc, char** argv) {
                      "three-pass loops\n",
                      simd::path_name(path));
         std::exit(1);
+      }
+    }
+  }
+  json += "\n  ],\n";
+
+  // ---- lane sweep: separate passes vs. one pass (every path) ------------
+  json += "  \"lane_sweep\": [\n";
+  {
+    // Serial, as on the exec pool workers that run lane batches.
+    const charter::util::SerialKernels serial;
+    const std::uint64_t lane_dim = 1ULL << kLaneQubits;
+    const double keep = std::sqrt(1.0 - 0.01);
+    const std::vector<cplx> lane_input =
+        random_state(lane_dim * kLanes, /*seed=*/13);
+    // Scales of a plausible no-jump norm, and the qaoa pattern's ops: a ZZ
+    // phase on a neighbour pair, RZ phases.
+    const double norm0[kLanes] = {0.991, 0.987, 0.995, 0.983};
+    const auto diag = [](int qa, int qb, double theta) {
+      const cplx e0 = std::exp(cplx(0.0, -theta));
+      const cplx e1 = std::exp(cplx(0.0, theta));
+      charter::math::LaneOp op;
+      op.diag = qb < 0 ? charter::math::DiagOp{1ULL << qa, 0, {e0, e1, e0, e1}}
+                       : charter::math::DiagOp{1ULL << qa, 1ULL << qb,
+                                               {e0, e1, e1, e0}};
+      return op;
+    };
+    const std::uint64_t a_mask = 1ULL << kLaneQubit;
+    const std::uint64_t b_mask = 1ULL << (kLaneQubit + 1);
+    const std::vector<SweepShape> shapes = {
+        {"damp_sums", {damp_op(a_mask, keep, norm0)}, b_mask},
+        {"diag_sums", {diag(kLaneQubit, kLaneQubit + 1, 0.3)}, a_mask},
+        {"damp_diag3",
+         {damp_op(b_mask, keep, norm0), diag(3, 9, 0.2), diag(3, -1, 0.4),
+          diag(9, -1, 0.5)},
+         0},
+    };
+    bool first = true;
+    for (const simd::SimdPath path :
+         {simd::SimdPath::kScalar, simd::SimdPath::kWidth2,
+          simd::SimdPath::kAvx2, simd::SimdPath::kAvx512}) {
+      if (!simd::set_path(path)) continue;
+      for (const SweepShape& shape : shapes) {
+        double want_p1[kLanes] = {}, want_norm[kLanes] = {};
+        double p1[kLanes] = {}, norm[kLanes] = {};
+        std::vector<cplx> want = lane_input;
+        std::vector<cplx> got = lane_input;
+        separate_passes(want.data(), lane_dim, shape, keep, want_p1,
+                        want_norm);
+        one_sweep(got.data(), lane_dim, shape, keep, p1, norm);
+        const bool identical =
+            std::memcmp(want.data(), got.data(),
+                        got.size() * sizeof(cplx)) == 0 &&
+            std::memcmp(want_p1, p1, sizeof(p1)) == 0 &&
+            std::memcmp(want_norm, norm, sizeof(norm)) == 0;
+        // Alternating rep by rep, as the lane_thermal rows.  Each rep
+        // starts from the input, so the damped block does not decay.
+        double separate_ms = 1e300, sweep_ms = 1e300;
+        for (int rep = 0; rep < reps; ++rep) {
+          std::vector<cplx> work = lane_input;
+          separate_ms = std::min(separate_ms, 1e3 * best_seconds(1, [&] {
+            for (int r = 0; r < kernel_rounds; ++r)
+              separate_passes(work.data(), lane_dim, shape, keep, p1, norm);
+          }));
+          work = lane_input;
+          sweep_ms = std::min(sweep_ms, 1e3 * best_seconds(1, [&] {
+            for (int r = 0; r < kernel_rounds; ++r)
+              one_sweep(work.data(), lane_dim, shape, keep, p1, norm);
+          }));
+        }
+        char buf[320];
+        std::snprintf(buf, sizeof(buf),
+                      "%s    {\"path\": \"%s\", \"shape\": \"%s\", "
+                      "\"separate_ms\": %.4f, \"sweep_ms\": %.4f, "
+                      "\"speedup\": %.3f, \"identical\": %s}",
+                      first ? "" : ",\n", simd::path_name(path), shape.name,
+                      separate_ms, sweep_ms,
+                      sweep_ms > 0.0 ? separate_ms / sweep_ms : 0.0,
+                      identical ? "true" : "false");
+        json += buf;
+        first = false;
+        if (!identical) {
+          std::fprintf(stderr,
+                       "FAIL: lane_sweep %s on path %s differs from its "
+                       "separate passes\n",
+                       shape.name, simd::path_name(path));
+          std::exit(1);
+        }
       }
     }
   }

@@ -29,6 +29,22 @@ struct DiagOp {
 /// longer runs.
 inline constexpr int kMaxDiagRun = 16;
 
+/// One deferred element-local op of a trajectory lane block
+/// (simd::KernelTable::lane_sweep), masks in one lane's qubit space: either
+/// a diagonal op, the same in every lane, or a no-jump damp-and-scale, which
+/// turns amplitude i of lane t into (bit(i & mask) ? a * keep : a) *
+/// scale[t].
+struct LaneOp {
+  bool damp = false;  ///< false: `diag`; true: the damp-and-scale
+  DiagOp diag{};
+  std::uint64_t mask = 0;
+  double keep = 1.0;
+  std::array<double, 4> scale{};  ///< per lane; a block has at most 4
+};
+
+/// Most ops one lane_sweep call takes.
+inline constexpr int kMaxLaneOps = 16;
+
 /// Row-major 2x2 complex matrix.
 struct Mat2 {
   std::array<cplx, 4> m{};

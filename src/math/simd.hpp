@@ -34,7 +34,8 @@
 ///  - paths agree with each other to <= 1e-12 in max-abs amplitude
 ///    difference (FMA and reassociation change rounding, never physics);
 ///  - some entries are exact on every path: apply_diag_run against the
-///    per-op calls, depol2q_block, and the two lane-batch thermal passes.
+///    per-op calls, depol2q_block, and lane_sweep against the per-op
+///    kernels and the scalar body's lane sums.
 
 #include <array>
 #include <cstdint>
@@ -70,7 +71,7 @@ inline std::array<std::uint64_t, 16> depol2q_offsets(std::uint64_t ra,
 /// The density-matrix entries see vec(rho) as 2n pseudo-qubits (row bits
 /// 0..n-1, column bits n..2n-1); apply_diag_rowcol alone takes n instead of
 /// dim, because it walks vec(rho) as 2^n contiguous column segments.  The
-/// lane-batch entries take the amplitude count of one lane, and a lane
+/// lane-batch entry takes the amplitude count of one lane, and a lane
 /// count.
 struct KernelTable {
   const char* name;  ///< "scalar", "sse2"/"neon", "avx2", or "avx512"
@@ -134,25 +135,32 @@ struct KernelTable {
   /// acc[i] += src[i] for i in [0, n) — the Kraus-sum accumulation loop.
   void (*accum_add)(cplx* acc, const cplx* src, std::uint64_t n);
 
-  // ---- trajectory lane batch: the no-jump thermal branch -----------------
-  // A lane block interleaves `lanes` (1, 2 or 4) unravellings of `dim`
-  // amplitudes each: amplitude i of lane t sits at a[i * lanes + t], and
-  // `mask` = 1 << q tests qubit q of i.  |z|^2 is re*re + im*im, two
-  // products and one add (no FMA).  Every path is byte-identical to the
-  // scalar body; both entries run serially.
+  // ---- trajectory lane batch ---------------------------------------------
+  /// One pass over a lane block, which interleaves `lanes` (1, 2 or 4)
+  /// unravellings of `dim` amplitudes each: amplitude i of lane t sits at
+  /// a[i * lanes + t].  Each amplitude takes ops[0], ops[1], ... ops[k - 1]
+  /// (0 <= k <= kMaxLaneOps, masks in one lane's qubit space) in order: a
+  /// diagonal op with the path's apply_diag_run multiply, a damp-and-scale
+  /// as two real products rounded separately.  So every element gets the
+  /// bytes of the per-op kernels on that path.  When sums_mask (1 << q) is
+  /// not 0, the pass then reads the values it wrote: for each lane t,
+  /// summing left to right in ascending i, p1[t] = sum of |a|^2 over i with
+  /// bit(i & sums_mask) set, and norm[t] = sum over all i of |a|^2 on clear
+  /// bits and |a * keep|^2 on set bits (the no-jump norm).  |z|^2 is
+  /// re*re + im*im, two products and one add (no FMA), so the sums are the
+  /// scalar body's on every path.  A pass with sums runs serially.
+  void (*lane_sweep)(cplx* a, std::uint64_t dim, int lanes,
+                     const LaneOp* ops, int k, std::uint64_t sums_mask,
+                     double keep, double* p1, double* norm);
+};
 
-  /// The read pass: for each lane t, summing left to right in ascending i,
-  /// p1[t] = sum of |a|^2 over set-bit i, and norm[t] = sum over all i of
-  /// |a|^2 on clear bits and |a * keep|^2 on set bits (the no-jump norm).
-  void (*lane_thermal_sums)(const cplx* a, std::uint64_t dim, int lanes,
-                            std::uint64_t mask, double keep, double* p1,
-                            double* norm);
-  /// The write pass: each amplitude of lane t becomes
-  /// (set bit ? a * keep : a) * scale[t], every real product rounded
-  /// separately.
-  void (*lane_damp_scale)(cplx* a, std::uint64_t dim, int lanes,
-                          std::uint64_t mask, double keep,
-                          const double* scale);
+/// A complex factor y split for cmul: its real part in both slots of every
+/// complex (re) and its imaginary part likewise (im).  A loop that applies
+/// one factor many times splits it once; cmul(x, y) is
+/// cmul(x, csplit(y)), so both forms give the same bytes.
+template <typename V>
+struct CSplit {
+  V re, im;
 };
 
 /// Table getters, one per translation unit.  A getter returns nullptr when
@@ -191,18 +199,23 @@ struct CVec2d {
   }
   /// Scale both components by a real factor.
   CVec2d rscale(double s) const { return {_mm_mul_pd(v, _mm_set1_pd(s))}; }
+  /// Each slot times the matching slot of \p f (real factors).
+  CVec2d rmul(CVec2d f) const { return {_mm_mul_pd(v, f.v)}; }
 };
+
+inline CSplit<CVec2d> csplit(CVec2d y) {
+  return {{_mm_unpacklo_pd(y.v, y.v)}, {_mm_unpackhi_pd(y.v, y.v)}};
+}
 
 /// Complex product x*y: [ac - bd, bc + ad] via mul/mul/negate-low/add —
 /// the exact operation sequence of std::complex multiplication.
-inline CVec2d cmul(CVec2d x, CVec2d y) {
-  const __m128d yr = _mm_unpacklo_pd(y.v, y.v);       // [c, c]
-  const __m128d yi = _mm_unpackhi_pd(y.v, y.v);       // [d, d]
+inline CVec2d cmul(CVec2d x, CSplit<CVec2d> y) {
   const __m128d xs = _mm_shuffle_pd(x.v, x.v, 1);     // [b, a]
-  __m128d t = _mm_mul_pd(xs, yi);                     // [b*d, a*d]
+  __m128d t = _mm_mul_pd(xs, y.im.v);                 // [b*d, a*d]
   t = _mm_xor_pd(t, _mm_set_pd(0.0, -0.0));           // [-b*d, a*d]
-  return {_mm_add_pd(_mm_mul_pd(x.v, yr), t)};
+  return {_mm_add_pd(_mm_mul_pd(x.v, y.re.v), t)};
 }
+inline CVec2d cmul(CVec2d x, CVec2d y) { return cmul(x, csplit(y)); }
 
 #elif defined(__ARM_NEON) && defined(__aarch64__)
 #define CHARTER_SIMD_HAS_WIDTH2 1
@@ -224,18 +237,22 @@ struct CVec2d {
     return {vaddq_f64(a.v, b.v)};
   }
   CVec2d rscale(double s) const { return {vmulq_n_f64(v, s)}; }
+  CVec2d rmul(CVec2d f) const { return {vmulq_f64(v, f.v)}; }
 };
+
+inline CSplit<CVec2d> csplit(CVec2d y) {
+  return {{vdupq_laneq_f64(y.v, 0)}, {vdupq_laneq_f64(y.v, 1)}};
+}
 
 /// Complex product x*y: [ac - bd, bc + ad].  The lane-0 sign flip rides the
 /// fused multiply by the exact constants (-1, 1).
-inline CVec2d cmul(CVec2d x, CVec2d y) {
-  const float64x2_t yr = vdupq_laneq_f64(y.v, 0);  // [c, c]
-  const float64x2_t yi = vdupq_laneq_f64(y.v, 1);  // [d, d]
+inline CVec2d cmul(CVec2d x, CSplit<CVec2d> y) {
   const float64x2_t xs = vextq_f64(x.v, x.v, 1);   // [b, a]
   const float64x2_t sign = {-1.0, 1.0};
-  const float64x2_t t = vmulq_f64(xs, yi);         // [b*d, a*d]
-  return {vfmaq_f64(vmulq_f64(x.v, yr), t, sign)};
+  const float64x2_t t = vmulq_f64(xs, y.im.v);     // [b*d, a*d]
+  return {vfmaq_f64(vmulq_f64(x.v, y.re.v), t, sign)};
 }
+inline CVec2d cmul(CVec2d x, CVec2d y) { return cmul(x, csplit(y)); }
 #endif  // width-2 ISA
 
 // ===========================================================================
@@ -271,6 +288,8 @@ struct CVec4d {
   CVec4d rscale(double s) const {
     return {_mm256_mul_pd(v, _mm256_set1_pd(s))};
   }
+  /// Each slot times the matching slot of \p f (real factors).
+  CVec4d rmul(CVec4d f) const { return {_mm256_mul_pd(v, f.v)}; }
   /// this*s + b*t with real factors, fused per element.
   CVec4d rmix(double s, CVec4d b, double t) const {
     return {_mm256_fmadd_pd(b.v, _mm256_set1_pd(t),
@@ -302,14 +321,17 @@ inline CVec4d concat_hi_hi(CVec4d a, CVec4d b) {
   return {_mm256_permute2f128_pd(a.v, b.v, 0x31)};
 }
 
+inline CSplit<CVec4d> csplit(CVec4d y) {
+  return {{_mm256_movedup_pd(y.v)}, {_mm256_permute_pd(y.v, 0xF)}};
+}
+
 /// Complex product on both lanes via the fmaddsub recipe:
 /// even slots a*c - b*d, odd slots b*c + a*d.
-inline CVec4d cmul(CVec4d x, CVec4d y) {
-  const __m256d yr = _mm256_movedup_pd(y.v);       // [c, c, c', c']
-  const __m256d yi = _mm256_permute_pd(y.v, 0xF);  // [d, d, d', d']
+inline CVec4d cmul(CVec4d x, CSplit<CVec4d> y) {
   const __m256d xs = _mm256_permute_pd(x.v, 0x5);  // [b, a, b', a']
-  return {_mm256_fmaddsub_pd(x.v, yr, _mm256_mul_pd(xs, yi))};
+  return {_mm256_fmaddsub_pd(x.v, y.re.v, _mm256_mul_pd(xs, y.im.v))};
 }
+inline CVec4d cmul(CVec4d x, CVec4d y) { return cmul(x, csplit(y)); }
 
 /// acc + x*y on both lanes.
 inline CVec4d cfma(CVec4d acc, CVec4d x, CVec4d y) { return acc + cmul(x, y); }
@@ -351,6 +373,8 @@ struct CVec8d {
   CVec8d rscale(double s) const {
     return {_mm512_mul_pd(v, _mm512_set1_pd(s))};
   }
+  /// Each slot times the matching slot of \p f (real factors).
+  CVec8d rmul(CVec8d f) const { return {_mm512_mul_pd(v, f.v)}; }
   /// this*s + b*t with real factors, fused per element.
   CVec8d rmix(double s, CVec8d b, double t) const {
     return {_mm512_fmadd_pd(b.v, _mm512_set1_pd(t),
@@ -365,14 +389,17 @@ struct CVec8d {
   }
 };
 
+inline CSplit<CVec8d> csplit(CVec8d y) {
+  return {{_mm512_movedup_pd(y.v)}, {_mm512_permute_pd(y.v, 0xFF)}};
+}
+
 /// Complex product on all four lanes via the fmaddsub recipe:
 /// even slots a*c - b*d, odd slots b*c + a*d.
-inline CVec8d cmul(CVec8d x, CVec8d y) {
-  const __m512d yr = _mm512_movedup_pd(y.v);        // [c, c, ...]
-  const __m512d yi = _mm512_permute_pd(y.v, 0xFF);  // [d, d, ...]
+inline CVec8d cmul(CVec8d x, CSplit<CVec8d> y) {
   const __m512d xs = _mm512_permute_pd(x.v, 0x55);  // [b, a, ...]
-  return {_mm512_fmaddsub_pd(x.v, yr, _mm512_mul_pd(xs, yi))};
+  return {_mm512_fmaddsub_pd(x.v, y.re.v, _mm512_mul_pd(xs, y.im.v))};
 }
+inline CVec8d cmul(CVec8d x, CVec8d y) { return cmul(x, csplit(y)); }
 
 /// acc + x*y on all four lanes.
 inline CVec8d cfma(CVec8d acc, CVec8d x, CVec8d y) { return acc + cmul(x, y); }

@@ -14,7 +14,9 @@
 /// 0 and 1 on AVX-512, qubit 0 on AVX2) vary by lane only, so each op has
 /// at most four distinct factor registers — broadcasts for masks >= W,
 /// per-lane gathers otherwise, the values the per-op kernels build.  They
-/// are built once per call and picked per register by its high mask bits.
+/// are built once per call, split for cmul (CSplit: the per-register
+/// factor shuffles leave the loop, the bytes do not change), and picked per
+/// register by its high mask bits.
 /// The sweep walks the block in L1-sized pieces and applies the ops to each
 /// piece in chunks of four, two registers at a time, with the unit's cmul:
 /// every element takes every op's factor in tape order.  cmul is lane-wise,
@@ -32,7 +34,7 @@ namespace charter::math::simd {
 /// Factor registers of one run, for register type V of W amplitudes.
 template <typename V, int W>
 struct DiagRunFactors {
-  V f[kMaxDiagRun][4];
+  CSplit<V> f[kMaxDiagRun][4];  ///< split once, applied per register
   std::uint64_t hi_a[kMaxDiagRun];  ///< amask if >= W, else 0
   std::uint64_t hi_b[kMaxDiagRun];  ///< bmask if >= W, else 0
 
@@ -50,13 +52,13 @@ struct DiagRunFactors {
           lanes[t] = op.d[((e & op.amask) ? 1u : 0u) |
                           ((e & op.bmask) ? 2u : 0u)];
         }
-        f[j][h] = V::load(lanes);
+        f[j][h] = csplit(V::load(lanes));
       }
     }
   }
 
   /// Op j's factor for the register at base index i.
-  const V& at(int j, std::uint64_t i) const {
+  const CSplit<V>& at(int j, std::uint64_t i) const {
     return f[j][((i & hi_a[j]) ? 1u : 0u) | ((i & hi_b[j]) ? 2u : 0u)];
   }
 };
@@ -75,7 +77,7 @@ inline void diag_run_chunk(cplx* a, std::uint64_t lo, std::uint64_t hi,
   if constexpr (K == 0) return;
   std::uint64_t ma[K > 0 ? K : 1], mb[K > 0 ? K : 1];
   unsigned odd[K > 0 ? K : 1];  // index bits set by bit W alone
-  const V* f[K > 0 ? K : 1];
+  const CSplit<V>* f[K > 0 ? K : 1];
   for (int c = 0; c < K; ++c) {
     ma[c] = r.hi_a[j + c];
     mb[c] = r.hi_b[j + c];

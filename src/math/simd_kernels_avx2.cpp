@@ -24,6 +24,7 @@
 
 #include "math/simd.hpp"
 #include "math/simd_diag_run.hpp"
+#include "math/simd_lane_sweep.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CHARTER_SIMD_HAS_AVX2)
@@ -533,84 +534,68 @@ void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
 // A row of two lanes is one register [re0, im0, re1, im1]; its squares
 // plus their pairwise swap give [|x0|^2, |x0|^2, |x1|^2, |x1|^2], so one add
 // per row advances both lanes' chains (a four-lane row is two registers,
-// two independent chains).  A lone lane forwards to scalar.
+// two independent chains).  A lone lane sums with the scalar body.
 
 inline __m256d abs2_dup(__m256d x) {
   const __m256d sq = _mm256_mul_pd(x, x);
   return _mm256_add_pd(sq, _mm256_permute_pd(sq, 0x5));
 }
 
+/// The chains of L = 2 or 4 lanes, fed one group of two registers: two
+/// rows of two lanes, or one row of four.
 template <int L>
-void lane_thermal_sums_l(const cplx* a, std::uint64_t dim, std::uint64_t mask,
-                         double keep, double* p1, double* norm) {
-  constexpr int R = L / 2;  // registers per row
-  const __m256d k = _mm256_set1_pd(keep);
-  __m256d s1[R], sn[R];
-  for (int r = 0; r < R; ++r) s1[r] = sn[r] = _mm256_setzero_pd();
-  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
-    const cplx* clear = a + base * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int r = 0; r < R; ++r)
-        sn[r] = _mm256_add_pd(sn[r],
-                              abs2_dup(CVec4d::load(clear + i + 2 * r).v));
-    const cplx* set = clear + mask * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int r = 0; r < R; ++r) {
-        const __m256d x = CVec4d::load(set + i + 2 * r).v;
-        s1[r] = _mm256_add_pd(s1[r], abs2_dup(x));
-        sn[r] = _mm256_add_pd(sn[r], abs2_dup(_mm256_mul_pd(x, k)));
-      }
+struct LaneSums {
+  static constexpr bool kFused = true;
+  static constexpr int R = L / 2;  // registers per row
+  __m256d k, s1[R], sn[R];
+
+  explicit LaneSums(double keep) : k(_mm256_set1_pd(keep)) {
+    for (int r = 0; r < R; ++r) s1[r] = sn[r] = _mm256_setzero_pd();
   }
-  for (int r = 0; r < R; ++r) {
-    alignas(32) double b1[4], bn[4];
-    _mm256_store_pd(b1, s1[r]);
-    _mm256_store_pd(bn, sn[r]);
-    for (int t = 0; t < 2; ++t) {
-      p1[2 * r + t] = b1[2 * t];
-      norm[2 * r + t] = bn[2 * t];
+
+  void operator()(const CVec4d* x, std::uint64_t row, std::uint64_t mask) {
+    for (int q = 0; q < 2; q += R) {
+      const bool set = (row + static_cast<std::uint64_t>(q / R)) & mask;
+      for (int r = 0; r < R; ++r) {
+        const __m256d v = x[q + r].v;
+        if (set) {
+          s1[r] = _mm256_add_pd(s1[r], abs2_dup(v));
+          sn[r] = _mm256_add_pd(sn[r], abs2_dup(_mm256_mul_pd(v, k)));
+        } else {
+          sn[r] = _mm256_add_pd(sn[r], abs2_dup(v));
+        }
+      }
     }
   }
-}
 
-template <int L>
-void lane_damp_scale_l(cplx* a, std::uint64_t dim, std::uint64_t mask,
-                       double keep, const double* scale) {
-  constexpr int R = L / 2;
-  const __m256d k = _mm256_set1_pd(keep);
-  __m256d s[R];
-  for (int r = 0; r < R; ++r)
-    s[r] = _mm256_set_pd(scale[2 * r + 1], scale[2 * r + 1], scale[2 * r],
-                         scale[2 * r]);
-  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
-    cplx* clear = a + base * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int r = 0; r < R; ++r) {
-        cplx* p = clear + i + 2 * r;
-        CVec4d{_mm256_mul_pd(CVec4d::load(p).v, s[r])}.store(p);
+  void take(double* p1, double* norm) const {
+    for (int r = 0; r < R; ++r) {
+      alignas(32) double b1[4], bn[4];
+      _mm256_store_pd(b1, s1[r]);
+      _mm256_store_pd(bn, sn[r]);
+      for (int t = 0; t < 2; ++t) {
+        p1[2 * r + t] = b1[2 * t];
+        norm[2 * r + t] = bn[2 * t];
       }
-    cplx* set = clear + mask * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int r = 0; r < R; ++r) {
-        cplx* p = set + i + 2 * r;
-        CVec4d{_mm256_mul_pd(_mm256_mul_pd(CVec4d::load(p).v, k), s[r])}
-            .store(p);
-      }
+    }
   }
-}
+};
 
-void k_lane_thermal_sums(const cplx* a, std::uint64_t dim, int lanes,
-                         std::uint64_t mask, double keep, double* p1,
-                         double* norm) {
-  if (lanes == 4) return lane_thermal_sums_l<4>(a, dim, mask, keep, p1, norm);
-  if (lanes == 2) return lane_thermal_sums_l<2>(a, dim, mask, keep, p1, norm);
-  table_scalar()->lane_thermal_sums(a, dim, lanes, mask, keep, p1, norm);
-}
-
-void k_lane_damp_scale(cplx* a, std::uint64_t dim, int lanes,
-                       std::uint64_t mask, double keep, const double* scale) {
-  if (lanes == 4) return lane_damp_scale_l<4>(a, dim, mask, keep, scale);
-  if (lanes == 2) return lane_damp_scale_l<2>(a, dim, mask, keep, scale);
-  table_scalar()->lane_damp_scale(a, dim, lanes, mask, keep, scale);
+void k_lane_sweep(cplx* a, std::uint64_t dim, int lanes, const LaneOp* ops,
+                  int k, std::uint64_t sums_mask, double keep, double* p1,
+                  double* norm) {
+  if (lanes == 4)
+    return lane_sweep_body<2, CVec4d, 2, LaneSums<4>>(
+        a, dim, 4, ops, k, sums_mask, keep, p1, norm);
+  if (lanes == 2)
+    return lane_sweep_body<2, CVec4d, 2, LaneSums<2>>(
+        a, dim, 2, ops, k, sums_mask, keep, p1, norm);
+  // A lone lane of one qubit is a single register.
+  if (dim < 4)
+    return lane_sweep_body<1, CVec4d, 2, ScalarLaneSums<1>>(
+        a, dim, 1, ops, k, sums_mask, keep, p1, norm);
+  lane_sweep_body<2, CVec4d, 2, ScalarLaneSums<1>>(a, dim, 1, ops, k,
+                                                   sums_mask, keep, p1, norm);
 }
 
 constexpr KernelTable kAvx2Table = {
@@ -630,8 +615,7 @@ constexpr KernelTable kAvx2Table = {
     .bitflip_block = k_bitflip_block,
     .depol2q_block = k_depol2q_block,
     .accum_add = k_accum_add,
-    .lane_thermal_sums = k_lane_thermal_sums,
-    .lane_damp_scale = k_lane_damp_scale,
+    .lane_sweep = k_lane_sweep,
 };
 
 }  // namespace

@@ -31,6 +31,7 @@
 
 #include "math/simd.hpp"
 #include "math/simd_diag_run.hpp"
+#include "math/simd_lane_sweep.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CHARTER_SIMD_HAS_AVX512)
@@ -655,60 +656,51 @@ void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
 // A row of four lanes is exactly one register; its squares plus their
 // pairwise swap give each lane's |x|^2 in both of its slots, so one add per
 // row advances all four lanes' chains side by side.  Fewer lanes forward to
-// the narrower path.
+// the narrower path, whose complex multiply rounds as this one's.
 
 inline __m512d abs2_dup(__m512d x) {
   const __m512d sq = _mm512_mul_pd(x, x);
   return _mm512_add_pd(sq, _mm512_permute_pd(sq, 0x55));
 }
 
-void k_lane_thermal_sums(const cplx* a, std::uint64_t dim, int lanes,
-                         std::uint64_t mask, double keep, double* p1,
-                         double* norm) {
-  if (lanes != 4) {
-    narrow()->lane_thermal_sums(a, dim, lanes, mask, keep, p1, norm);
-    return;
-  }
-  const __m512d k = _mm512_set1_pd(keep);
-  __m512d s1 = _mm512_setzero_pd(), sn = _mm512_setzero_pd();
-  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
-    const cplx* clear = a + 4 * base;
-    for (std::uint64_t i = 0; i < 4 * mask; i += 4)
-      sn = _mm512_add_pd(sn, abs2_dup(CVec8d::load(clear + i).v));
-    const cplx* set = clear + 4 * mask;
-    for (std::uint64_t i = 0; i < 4 * mask; i += 4) {
-      const __m512d x = CVec8d::load(set + i).v;
-      s1 = _mm512_add_pd(s1, abs2_dup(x));
-      sn = _mm512_add_pd(sn, abs2_dup(_mm512_mul_pd(x, k)));
+/// The chains of four lanes, fed two rows (two registers) a group.
+struct LaneSums4 {
+  static constexpr bool kFused = true;
+  __m512d k, s1 = _mm512_setzero_pd(), sn = _mm512_setzero_pd();
+
+  explicit LaneSums4(double keep) : k(_mm512_set1_pd(keep)) {}
+
+  void operator()(const CVec8d* x, std::uint64_t row, std::uint64_t mask) {
+    for (int g = 0; g < 2; ++g) {
+      if ((row + static_cast<std::uint64_t>(g)) & mask) {
+        s1 = _mm512_add_pd(s1, abs2_dup(x[g].v));
+        sn = _mm512_add_pd(sn, abs2_dup(_mm512_mul_pd(x[g].v, k)));
+      } else {
+        sn = _mm512_add_pd(sn, abs2_dup(x[g].v));
+      }
     }
   }
-  alignas(64) double b1[8], bn[8];
-  _mm512_store_pd(b1, s1);
-  _mm512_store_pd(bn, sn);
-  for (int t = 0; t < 4; ++t) {
-    p1[t] = b1[2 * t];
-    norm[t] = bn[2 * t];
-  }
-}
 
-void k_lane_damp_scale(cplx* a, std::uint64_t dim, int lanes,
-                       std::uint64_t mask, double keep, const double* scale) {
+  void take(double* p1, double* norm) const {
+    alignas(64) double b1[8], bn[8];
+    _mm512_store_pd(b1, s1);
+    _mm512_store_pd(bn, sn);
+    for (int t = 0; t < 4; ++t) {
+      p1[t] = b1[2 * t];
+      norm[t] = bn[2 * t];
+    }
+  }
+};
+
+void k_lane_sweep(cplx* a, std::uint64_t dim, int lanes, const LaneOp* ops,
+                  int k, std::uint64_t sums_mask, double keep, double* p1,
+                  double* norm) {
   if (lanes != 4) {
-    narrow()->lane_damp_scale(a, dim, lanes, mask, keep, scale);
+    narrow()->lane_sweep(a, dim, lanes, ops, k, sums_mask, keep, p1, norm);
     return;
   }
-  const __m512d k = _mm512_set1_pd(keep);
-  const __m512d s = _mm512_set_pd(scale[3], scale[3], scale[2], scale[2],
-                                  scale[1], scale[1], scale[0], scale[0]);
-  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
-    cplx* clear = a + 4 * base;
-    for (std::uint64_t i = 0; i < 4 * mask; i += 4)
-      CVec8d{_mm512_mul_pd(CVec8d::load(clear + i).v, s)}.store(clear + i);
-    cplx* set = clear + 4 * mask;
-    for (std::uint64_t i = 0; i < 4 * mask; i += 4)
-      CVec8d{_mm512_mul_pd(_mm512_mul_pd(CVec8d::load(set + i).v, k), s)}
-          .store(set + i);
-  }
+  lane_sweep_body<2, CVec8d, 4, LaneSums4>(a, dim, 4, ops, k, sums_mask,
+                                           keep, p1, norm);
 }
 
 constexpr KernelTable kAvx512Table = {
@@ -728,8 +720,7 @@ constexpr KernelTable kAvx512Table = {
     .bitflip_block = k_bitflip_block,
     .depol2q_block = k_depol2q_block,
     .accum_add = k_accum_add,
-    .lane_thermal_sums = k_lane_thermal_sums,
-    .lane_damp_scale = k_lane_damp_scale,
+    .lane_sweep = k_lane_sweep,
 };
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "math/simd.hpp"
+#include "math/simd_lane_sweep.hpp"
 #include "util/parallel.hpp"
 
 namespace charter::math::simd {
@@ -274,59 +275,87 @@ void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
                      [=](std::int64_t i) { acc[i] += src[i]; });
 }
 
-/// The lane-batch passes for a constant lane count L.  Each walks the
-/// block as runs of `mask` rows with qubit q clear, then `mask` rows with
-/// it set, which is ascending i; each lane's sums are their own chain.
-/// A complex times a real rounds each component once.
+/// The damp-and-scale \p op on rows [lo, hi) of an L-lane block, its
+/// fields copied into locals (the stores to the block may alias the op).
 template <int L>
-void lane_thermal_sums_l(const cplx* a, std::uint64_t dim, std::uint64_t mask,
-                         double keep, double* p1, double* norm) {
-  double s1[L] = {}, sn[L] = {};
-  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
-    const cplx* clear = a + base * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int t = 0; t < L; ++t) sn[t] += std::norm(clear[i + t]);
-    const cplx* set = clear + mask * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int t = 0; t < L; ++t) {
-        s1[t] += std::norm(set[i + t]);
-        sn[t] += std::norm(set[i + t] * keep);
-      }
-  }
-  for (int t = 0; t < L; ++t) {
-    p1[t] = s1[t];
-    norm[t] = sn[t];
-  }
-}
-
-template <int L>
-void lane_damp_scale_l(cplx* a, std::uint64_t dim, std::uint64_t mask,
-                       double keep, const double* scale) {
+void lane_damp_rows(cplx* a, std::uint64_t lo, std::uint64_t hi,
+                    const LaneOp& op) {
+  const std::uint64_t mask = op.mask;
+  const double keep = op.keep;
   double s[L];
-  for (int t = 0; t < L; ++t) s[t] = scale[t];
-  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
-    cplx* clear = a + base * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int t = 0; t < L; ++t) clear[i + t] *= s[t];
-    cplx* set = clear + mask * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int t = 0; t < L; ++t) set[i + t] = set[i + t] * keep * s[t];
+  for (int t = 0; t < L; ++t) s[t] = op.scale[t];
+  for (std::uint64_t i = lo; i < hi; ++i) {
+    cplx* row = a + i * L;
+    if (i & mask)
+      for (int t = 0; t < L; ++t) row[t] = row[t] * keep * s[t];
+    else
+      for (int t = 0; t < L; ++t) row[t] *= s[t];
   }
 }
 
-void k_lane_thermal_sums(const cplx* a, std::uint64_t dim, int lanes,
-                         std::uint64_t mask, double keep, double* p1,
-                         double* norm) {
-  if (lanes == 4) return lane_thermal_sums_l<4>(a, dim, mask, keep, p1, norm);
-  if (lanes == 2) return lane_thermal_sums_l<2>(a, dim, mask, keep, p1, norm);
-  lane_thermal_sums_l<1>(a, dim, mask, keep, p1, norm);
+/// The diagonal ops \p ops[0, k) on rows [lo, hi), each element taking
+/// them in order.
+template <int L>
+void lane_diag_rows(cplx* a, std::uint64_t lo, std::uint64_t hi,
+                    const LaneOp* ops, int k) {
+  for (std::uint64_t i = lo; i < hi; ++i) {
+    cplx* row = a + i * L;
+    for (int t = 0; t < L; ++t) {
+      cplx v = row[t];
+      for (int j = 0; j < k; ++j) {
+        const DiagOp& d = ops[j].diag;
+        v *= d.d[((i & d.amask) ? 1u : 0u) | ((i & d.bmask) ? 2u : 0u)];
+      }
+      row[t] = v;
+    }
+  }
 }
 
-void k_lane_damp_scale(cplx* a, std::uint64_t dim, int lanes,
-                       std::uint64_t mask, double keep, const double* scale) {
-  if (lanes == 4) return lane_damp_scale_l<4>(a, dim, mask, keep, scale);
-  if (lanes == 2) return lane_damp_scale_l<2>(a, dim, mask, keep, scale);
-  lane_damp_scale_l<1>(a, dim, mask, keep, scale);
+/// The lane sweep for a constant lane count L, in pieces of 64 rows: each
+/// damp-and-scale and each run of diagonal ops in turn on the piece, then,
+/// with sums, the piece's rows to the sums while they are in L1.  The ops
+/// are element-local, so every element still takes them in order.
+template <int L>
+void lane_sweep_l(cplx* a, std::uint64_t dim, const LaneOp* ops, int k,
+                  std::uint64_t sums_mask, double keep, double* p1,
+                  double* norm) {
+  constexpr std::uint64_t kPiece = 64;
+  const auto piece = [=](std::uint64_t lo) {
+    const std::uint64_t hi = std::min(dim, lo + kPiece);
+    for (int j = 0; j < k;) {
+      if (ops[j].damp) {
+        lane_damp_rows<L>(a, lo, hi, ops[j++]);
+        continue;
+      }
+      int run = 1;
+      while (j + run < k && !ops[j + run].damp) ++run;
+      lane_diag_rows<L>(a, lo, hi, ops + j, run);
+      j += run;
+    }
+    return hi;
+  };
+  if (sums_mask == 0) {
+    if (k > 0)
+      util::parallel_for(
+          static_cast<std::int64_t>((dim + kPiece - 1) / kPiece),
+          [=](std::int64_t p) { piece(static_cast<std::uint64_t>(p) * kPiece); },
+          /*grain=*/16);
+    return;
+  }
+  ScalarLaneSums<L> sums(keep);
+  for (std::uint64_t lo = 0; lo < dim; lo += kPiece)
+    sums.rows(a, lo, piece(lo), sums_mask);
+  sums.take(p1, norm);
+}
+
+void k_lane_sweep(cplx* a, std::uint64_t dim, int lanes, const LaneOp* ops,
+                  int k, std::uint64_t sums_mask, double keep, double* p1,
+                  double* norm) {
+  if (lanes == 4)
+    return lane_sweep_l<4>(a, dim, ops, k, sums_mask, keep, p1, norm);
+  if (lanes == 2)
+    return lane_sweep_l<2>(a, dim, ops, k, sums_mask, keep, p1, norm);
+  lane_sweep_l<1>(a, dim, ops, k, sums_mask, keep, p1, norm);
 }
 
 constexpr KernelTable kScalarTable = {
@@ -346,8 +375,7 @@ constexpr KernelTable kScalarTable = {
     .bitflip_block = k_bitflip_block,
     .depol2q_block = k_depol2q_block,
     .accum_add = k_accum_add,
-    .lane_thermal_sums = k_lane_thermal_sums,
-    .lane_damp_scale = k_lane_damp_scale,
+    .lane_sweep = k_lane_sweep,
 };
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "math/simd.hpp"
 #include "math/simd_diag_run.hpp"
+#include "math/simd_lane_sweep.hpp"
 #include "util/parallel.hpp"
 
 #if defined(CHARTER_SIMD_HAS_WIDTH2)
@@ -200,7 +201,8 @@ void k_accum_add(cplx* acc, const cplx* src, std::uint64_t n) {
 // ---- lane batch ----------------------------------------------------------
 // One amplitude per register.  The sums pair lanes 2p and 2p + 1 into one
 // register [|x|^2, |y|^2] = [re*re, re'*re'] + [im*im, im'*im'], so one add
-// per row advances both lanes' chains.  A lone lane forwards to scalar.
+// per row advances both lanes' chains.  A lone lane sums with the scalar
+// body.
 
 #if defined(__SSE2__)
 inline CVec2d squares(CVec2d x) { return {_mm_mul_pd(x.v, x.v)}; }
@@ -222,71 +224,55 @@ inline CVec2d abs2_pair(CVec2d x, CVec2d y) {
   return re_parts(sx, sy) + im_parts(sx, sy);
 }
 
+/// The chains of L = 2 or 4 lanes, fed one row (L registers) a group.
 template <int L>
-void lane_thermal_sums_l(const cplx* a, std::uint64_t dim, std::uint64_t mask,
-                         double keep, double* p1, double* norm) {
-  constexpr int P = L / 2;  // lane pairs
+struct LaneSums {
+  static constexpr bool kFused = true;
+  static constexpr int P = L / 2;  // lane pairs
+  double keep;
   CVec2d s1[P], sn[P];
-  for (int p = 0; p < P; ++p) s1[p] = sn[p] = CVec2d::zero();
-  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
-    const cplx* clear = a + base * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int p = 0; p < P; ++p)
-        sn[p] = sn[p] + abs2_pair(CVec2d::load(clear + i + 2 * p),
-                                  CVec2d::load(clear + i + 2 * p + 1));
-    const cplx* set = clear + mask * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int p = 0; p < P; ++p) {
-        const CVec2d x = CVec2d::load(set + i + 2 * p);
-        const CVec2d y = CVec2d::load(set + i + 2 * p + 1);
-        s1[p] = s1[p] + abs2_pair(x, y);
-        sn[p] = sn[p] + abs2_pair(x.rscale(keep), y.rscale(keep));
+
+  explicit LaneSums(double k) : keep(k) {
+    for (int p = 0; p < P; ++p) s1[p] = sn[p] = CVec2d::zero();
+  }
+
+  void operator()(const CVec2d* x, std::uint64_t row, std::uint64_t mask) {
+    for (int p = 0; p < P; ++p) {
+      const CVec2d u = x[2 * p], v = x[2 * p + 1];
+      if (row & mask) {
+        s1[p] = s1[p] + abs2_pair(u, v);
+        sn[p] = sn[p] + abs2_pair(u.rscale(keep), v.rscale(keep));
+      } else {
+        sn[p] = sn[p] + abs2_pair(u, v);
       }
+    }
   }
-  for (int p = 0; p < P; ++p) {
-    cplx w1, wn;  // [lane 2p, lane 2p + 1]
-    s1[p].store(&w1);
-    sn[p].store(&wn);
-    p1[2 * p] = w1.real();
-    p1[2 * p + 1] = w1.imag();
-    norm[2 * p] = wn.real();
-    norm[2 * p + 1] = wn.imag();
+
+  void take(double* p1, double* norm) const {
+    for (int p = 0; p < P; ++p) {
+      cplx w1, wn;  // [lane 2p, lane 2p + 1]
+      s1[p].store(&w1);
+      sn[p].store(&wn);
+      p1[2 * p] = w1.real();
+      p1[2 * p + 1] = w1.imag();
+      norm[2 * p] = wn.real();
+      norm[2 * p + 1] = wn.imag();
+    }
   }
-}
+};
 
-template <int L>
-void lane_damp_scale_l(cplx* a, std::uint64_t dim, std::uint64_t mask,
-                       double keep, const double* scale) {
-  double s[L];
-  for (int t = 0; t < L; ++t) s[t] = scale[t];
-  for (std::uint64_t base = 0; base < dim; base += 2 * mask) {
-    cplx* clear = a + base * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int t = 0; t < L; ++t)
-        CVec2d::load(clear + i + t).rscale(s[t]).store(clear + i + t);
-    cplx* set = clear + mask * L;
-    for (std::uint64_t i = 0; i < mask * L; i += L)
-      for (int t = 0; t < L; ++t)
-        CVec2d::load(set + i + t)
-            .rscale(keep)
-            .rscale(s[t])
-            .store(set + i + t);
-  }
-}
-
-void k_lane_thermal_sums(const cplx* a, std::uint64_t dim, int lanes,
-                         std::uint64_t mask, double keep, double* p1,
-                         double* norm) {
-  if (lanes == 4) return lane_thermal_sums_l<4>(a, dim, mask, keep, p1, norm);
-  if (lanes == 2) return lane_thermal_sums_l<2>(a, dim, mask, keep, p1, norm);
-  table_scalar()->lane_thermal_sums(a, dim, lanes, mask, keep, p1, norm);
-}
-
-void k_lane_damp_scale(cplx* a, std::uint64_t dim, int lanes,
-                       std::uint64_t mask, double keep, const double* scale) {
-  if (lanes == 4) return lane_damp_scale_l<4>(a, dim, mask, keep, scale);
-  if (lanes == 2) return lane_damp_scale_l<2>(a, dim, mask, keep, scale);
-  table_scalar()->lane_damp_scale(a, dim, lanes, mask, keep, scale);
+void k_lane_sweep(cplx* a, std::uint64_t dim, int lanes, const LaneOp* ops,
+                  int k, std::uint64_t sums_mask, double keep, double* p1,
+                  double* norm) {
+  // A group is one row of two or four lanes, or two lone-lane rows.
+  if (lanes == 4)
+    return lane_sweep_body<4, CVec2d, 1, LaneSums<4>>(
+        a, dim, 4, ops, k, sums_mask, keep, p1, norm);
+  if (lanes == 2)
+    return lane_sweep_body<2, CVec2d, 1, LaneSums<2>>(
+        a, dim, 2, ops, k, sums_mask, keep, p1, norm);
+  lane_sweep_body<2, CVec2d, 1, ScalarLaneSums<1>>(a, dim, 1, ops, k,
+                                                   sums_mask, keep, p1, norm);
 }
 
 #if defined(__SSE2__)
@@ -312,8 +298,7 @@ const KernelTable kWidth2Table = {
     .bitflip_block = k_bitflip_block,
     .depol2q_block = nullptr,
     .accum_add = k_accum_add,
-    .lane_thermal_sums = k_lane_thermal_sums,
-    .lane_damp_scale = k_lane_damp_scale,
+    .lane_sweep = k_lane_sweep,
 };
 
 const KernelTable* build_table() {

@@ -55,14 +55,14 @@
 /// density-matrix engine keeps one apply_diag_rowcol pass per op: a run
 /// form of it measured 0.86-1.12x while vec(rho) fits in L2 (ROADMAP).
 ///
-/// Lane-batch thermal passes.  The trajectory lane batch (sim/trajectory.hpp)
-/// runs a thermal op in two passes over its interleaved block:
-/// lane_thermal_sums reads every lane's P(1) and no-jump norm, and, when no
-/// lane jumps, lane_damp_scale damps the |1> half and renormalizes each
-/// lane in one write.  Both sum and multiply in the scalar body's order on
-/// every path (no FMA), so they are byte-identical everywhere and a lane's
-/// bytes equal a lone engine's.  They run serially, as the lane batch's
-/// groups are already one task each.
+/// Lane-batch sweep.  The trajectory lane batch (sim/trajectory.hpp)
+/// defers its element-local ops, diagonal runs and the no-jump thermal
+/// branch's damp-and-scale, and applies them in one lane_sweep pass over
+/// its interleaved block.  A thermal op's pass also reads every lane's P(1)
+/// and no-jump norm from the values it writes.  The ops take each path's
+/// own per-op arithmetic and the sums the scalar body's order (no FMA), so
+/// a lane's bytes equal a lone engine's.  A pass with sums runs serially,
+/// as the lane batch's groups are already one task each.
 ///
 /// These kernels are what the NoiseProgram tape interpreter dispatches to
 /// through the engine (see noise/program.hpp).
@@ -72,7 +72,7 @@
 /// streams a kernel reads all advance sequentially through memory and each
 /// cache line is touched exactly once per pass.
 ///
-/// All kernels are in-place, and, apart from the lane-batch passes, fan out
+/// All kernels are in-place, and, apart from a lane sweep with sums, fan out
 /// on the kernel pool above a size threshold (util/parallel.hpp).
 
 #include <array>
@@ -169,24 +169,20 @@ inline void apply_diag_run(cplx* a, std::uint64_t dim, const math::DiagOp* ops,
   math::simd::active().apply_diag_run(a, dim, ops, k);
 }
 
-/// The read pass of a thermal op on a trajectory lane block (\p lanes
-/// unravellings of \p dim amplitudes, amplitude i of lane t at
-/// a[i * lanes + t]): per lane, p1 = P(qubit is 1) and norm = the squared
-/// norm after K0 = diag(1, keep), each a left-to-right sum in ascending i.
-/// Serial; byte-identical on every path.
-inline void lane_thermal_sums(const cplx* a, std::uint64_t dim, int lanes,
-                              std::uint64_t mask, double keep, double* p1,
-                              double* norm) {
-  math::simd::active().lane_thermal_sums(a, dim, lanes, mask, keep, p1, norm);
-}
-
-/// The write pass of a no-jump thermal op on a lane block: K0 on the
-/// set-bit amplitudes, then each lane scaled by scale[t].  Serial;
-/// byte-identical on every path.
-inline void lane_damp_scale(cplx* a, std::uint64_t dim, int lanes,
-                            std::uint64_t mask, double keep,
-                            const double* scale) {
-  math::simd::active().lane_damp_scale(a, dim, lanes, mask, keep, scale);
+/// One pass over a trajectory lane block (\p lanes unravellings of \p dim
+/// amplitudes, amplitude i of lane t at a[i * lanes + t]): every element
+/// takes the k deferred ops (math::LaneOp, masks in one lane's qubit space)
+/// in order, with the bytes of the per-op kernels on the active path.  With
+/// \p sums_mask = 1 << q it then reads, per lane, p1 = P(qubit q is 1) and
+/// norm = the squared norm after K0 = diag(1, keep), each a left-to-right
+/// sum in ascending i that is byte-identical on every path, and runs
+/// serially; with sums_mask 0 it only applies the ops.
+inline void lane_sweep(cplx* a, std::uint64_t dim, int lanes,
+                       const math::LaneOp* ops, int k,
+                       std::uint64_t sums_mask, double keep, double* p1,
+                       double* norm) {
+  math::simd::active().lane_sweep(a, dim, lanes, ops, k, sums_mask, keep, p1,
+                                  norm);
 }
 
 /// Applies a general 4x4 unitary on (qa, qb); matrix index convention as in

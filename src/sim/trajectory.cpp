@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -111,10 +112,10 @@ int batch_lanes(int n, int remaining) {
 
 /// Up to four unravellings of one fold group in one lane-interleaved block
 /// of n + log2(lanes) pseudo-qubits (see run_trajectory_group in
-/// trajectory.hpp for the layout and the bit-identity argument).  The
-/// program callback drives it once per batch through the NoisyEngine
-/// interface; only the probability readout and clone() have no meaning for
-/// a batch of unravellings.
+/// trajectory.hpp for the layout, the deferred element-local ops and the
+/// bit-identity argument).  The program callback drives it once per batch
+/// through the NoisyEngine interface; only the probability readout and
+/// clone() have no meaning for a batch of unravellings.
 class LaneBatch final : public NoisyEngine {
  public:
   /// A batch of up to \p max_lanes (1, 2 or 4) unravellings.
@@ -122,8 +123,14 @@ class LaneBatch final : public NoisyEngine {
       : n_(num_qubits), dim_(std::uint64_t{1} << num_qubits) {
     require(num_qubits >= 1 && num_qubits <= 28,
             "statevector supports 1..28 qubits");
-    block_.resize(dim_ * static_cast<std::uint64_t>(max_lanes));
+    // Three spare amplitudes let the block start on a 64-byte line, so no
+    // AVX-512 register of a pass straddles two lines.
+    storage_.resize(dim_ * static_cast<std::uint64_t>(max_lanes) + 3);
+    block_ = storage_.data();
+    while (reinterpret_cast<std::uintptr_t>(block_) % 64 != 0) ++block_;
   }
+  LaneBatch(const LaneBatch&) = delete;
+  LaneBatch& operator=(const LaneBatch&) = delete;
 
   /// Starts unravellings [first, first + lanes) of the family rooted at
   /// \p seeder from |0...0>; \p lanes is 1, 2 or 4, at most max_lanes.
@@ -137,8 +144,9 @@ class LaneBatch final : public NoisyEngine {
   }
 
   /// local[i] += |a_i|^2 of each lane, in lane (= unravelling) order.
-  void accumulate(std::vector<double>& local) const {
-    const cplx* a = block_.data();
+  void accumulate(std::vector<double>& local) {
+    flush();
+    const cplx* a = block_;
     const std::uint64_t lanes = static_cast<std::uint64_t>(lanes_);
     for (std::uint64_t i = 0; i < dim_; ++i)
       for (std::uint64_t t = 0; t < lanes; ++t)
@@ -148,39 +156,39 @@ class LaneBatch final : public NoisyEngine {
   int num_qubits() const override { return n_; }
 
   void reset() override {
-    std::fill(block_.begin(), block_.begin() + static_cast<std::ptrdiff_t>(
-                                                  size()),
-              cplx(0.0));
-    for (int t = 0; t < lanes_; ++t) block_[static_cast<std::size_t>(t)] = 1.0;
+    pending_ = 0;
+    std::fill(block_, block_ + size(), cplx(0.0));
+    for (int t = 0; t < lanes_; ++t) block_[t] = 1.0;
   }
 
   void apply_unitary_1q(const Mat2& u, int q) override {
     require(q >= 0 && q < n_, "qubit out of range");
+    flush();
     kernels::apply_1q(data(), size(), q + shift_, u);
   }
   void apply_diag_1q(cplx d0, cplx d1, int q) override {
-    kernels::apply_diag_1q(data(), size(), q + shift_, d0, d1);
+    const math::DiagOp op{std::uint64_t{1} << q, 0, {d0, d1, d0, d1}};
+    apply_diag_run(&op, 1);
   }
   void apply_cx(int c, int t) override {
+    flush();
     kernels::apply_cx(data(), size(), c + shift_, t + shift_);
   }
   void apply_diag_2q(const std::array<cplx, 4>& d, int qa,
                      int qb) override {
-    kernels::apply_diag_2q(data(), size(), qa + shift_, qb + shift_, d);
+    const math::DiagOp op{std::uint64_t{1} << qa, std::uint64_t{1} << qb, d};
+    apply_diag_run(&op, 1);
   }
   void apply_diag_run(const math::DiagOp* ops, int k) override {
     CHARTER_ASSERT(k >= 1 && k <= math::kMaxDiagRun, "diagonal run length");
-    std::array<math::DiagOp, math::kMaxDiagRun> shifted;
-    for (int j = 0; j < k; ++j) {
-      shifted[j] = ops[j];
-      shifted[j].amask <<= shift_;
-      shifted[j].bmask <<= shift_;
-    }
-    kernels::apply_diag_run(data(), size(), shifted.data(), k);
+    if (pending_ + k > math::kMaxLaneOps) flush();
+    for (int j = 0; j < k; ++j)
+      ops_[pending_++] = math::LaneOp{.diag = ops[j]};
   }
   void apply_unitary_2q(const math::Mat4& u, int qa, int qb) override {
     require(qa >= 0 && qa < n_ && qb >= 0 && qb < n_ && qa != qb,
             "qubits out of range");
+    flush();
     if (shift_ > 0 && (qa == 0 || qb == 0)) {
       // The AVX2 and AVX-512 paths hand a bit-0 operand to the scalar
       // loop, whose products do not fuse; shifted up, the same op would
@@ -196,19 +204,22 @@ class LaneBatch final : public NoisyEngine {
     require(qa >= 0 && qa < n_ && qb >= 0 && qb < n_ && qc >= 0 &&
                 qc < n_ && qa != qb && qa != qc && qb != qc,
             "qubits out of range");
+    flush();
     kernels::apply_3q(data(), size(), qa + shift_, qb + shift_, qc + shift_,
                       u);
   }
 
   void apply_thermal_relaxation(int q, double gamma, double pz) override {
     if (gamma > 0.0) {
-      // One read pass for every lane's P(1) and no-jump norm; when no lane
-      // jumps, one write pass damps and renormalizes them all.
+      // One pass applies the pending ops and reads every lane's P(1) and
+      // no-jump norm from the values it writes; when no lane jumps, the
+      // damp-and-scale becomes the pending op.
       const std::uint64_t mask = std::uint64_t{1} << q;
       const double keep = std::sqrt(1.0 - gamma);
       std::array<double, kMaxLanes> p1{}, norm{};
-      kernels::lane_thermal_sums(data(), dim_, lanes_, mask, keep, p1.data(),
-                                 norm.data());
+      kernels::lane_sweep(data(), dim_, lanes_, ops_.data(), pending_, mask,
+                          keep, p1.data(), norm.data());
+      pending_ = 0;
       std::array<bool, kMaxLanes> jump{};
       bool any_jump = false;
       for (int t = 0; t < lanes_; ++t) {
@@ -216,14 +227,13 @@ class LaneBatch final : public NoisyEngine {
         any_jump = any_jump || jump[t];
       }
       if (!any_jump) {
-        std::array<double, kMaxLanes> scale{};
+        math::LaneOp& op = ops_[pending_++];
+        op = math::LaneOp{.damp = true, .mask = mask, .keep = keep};
         for (int t = 0; t < lanes_; ++t) {
           const double nrm = std::sqrt(norm[t]);
           CHARTER_ASSERT(nrm > 0.0, "cannot normalize zero state");
-          scale[t] = 1.0 / nrm;
+          op.scale[t] = 1.0 / nrm;
         }
-        kernels::lane_damp_scale(data(), dim_, lanes_, mask, keep,
-                                 scale.data());
       } else {
         for (int t = 0; t < lanes_; ++t)
           on_lane(t, [&](Statevector& sv) {
@@ -278,16 +288,26 @@ class LaneBatch final : public NoisyEngine {
   }
 
  private:
-  cplx* data() { return block_.data(); }
+  cplx* data() { return block_; }
   std::uint64_t size() const {
     return dim_ * static_cast<std::uint64_t>(lanes_);
   }
 
-  /// Runs \p fn on lane \p t alone: the lane is copied into a contiguous
-  /// n-qubit scratch state (allocated at the first such event), so \p fn
-  /// sees exactly the state and qubit positions a lone engine has.
+  /// Applies the pending ops in one sweep without sums.
+  void flush() {
+    if (pending_ == 0) return;
+    kernels::lane_sweep(data(), dim_, lanes_, ops_.data(), pending_, 0, 0.0,
+                        nullptr, nullptr);
+    pending_ = 0;
+  }
+
+  /// Runs \p fn on lane \p t alone: the pending ops are flushed and the
+  /// lane is copied into a contiguous n-qubit scratch state (allocated at
+  /// the first such event), so \p fn sees exactly the state and qubit
+  /// positions a lone engine has.
   template <typename Fn>
   void on_lane(int t, Fn&& fn) {
+    flush();
     if (!scratch_) scratch_.emplace(n_);
     cplx* s = scratch_->mutable_amplitudes().data();
     cplx* a = data() + t;
@@ -301,7 +321,11 @@ class LaneBatch final : public NoisyEngine {
   std::uint64_t dim_;
   int lanes_ = 1;
   int shift_ = 0;
-  std::vector<cplx> block_;
+  std::vector<cplx> storage_;
+  cplx* block_;  ///< the lane block: storage_ from its first 64-byte line
+  /// Deferred element-local ops, in tape order: ops_[0, pending_).
+  std::array<math::LaneOp, math::kMaxLaneOps> ops_;
+  int pending_ = 0;
   std::vector<util::Rng> rngs_;
   std::optional<Statevector> scratch_;
 };

@@ -112,28 +112,33 @@ inline std::uint64_t trajectory_engine_seed(const util::Rng& seeder,
 ///    arithmetic does not depend on a qubit's bit position, except the
 ///    dense two-qubit op with a qubit-0 operand (scalar on the AVX2 and
 ///    AVX-512 paths, vector once shifted), which runs per lane;
-///  - a run of consecutive diagonal ops (NoisyEngine::apply_diag_run) is
-///    one kernels::apply_diag_run sweep of the block with every mask
-///    shifted up by log2(lanes): each element takes the ops' factors in
-///    tape order with the per-op kernels' complex multiply, so each lane
-///    gets the bytes of a lone engine's per-op calls, with one pass over
-///    the block instead of one per op;
-///  - thermal relaxation makes two passes over the block, two KernelTable
-///    entries that are byte-identical on every path.  The read pass
-///    (kernels::lane_thermal_sums) takes every lane's P(1) and its no-jump
-///    norm at once, as per-lane left-to-right sums in ascending index
-///    order: P(1) over the set-bit amplitudes only (a lone engine's sum
-///    adds +0.0 for the others, which never changes a non-negative
-///    double), the norm over all of them with the set-bit ones taken
-///    times keep = sqrt(1-gamma).  The draws follow.  When no lane jumps,
-///    the write pass (kernels::lane_damp_scale) applies
-///    K0 = diag(1, keep) and each lane's 1/sqrt(norm) in one sweep, every
-///    real product rounded on its own: a complex product with a real
-///    diagonal entry rounds each component once on every kernel path, so
-///    the values are those of a lone engine's kernel and normalize()
-///    (only a zero's sign may differ, which no later operation or |a|^2
-///    can observe).  When any lane jumps, the norm is dropped and every
-///    lane takes a lone engine's branch with the same P(1);
+///  - element-local writes are deferred: a diagonal op (a run of them,
+///    NoisyEngine::apply_diag_run, or a lone apply_diag_1q / apply_diag_2q)
+///    and the no-jump damp-and-scale of a thermal op join a pending list
+///    (at most math::kMaxLaneOps; a full list is applied first), and
+///    kernels::lane_sweep later applies the whole list in one pass over the
+///    block.  Each element takes the ops in tape order, a diagonal op with
+///    the path's per-op complex multiply, a damp-and-scale as
+///    (set bit ? a * keep : a) * (1/sqrt(norm)), every real product
+///    rounded on its own (a complex product with a real diagonal entry
+///    rounds each component once on every path, so these are a lone
+///    engine's kernel and normalize() values; only a zero's sign may
+///    differ, which no later operation or |a|^2 can observe);
+///  - a thermal op (gamma > 0) is that pass: the sweep applies the pending
+///    list and, serially in ascending index order, reads every lane's P(1)
+///    and no-jump norm from the values it writes, as per-lane left-to-right
+///    sums: P(1) over the set-bit amplitudes only (a lone engine's sum adds
+///    +0.0 for the others, which never changes a non-negative double), the
+///    norm over all of them with the set-bit ones taken times
+///    keep = sqrt(1-gamma).  The draws follow.  When no lane jumps, the
+///    op's damp-and-scale becomes the pending list; when any lane jumps,
+///    the block is already current and every lane takes a lone engine's
+///    branch with the same P(1);
+///  - the pending list is applied (flushed) before every op that reads or
+///    moves amplitudes across elements: cx, the dense one-, two- and
+///    three-qubit unitaries, every per-lane event and accumulate(); reset()
+///    and so the start of a batch clear it.  Draws that read no state (a
+///    depolarizing, bit-flip or pz draw that misses) pass it by;
 ///  - rare per-lane events (a jump in any lane, Pauli draws, Kraus
 ///    branches) copy that lane into a contiguous n-qubit scratch state,
 ///    allocated at the first event, and run a lone engine's arithmetic on

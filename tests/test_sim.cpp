@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 
 #include "circuit/circuit.hpp"
 #include "math/simd_dispatch.hpp"
@@ -701,6 +702,58 @@ cn::NoiseProgram thermal_heavy_tape(int n, int rounds,
   return tape;
 }
 
+/// Random tape in the qaoa pattern whose element-local ops the lane batch
+/// defers: per edge (q, q + 1) of a line, a diagonal run of one to three
+/// ZZ / RZ phases, cx, an RZ, two-qubit depolarizing and a thermal op on
+/// each end; then per qubit a random unitary, a bit flip and a thermal op,
+/// and a Kraus channel on one qubit.  It crosses every flush point: cx,
+/// u1q, Pauli hits (depolarizing 0.3, bit flip 0.2, pz up to 0.3), Kraus,
+/// jumps (gamma 0.6-0.95 on every other layer, 0.01-0.1 otherwise), and
+/// the end of the tape, which closes on a diagonal run after a thermal op.
+cn::NoiseProgram qaoa_shaped_tape(int n, int layers,
+                                  charter::util::Rng& rng) {
+  cn::NoiseProgram tape(n);
+  const auto phase = [&] { return std::exp(cplx(0.0, rng.uniform(-1.0, 1.0))); };
+  const auto diag_run = [&](int qa, int qb, int len) {
+    for (int j = 0; j < len; ++j) {
+      if (j % 2 == 1 || qb < 0) {
+        tape.append_diag_1q(phase(), phase(), j % 2 == 1 && qb >= 0 ? qb : qa);
+        continue;
+      }
+      const cplx e = phase();
+      tape.append_diag_2q({e, std::conj(e), std::conj(e), e}, qa, qb);
+    }
+  };
+  const double g = 0.3;
+  Mat2 k0, k1;  // phase damping with lambda g
+  k0(0, 0) = 1.0;
+  k0(1, 1) = std::sqrt(1.0 - g);
+  k1(1, 1) = std::sqrt(g);
+  const std::vector<Mat2> kraus = {k0, k1};
+  for (int layer = 0; layer < layers; ++layer) {
+    const auto gamma = [&] {
+      return layer % 2 == 1 ? rng.uniform(0.6, 0.95) : rng.uniform(0.01, 0.1);
+    };
+    for (int q = 0; q + 1 < n; ++q) {
+      diag_run(q, q + 1, 1 + static_cast<int>(rng.uniform_int(3)));
+      tape.append_cx(q, q + 1);
+      tape.append_diag_1q(phase(), phase(), q + 1);
+      tape.append_depol_2q(q, q + 1, 0.3);
+      tape.append_thermal(q, gamma(), rng.uniform(0.0, 0.3));
+      tape.append_thermal(q + 1, gamma(), rng.uniform(0.0, 0.3));
+    }
+    for (int q = 0; q < n; ++q) {
+      tape.append_unitary_1q(random_u1(rng), q);
+      tape.append_bitflip(q, 0.2);
+      tape.append_thermal(q, gamma(), rng.uniform(0.0, 0.3));
+    }
+    tape.append_kraus_1q(kraus, static_cast<int>(rng.uniform_int(n)));
+  }
+  tape.append_thermal(0, 0.05, 0.0);
+  diag_run(0, n > 1 ? 1 : -1, 3);
+  return tape;
+}
+
 /// The tape interpreter without diagonal runs: one engine call per op,
 /// diagonal ops through plain apply_diag_1q / apply_diag_2q.
 void execute_op_by_op(const cn::NoiseProgram& tape, cs::NoisyEngine& e) {
@@ -748,20 +801,29 @@ void execute_op_by_op(const cn::NoiseProgram& tape, cs::NoisyEngine& e) {
 }
 
 /// The per-unravelling loop the lane batch replaced: one TrajectoryEngine
-/// per unravelling driven op by op, probabilities summed in unravelling
-/// order, on serial kernels (as on an exec pool worker).
-std::vector<double> one_at_a_time(int n, int begin, int end,
-                                  const charter::util::Rng& seeder,
-                                  const cn::NoiseProgram& tape) {
+/// per unravelling driven by \p program, probabilities summed in
+/// unravelling order, on serial kernels (as on an exec pool worker).
+std::vector<double> one_at_a_time(
+    int n, int begin, int end, const charter::util::Rng& seeder,
+    const std::function<void(cs::NoisyEngine&)>& program) {
   const charter::util::SerialKernels serial;
   std::vector<double> local(std::uint64_t{1} << n, 0.0);
   for (int t = begin; t < end; ++t) {
     cs::TrajectoryEngine engine(n, cs::trajectory_engine_seed(seeder, t));
-    execute_op_by_op(tape, engine);
+    program(engine);
     const std::vector<double> p = engine.probabilities();
     for (std::size_t i = 0; i < local.size(); ++i) local[i] += p[i];
   }
   return local;
+}
+
+/// The same, driving each engine op by op through \p tape.
+std::vector<double> one_at_a_time(int n, int begin, int end,
+                                  const charter::util::Rng& seeder,
+                                  const cn::NoiseProgram& tape) {
+  return one_at_a_time(n, begin, end, seeder, [&](cs::NoisyEngine& e) {
+    execute_op_by_op(tape, e);
+  });
 }
 
 bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
@@ -790,10 +852,13 @@ TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
       // Above 10 qubits one tape per width, rotating through the four
       // kinds, keeps the sanitizer legs fast.
       if (n > 10) tapes = {tapes[static_cast<std::size_t>(n) % tapes.size()]};
-      // Every width runs the thermal-heavy tape, one round above 10 qubits.
+      // Every width runs the thermal-heavy tape, one round above 10 qubits,
+      // and the qaoa-shaped one, two layers above 10 qubits.
       const cn::NoiseProgram thermal =
           thermal_heavy_tape(n, n > 10 ? 1 : 3, rng);
       tapes.push_back(&thermal);
+      const cn::NoiseProgram qaoa = qaoa_shaped_tape(n, n > 10 ? 2 : 4, rng);
+      tapes.push_back(&qaoa);
       // Every group size at small widths, one per width above.
       for (int size = n <= 6 ? 1 : 1 + n % 8; size <= 8;
            size += n <= 6 ? 1 : 8) {
@@ -810,6 +875,17 @@ TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
               << " ops=" << tape->size();
           ++checked;
         }
+        // A program that resets with ops still deferred: the qaoa tape
+        // ends on a diagonal run, and its second run starts from a reset.
+        const auto twice = [&](cs::NoisyEngine& e) {
+          qaoa.execute(e);
+          qaoa.execute(e);
+        };
+        EXPECT_TRUE(same_bytes(
+            cs::run_trajectory_group(n, begin, begin + size, seeder, twice),
+            one_at_a_time(n, begin, begin + size, seeder, twice)))
+            << ms::path_name(path) << " n=" << n << " size=" << size
+            << " twice";
       }
     }
   }

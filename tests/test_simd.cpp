@@ -21,8 +21,9 @@
 //     every path, and the qft7 / adder9 exact tapes leave the same vec(rho)
 //     on the avx2 and avx512 paths.  On every path, apply_diag_run equals
 //     its k per-op diagonal calls at widths 1..16 for k = 1..16, and the
-//     lane batch's two thermal passes (lane_thermal_sums, lane_damp_scale)
-//     equal the scalar body, which equals the historical three-pass loops.
+//     lane batch's sweep (lane_sweep) equals that path's per-op diagonal
+//     calls interleaved with the historical damp, scale and sum loops, and
+//     on damp-only op lists the scalar body.
 //
 // The sweep runs on the dispatch *table* functions directly, so it tests
 // exactly what sim/kernels.hpp forwards to.
@@ -257,10 +258,10 @@ void ref_depol2q_block(cplx* a, std::uint64_t dim, std::uint64_t ra,
   }
 }
 
-// The trajectory lane batch's historical no-jump thermal loops, three
-// passes over `lanes` interleaved unravellings (amplitude i of lane t at
-// a[i * lanes + t]): P(1) per lane, then K0 = diag(1, keep) on the set-bit
-// amplitudes with the no-jump norm, then a scale by scale[t].
+// The trajectory lane batch's historical no-jump thermal loops over `lanes`
+// interleaved unravellings (amplitude i of lane t at a[i * lanes + t]):
+// P(1) per lane, then K0 = diag(1, keep) on the set-bit amplitudes with
+// the no-jump norm, and the write pass that damps and scales.
 void ref_lane_p1(const cplx* a, std::uint64_t dim, int lanes,
                  std::uint64_t mask, double* p1) {
   for (int t = 0; t < lanes; ++t) p1[t] = 0.0;
@@ -279,10 +280,17 @@ void ref_lane_damp_norm(cplx* a, std::uint64_t dim, int lanes,
     }
 }
 
-void ref_lane_scale(cplx* a, std::uint64_t dim, int lanes,
-                    const double* scale) {
+// The historical no-jump write pass: K0 on the set-bit amplitudes, then
+// each lane scaled by scale[t].
+void ref_lane_damp_scale(cplx* a, std::uint64_t dim, int lanes,
+                         std::uint64_t mask, double keep,
+                         const double* scale) {
   for (std::uint64_t i = 0; i < dim; ++i)
-    for (int t = 0; t < lanes; ++t) a[i * lanes + t] *= scale[t];
+    for (int t = 0; t < lanes; ++t) {
+      cplx& v = a[i * lanes + t];
+      if (i & mask) v *= keep;
+      v *= scale[t];
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -736,12 +744,15 @@ TEST(SimdKernels, DiagRunBitIdenticalToPerOpCallsOnEveryPath) {
   EXPECT_GE(checked, 16 * 16);
 }
 
-// The lane batch's two thermal passes reproduce the historical three byte
-// for byte on every path: P(1), the no-jump norm and the damped, scaled
-// block, for 1, 2 and 4 lanes at widths 1..12, every qubit, several keeps.
-// Each path is compared with the scalar body, and the scalar body with the
-// historical loops.
-TEST(SimdKernels, LaneThermalKernelsBitIdenticalOnEveryPath) {
+// The lane batch's sweep reproduces the separate passes it replaces byte
+// for byte on every path: k = 0..16 mixed ops (diagonal ops, half their
+// operands on qubits 0 and 1, and damp-and-scales), then, on most lists,
+// a thermal op's sums, for 1, 2 and 4 lanes at widths 1..12.  The
+// reference applies each diagonal op with that path's per-op kernel on the
+// block (masks shifted by log2(lanes)), each damp-and-scale and the sums
+// with the historical loops.  Lists without a diagonal op also match the
+// scalar body on every path.
+TEST(SimdKernels, LaneSweepBitIdenticalOnEveryPath) {
   const ms::KernelTable& scalar = *ms::table_scalar();
   const ms::SimdPath original = ms::active_path();
   int checked = 0;
@@ -752,50 +763,95 @@ TEST(SimdKernels, LaneThermalKernelsBitIdenticalOnEveryPath) {
     Rng rng(0x7e4a);
     for (const int lanes : {1, 2, 4})
       for (int n = 1; n <= 12; ++n)
-        for (int q = 0; q < n; ++q)
-          for (const double gamma : {0.01, 0.5, 0.9}) {
-            const std::uint64_t dim = 1ULL << n;
-            const std::uint64_t mask = 1ULL << q;
-            const double keep = std::sqrt(1.0 - gamma);
-            const std::vector<cplx> input =
-                random_state(dim * static_cast<std::uint64_t>(lanes), rng);
-            double scale[4];
-            for (double& s : scale) s = rng.uniform(0.5, 2.0);
-            const std::string where = std::string("path=") + table.name +
-                                " lanes=" + std::to_string(lanes) +
-                                " n=" + std::to_string(n) +
-                                " q=" + std::to_string(q) +
-                                " gamma=" + std::to_string(gamma);
+        for (int k = 0; k <= charter::math::kMaxLaneOps; ++k) {
+          const std::uint64_t dim = 1ULL << n;
+          const int shift = lanes == 4 ? 2 : lanes == 2 ? 1 : 0;
+          const auto qubit = [&] {
+            return static_cast<int>(rng.uniform_int(2) == 0
+                                        ? rng.uniform_int(n < 2 ? 1 : 2)
+                                        : rng.uniform_int(n));
+          };
+          std::vector<charter::math::LaneOp> ops(static_cast<std::size_t>(k));
+          bool any_diag = false;
+          for (charter::math::LaneOp& op : ops) {
+            const int qa = qubit();
+            if (rng.uniform_int(3) == 0) {
+              op.damp = true;
+              op.mask = 1ULL << qa;
+              op.keep = std::sqrt(1.0 - rng.uniform(0.01, 0.9));
+              for (double& s : op.scale) s = rng.uniform(0.5, 2.0);
+              continue;
+            }
+            any_diag = true;
+            const std::array<cplx, 4> d = random_diag4(rng);
+            if (n < 2 || rng.uniform_int(2) == 0) {
+              op.diag = {1ULL << qa, 0, {d[0], d[1], d[0], d[1]}};
+              continue;
+            }
+            int qb = qubit();
+            while (qb == qa) qb = static_cast<int>(rng.uniform_int(n));
+            op.diag = {1ULL << qa, 1ULL << qb, d};
+          }
+          const std::uint64_t sums_mask =
+              rng.uniform_int(4) == 0 ? 0 : 1ULL << qubit();
+          const double keep = std::sqrt(1.0 - rng.uniform(0.01, 0.9));
+          const std::vector<cplx> input =
+              random_state(dim * static_cast<std::uint64_t>(lanes), rng);
+          const std::string where =
+              std::string("path=") + table.name +
+              " lanes=" + std::to_string(lanes) + " n=" + std::to_string(n) +
+              " k=" + std::to_string(k) +
+              " sums=" + std::to_string(sums_mask);
 
-            double want_p1[4], want_norm[4];
-            std::vector<cplx> want = input;
-            ref_lane_p1(want.data(), dim, lanes, mask, want_p1);
-            ref_lane_damp_norm(want.data(), dim, lanes, mask, keep, want_norm);
-            ref_lane_scale(want.data(), dim, lanes, scale);
+          std::vector<cplx> want = input;
+          for (const charter::math::LaneOp& op : ops) {
+            if (op.damp) {
+              ref_lane_damp_scale(want.data(), dim, lanes, op.mask, op.keep,
+                                  op.scale.data());
+              continue;
+            }
+            const int qa = std::countr_zero(op.diag.amask) + shift;
+            if (op.diag.bmask == 0)
+              table.apply_diag_1q(want.data(), want.size(), qa, op.diag.d[0],
+                                  op.diag.d[1]);
+            else
+              table.apply_diag_2q(want.data(), want.size(), qa,
+                                  std::countr_zero(op.diag.bmask) + shift,
+                                  op.diag.d);
+          }
+          double want_p1[4] = {}, want_norm[4] = {};
+          if (sums_mask != 0) {
+            ref_lane_p1(want.data(), dim, lanes, sums_mask, want_p1);
+            std::vector<cplx> damped = want;
+            ref_lane_damp_norm(damped.data(), dim, lanes, sums_mask, keep,
+                               want_norm);
+          }
 
-            const auto passes = [&](const ms::KernelTable& k, double* p1,
-                                    double* norm) {
-              std::vector<cplx> out = input;
-              k.lane_thermal_sums(out.data(), dim, lanes, mask, keep, p1,
-                                  norm);
-              k.lane_damp_scale(out.data(), dim, lanes, mask, keep, scale);
-              return out;
-            };
-            double base_p1[4], base_norm[4], p1[4], norm[4];
-            const std::vector<cplx> base = passes(scalar, base_p1, base_norm);
-            const std::vector<cplx> got = passes(table, p1, norm);
-            const std::size_t bytes = sizeof(double) * lanes;
-            EXPECT_EQ(std::memcmp(base_p1, want_p1, bytes), 0) << where;
-            EXPECT_EQ(std::memcmp(base_norm, want_norm, bytes), 0) << where;
-            EXPECT_TRUE(bit_identical(base, want)) << where;
+          const auto sweep = [&](const ms::KernelTable& t, double* p1,
+                                 double* norm) {
+            std::vector<cplx> out = input;
+            t.lane_sweep(out.data(), dim, lanes, ops.data(), k, sums_mask,
+                         keep, p1, norm);
+            return out;
+          };
+          double p1[4] = {}, norm[4] = {};
+          const std::vector<cplx> got = sweep(table, p1, norm);
+          const std::size_t bytes = sizeof(double) * lanes;
+          EXPECT_TRUE(bit_identical(got, want)) << where;
+          EXPECT_EQ(std::memcmp(p1, want_p1, bytes), 0) << where;
+          EXPECT_EQ(std::memcmp(norm, want_norm, bytes), 0) << where;
+          if (!any_diag) {
+            double base_p1[4] = {}, base_norm[4] = {};
+            EXPECT_TRUE(bit_identical(got, sweep(scalar, base_p1, base_norm)))
+                << where;
             EXPECT_EQ(std::memcmp(p1, base_p1, bytes), 0) << where;
             EXPECT_EQ(std::memcmp(norm, base_norm, bytes), 0) << where;
-            EXPECT_TRUE(bit_identical(got, base)) << where;
-            ++checked;
           }
+          ++checked;
+        }
   }
   ms::set_path(original);
-  EXPECT_GE(checked, 3 * 78 * 3);
+  EXPECT_GE(checked, 3 * 12 * 17);
 }
 
 // End to end on the benchmark circuits: the exact tapes of qft7 (lagos) and

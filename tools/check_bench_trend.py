@@ -144,6 +144,30 @@ def check_kernels(path, data):
     missing = {"scalar", data.get("simd_active")} - lane_paths
     if missing:
         ok = fail(path, f"lane_thermal rows missing paths: {missing}")
+    # Lane sweep: the lane batch's deferred ops as one lane_sweep pass
+    # against the separate passes it replaces, per shape and path, which
+    # must agree byte for byte; the scalar and the active path must both
+    # have every shape.
+    sweeps = data.get("lane_sweep")
+    if not isinstance(sweeps, list):
+        ok = fail(path, "'lane_sweep' rows missing")
+        sweeps = []
+    covered = set()
+    for row in sweeps:
+        covered.add((row.get("path"), row.get("shape")))
+        for key in ("separate_ms", "sweep_ms", "speedup"):
+            ok &= require_number(path, row, key, minimum=0.0)
+        if row.get("identical") is not True:
+            ok = fail(
+                path,
+                f"lane_sweep {row.get('shape')} on {row.get('path')} not "
+                "byte-identical",
+            )
+    shapes = {"damp_sums", "diag_sums", "damp_diag3"}
+    for lane_path in {"scalar", data.get("simd_active")}:
+        absent = {s for s in shapes if (lane_path, s) not in covered}
+        if absent:
+            ok = fail(path, f"lane_sweep rows on {lane_path} missing: {absent}")
     ok &= require_number(path, data, "kernel_pair_speedup", minimum=0.0)
     ok &= require_number(path, data, "tape_ops_exact", minimum=1)
     return ok
@@ -393,6 +417,11 @@ def summarize(path, data):
         rows = {r["kernel"]: r["speedup"] for r in data["simd"]}
         runs = {r["k"]: r["speedup"] for r in data["diag_run"]}
         lanes = {r["path"]: r["speedup"] for r in data["lane_thermal"]}
+        sweeps = {
+            r["shape"]: r["speedup"]
+            for r in data["lane_sweep"]
+            if r["path"] == data["simd_active"]
+        }
         print(
             f"{path}: sim_kernels simd={data['simd_active']} "
             f"1q={rows.get('unitary_1q', 0):.2f}x "
@@ -403,7 +432,10 @@ def summarize(path, data):
             f"depol2q_block={rows.get('depol2q_block', 0):.2f}x "
             f"pair={data['kernel_pair_speedup']:.2f}x "
             f"diag_run_k4={runs.get(4, 0):.2f}x "
-            f"lane_thermal={lanes.get(data['simd_active'], 0):.2f}x"
+            f"lane_thermal={lanes.get(data['simd_active'], 0):.2f}x "
+            f"lane_sweep={sweeps.get('damp_sums', 0):.2f}x/"
+            f"{sweeps.get('diag_sums', 0):.2f}x/"
+            f"{sweeps.get('damp_diag3', 0):.2f}x"
         )
 
 
