@@ -32,7 +32,11 @@
 //     kind on its own (diagonal runs through apply_diag_run on the shifted
 //     block).  The block, P(1) and the norm must agree byte for byte; any
 //     mismatch exits 1.
-//  6. Exact-tape end-to-end execution on the density-matrix engine.
+//  6. sampling[]: sim::sample_counts against the historical loop (one
+//     uniform() and one std::upper_bound per shot), copied below, at 8, 32,
+//     128, 512 and 16384 outcomes with 8192 shots.  The counts and the
+//     next draw of the Rng must agree; any mismatch exits 1.
+//  7. Exact-tape end-to-end execution on the density-matrix engine.
 //
 // Emits JSON (like bench_exec_batching) so the perf trajectory can be
 // tracked across commits; CI uploads the --smoke output as the
@@ -59,6 +63,7 @@
 #include "noise/program.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/kernels.hpp"
+#include "sim/measurement.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -273,6 +278,27 @@ void one_sweep(cplx* a, std::uint64_t dim, const SweepShape& shape,
   cs::kernels::lane_sweep(a, dim, kLanes, shape.ops.data(),
                           static_cast<int>(shape.ops.size()), shape.sums_mask,
                           keep, p1, norm);
+}
+
+/// The historical shot sampler: one uniform() and one upper_bound per shot.
+std::vector<std::uint64_t> upper_bound_counts(const std::vector<double>& probs,
+                                              std::uint64_t shots,
+                                              charter::util::Rng& rng) {
+  std::vector<double> cdf(probs.size());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    acc += std::max(0.0, probs[i]);
+    cdf[i] = acc;
+  }
+  std::vector<std::uint64_t> counts(probs.size(), 0);
+  for (std::uint64_t s = 0; s < shots; ++s) {
+    const double u = rng.uniform() * acc;
+    const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+    const std::size_t idx = std::min(
+        static_cast<std::size_t>(it - cdf.begin()), probs.size() - 1);
+    ++counts[idx];
+  }
+  return counts;
 }
 
 }  // namespace
@@ -601,6 +627,52 @@ int main(int argc, char** argv) {
                        shape.name, simd::path_name(path));
           std::exit(1);
         }
+      }
+    }
+  }
+  json += "\n  ],\n";
+
+  // ---- shot sampling: historical loop vs. sample_counts ----------------
+  json += "  \"sampling\": [\n";
+  {
+    constexpr std::uint64_t kShots = 8192;
+    const int sample_reps = smoke ? 5 : 50;
+    bool first = true;
+    for (const std::size_t outcomes : {8u, 32u, 128u, 512u, 16384u}) {
+      charter::util::Rng gen(outcomes);
+      std::vector<double> probs(outcomes);
+      for (double& p : probs) p = gen.uniform();
+      bool identical = true;
+      double loop_us = 1e300, sample_us = 1e300;
+      for (int rep = 0; rep < sample_reps; ++rep) {
+        charter::util::Rng loop_rng(rep), sample_rng(rep);
+        std::vector<std::uint64_t> want, got;
+        loop_us = std::min(loop_us, 1e6 * best_seconds(1, [&] {
+          want = upper_bound_counts(probs, kShots, loop_rng);
+        }));
+        sample_us = std::min(sample_us, 1e6 * best_seconds(1, [&] {
+          got = cs::sample_counts(probs, kShots, sample_rng);
+        }));
+        identical = identical && got == want &&
+                    sample_rng.next_u64() == loop_rng.next_u64();
+      }
+      char buf[256];
+      std::snprintf(buf, sizeof(buf),
+                    "%s    {\"outcomes\": %zu, \"shots\": %llu, "
+                    "\"upper_bound_us\": %.2f, \"sample_us\": %.2f, "
+                    "\"speedup\": %.3f, \"identical\": %s}",
+                    first ? "" : ",\n", outcomes,
+                    static_cast<unsigned long long>(kShots), loop_us,
+                    sample_us, sample_us > 0.0 ? loop_us / sample_us : 0.0,
+                    identical ? "true" : "false");
+      json += buf;
+      first = false;
+      if (!identical) {
+        std::fprintf(stderr,
+                     "FAIL: sample_counts differs from the upper_bound loop "
+                     "at %zu outcomes\n",
+                     outcomes);
+        std::exit(1);
       }
     }
   }

@@ -1,8 +1,11 @@
 #include "exec/cache.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 
 #include "exec/disk_cache.hpp"
 #include "noise/program.hpp"
@@ -182,6 +185,83 @@ std::string RunCache::disk_dir() const {
   return disk_ != nullptr ? disk_->dir() : std::string();
 }
 
+namespace {
+
+/// Largest inline exponent e (the int8 field), far above the 13 of an
+/// 8192-shot result.
+constexpr int kMaxInlineExponent = 127;
+
+}  // namespace
+
+RunCache::Payload::Payload(const std::vector<double>& distribution)
+    : size_(static_cast<std::uint32_t>(distribution.size())) {
+  if (encode_inline(distribution)) return;
+  raw_ = new double[distribution.size()];
+  std::copy(distribution.begin(), distribution.end(), raw_);
+}
+
+bool RunCache::Payload::encode_inline(const std::vector<double>& values) {
+  if (values.size() > kInlineOutcomes) return false;
+  // The smallest e that makes every value an integer multiple of 2^-e: a
+  // normal v is m * 2^(biased - 1075) for its 53-bit significand m, so it
+  // needs e = 1075 - biased - (trailing zero bits of m).  A subnormal
+  // (biased = 0) comes out at e >= 1023, past the limit, so it stays raw.
+  int e = 0;
+  for (const double v : values) {
+    if (!(v >= 0.0)) return false;  // negative or NaN
+    if (v == 0.0) continue;
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+    const int biased = static_cast<int>(bits >> 52);
+    const std::uint64_t m = (bits & ((1ULL << 52) - 1)) | (1ULL << 52);
+    e = std::max(e, 1075 - biased - std::countr_zero(m));
+  }
+  if (e > kMaxInlineExponent) return false;
+  const double scale = std::ldexp(1.0, e);
+  const double unscale = std::ldexp(1.0, -e);
+  std::array<std::uint16_t, kInlineOutcomes> k{};
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double scaled = values[i] * scale;
+    if (!(scaled < 65536.0)) return false;  // k would not fit (or inf)
+    k[i] = static_cast<std::uint16_t>(scaled);
+    // The decode must give back the stored bits (-0.0 does not).
+    if (std::bit_cast<std::uint64_t>(k[i] * unscale) !=
+        std::bit_cast<std::uint64_t>(values[i]))
+      return false;
+  }
+  std::copy(k.begin(), k.end(), k_);
+  exponent_ = static_cast<std::int8_t>(e);
+  return true;
+}
+
+RunCache::Payload::~Payload() {
+  if (!is_inline()) delete[] raw_;
+}
+
+std::vector<double> RunCache::Payload::decode() const {
+  if (!is_inline()) return std::vector<double>(raw_, raw_ + size_);
+  const double unscale = std::ldexp(1.0, -exponent_);
+  std::vector<double> out(size_);
+  for (std::uint32_t i = 0; i < size_; ++i) out[i] = k_[i] * unscale;
+  return out;
+}
+
+bool RunCache::stores_inline(const std::vector<double>& distribution) {
+  return Payload(distribution).is_inline();
+}
+
+void RunCache::Shard::unlink(Node& node) {
+  Entry& e = node.second;
+  (e.prev != nullptr ? e.prev->second.next : coldest) = e.next;
+  (e.next != nullptr ? e.next->second.prev : warmest) = e.prev;
+  e.prev = e.next = nullptr;
+}
+
+void RunCache::Shard::push_warmest(Node& node) {
+  node.second.prev = warmest;
+  (warmest != nullptr ? warmest->second.next : coldest) = &node;
+  warmest = &node;
+}
+
 std::optional<std::vector<double>> RunCache::lookup(const Fingerprint& key,
                                                     CacheTier* served) {
   if (served != nullptr) *served = CacheTier::kNone;
@@ -192,10 +272,11 @@ std::optional<std::vector<double>> RunCache::lookup(const Fingerprint& key,
     const auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
       ++shard.stats.hits;
-      // Refresh recency: splice this key to the back of the LRU list.
-      shard.lru.splice(shard.lru.end(), shard.lru, it->second.lru_pos);
+      // Refresh recency: move this entry to the warm end of the LRU list.
+      shard.unlink(*it);
+      shard.push_warmest(*it);
       if (served != nullptr) *served = CacheTier::kMemory;
-      memory_hit = it->second.distribution;
+      memory_hit = it->second.payload.decode();
     } else {
       ++shard.stats.misses;
     }
@@ -225,44 +306,48 @@ std::optional<std::vector<double>> RunCache::lookup(const Fingerprint& key,
   if (!loaded.has_value()) return std::nullopt;
   if (loaded->size() * sizeof(double) <= max_bytes_) {
     const std::lock_guard<std::mutex> lock(shard.mu);
-    store_in_shard(shard, key, std::vector<double>(*loaded));
+    store_in_shard(shard, key, *loaded);
   }
   if (served != nullptr) *served = CacheTier::kDisk;
   return loaded;
 }
 
 void RunCache::store_in_shard(Shard& shard, const Fingerprint& key,
-                              std::vector<double>&& distribution) {
-  const std::size_t bytes = distribution.size() * sizeof(double);
+                              const std::vector<double>& distribution) {
+  // The entry keeps a 32-bit size; no result comes near 2^32 outcomes.
+  if (distribution.size() > std::numeric_limits<std::uint32_t>::max())
+    return;
   const auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
     // Results for a given key are identical by construction; refresh
     // recency only.
-    shard.lru.splice(shard.lru.end(), shard.lru, it->second.lru_pos);
+    shard.unlink(*it);
+    shard.push_warmest(*it);
     return;
   }
-  while (shard.stored_bytes + bytes > shard_budget_ && !shard.lru.empty()) {
-    const auto victim = shard.entries.find(shard.lru.front());
-    shard.lru.pop_front();
-    if (victim == shard.entries.end()) continue;
-    shard.stored_bytes -= victim->second.distribution.size() * sizeof(double);
-    shard.entries.erase(victim);
+  const std::size_t bytes = distribution.size() * sizeof(double);
+  while (shard.stored_bytes + bytes > shard_budget_ &&
+         shard.coldest != nullptr) {
+    Node& victim = *shard.coldest;
+    shard.unlink(victim);
+    shard.stored_bytes -= victim.second.payload.bytes();
+    const Fingerprint victim_key = victim.first;
+    shard.entries.erase(victim_key);
     ++shard.stats.evictions;
   }
   shard.stored_bytes += bytes;
-  const auto pos = shard.lru.insert(shard.lru.end(), key);
-  shard.entries.emplace(key, Shard::Entry{std::move(distribution), pos});
+  shard.push_warmest(*shard.entries.try_emplace(key, distribution).first);
   shard.stats.entries = shard.entries.size();
   shard.stats.bytes = shard.stored_bytes;
 }
 
-void RunCache::store(const Fingerprint& key, std::vector<double> distribution) {
+void RunCache::store(const Fingerprint& key,
+                     const std::vector<double>& distribution) {
   std::shared_ptr<DiskCacheTier> disk;
   {
     const std::lock_guard<std::mutex> lock(disk_mu_);
     disk = disk_;
   }
-  // Write through before moving the payload into the memory tier.
   if (disk != nullptr) disk->store(key, distribution);
 
   const std::size_t bytes = distribution.size() * sizeof(double);
@@ -275,14 +360,14 @@ void RunCache::store(const Fingerprint& key, std::vector<double> distribution) {
   if (bytes > max_bytes_) return;  // never admit an entry that can't fit
   Shard& shard = shards_[shard_index(key)];
   const std::lock_guard<std::mutex> lock(shard.mu);
-  store_in_shard(shard, key, std::move(distribution));
+  store_in_shard(shard, key, distribution);
 }
 
 void RunCache::clear() {
   for (Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mu);
     shard.entries.clear();
-    shard.lru.clear();
+    shard.coldest = shard.warmest = nullptr;
     shard.stored_bytes = 0;
     shard.stats = TierStats{};
   }

@@ -31,7 +31,12 @@
 ///    stores on distinct keys almost never contend on a lock.  The 128-bit
 ///    key spreads uniformly, so the per-shard budget (total / kNumShards)
 ///    fills evenly.  Eviction is true LRU: a lookup hit moves the entry to
-///    the back of its shard's recency list.
+///    the warm end of its shard's recency list.  That list is intrusive:
+///    each entry is one unordered_map node holding the key, the prev/next
+///    links (map nodes never move, so the links point at them) and the
+///    payload, which is either inline numerators (see Payload) or one
+///    heap block of raw doubles.  An inline entry costs about 143 B of
+///    RSS.
 ///  - Disk (optional; DiskCacheTier): fingerprint-keyed files under a cache
 ///    directory, attached via set_disk_tier() — the CLI's --cache-dir /
 ///    CHARTER_CACHE_DIR plumbing and charterd's startup both point here.
@@ -44,12 +49,12 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.hpp"
@@ -121,10 +126,16 @@ class RunCache {
  public:
   /// Independent lock stripes; a power of two so shard selection is a mask.
   static constexpr std::size_t kNumShards = 16;
+  /// Widest distribution a memory-tier entry can hold inline.
+  static constexpr std::size_t kInlineOutcomes = 32;
 
-  /// \p max_bytes bounds the memory held by stored distributions (a
-  /// 16-logical-qubit result is 512 KiB, a 7-qubit one under 1 KiB, so the
-  /// bound is on payload bytes rather than entry count).  The budget is
+  /// \p max_bytes bounds the decoded payload bytes of stored
+  /// distributions, 8 per outcome (a 16-logical-qubit result is 512 KiB, a
+  /// 7-qubit one under 1 KiB, so the bound is on payload bytes rather than
+  /// entry count).  It does not bound resident bytes: an inline entry
+  /// keeps its numerators in a fixed 64 B array inside its map node, every
+  /// entry adds that node, and both forms count the same bytes, so
+  /// eviction order does not depend on the layout.  The budget is
   /// split evenly across the shards for eviction purposes; admission is
   /// against the full budget, so an entry larger than one shard's share is
   /// still cacheable (it then holds its stripe alone).
@@ -159,7 +170,7 @@ class RunCache {
   /// least-recently-used entries past its budget) and writes through to the
   /// disk tier when one is attached.  Storing an existing key refreshes
   /// recency only (results for a given key are identical by construction).
-  void store(const Fingerprint& key, std::vector<double> distribution);
+  void store(const Fingerprint& key, const std::vector<double>& distribution);
 
   /// Drops every memory-tier entry and resets the counters.  The disk tier
   /// keeps its files (that persistence is its contract — a daemon restart
@@ -194,6 +205,10 @@ class RunCache {
   /// global atomic one (concurrent writers may land between shard reads).
   Stats stats() const;
 
+  /// Whether the memory tier would hold \p distribution inline rather
+  /// than as raw doubles (exposed for the layout tests).
+  static bool stores_inline(const std::vector<double>& distribution);
+
   /// Shard index \p key maps to (exposed for the striping tests).
   static std::size_t shard_index(const Fingerprint& key) {
     // Deliberately different bit mix than KeyHash, so the stripe choice and
@@ -209,23 +224,68 @@ class RunCache {
     }
   };
 
+  /// One cached distribution.  At most kInlineOutcomes values that are
+  /// all k * 2^-e (k < 2^16, one e per entry) are stored inline as the
+  /// uint16 numerators k; every 4096- or 8192-shot result on <= 5 logical
+  /// qubits has that form.  Anything else (shots = 0, other shot counts,
+  /// wider results, -0.0) keeps its raw doubles in a heap block.  The
+  /// choice is checked at store time: inline only when the decode equals
+  /// the input bit for bit.
+  class Payload {
+   public:
+    explicit Payload(const std::vector<double>& distribution);
+    ~Payload();
+    Payload(const Payload&) = delete;
+    Payload& operator=(const Payload&) = delete;
+
+    std::vector<double> decode() const;
+    /// Decoded payload bytes: what the budget counts.
+    std::size_t bytes() const { return size_ * sizeof(double); }
+    bool is_inline() const { return exponent_ >= 0; }
+
+   private:
+    /// Fills k_ and exponent_ and returns true when \p values decode back
+    /// bit for bit from them; leaves the payload untouched otherwise.
+    bool encode_inline(const std::vector<double>& values);
+
+    union {
+      std::uint16_t k_[kInlineOutcomes];
+      double* raw_;
+    };
+    std::uint32_t size_ = 0;
+    std::int8_t exponent_ = -1;  ///< e when inline; -1 = raw_ owns size_
+  };
+
+  struct Entry;
+  using Node = std::pair<const Fingerprint, Entry>;  ///< a map value
+
+  /// The payload plus the shard's intrusive LRU links.
+  struct Entry {
+    explicit Entry(const std::vector<double>& distribution)
+        : payload(distribution) {}
+    Payload payload;
+    Node* prev = nullptr;  ///< colder neighbour
+    Node* next = nullptr;  ///< warmer neighbour
+  };
+  using EntryMap = std::unordered_map<Fingerprint, Entry, KeyHash>;
+
   /// One lock stripe: a self-contained LRU-evicting map.
   struct Shard {
-    struct Entry {
-      std::vector<double> distribution;
-      std::list<Fingerprint>::iterator lru_pos;
-    };
     mutable std::mutex mu;
     std::size_t stored_bytes = 0;
-    std::unordered_map<Fingerprint, Entry, KeyHash> entries;
-    std::list<Fingerprint> lru;  ///< front = coldest, back = most recent
-    TierStats stats;             ///< entries/bytes maintained on the fly
+    EntryMap entries;
+    Node* coldest = nullptr;  ///< LRU list ends
+    Node* warmest = nullptr;
+    TierStats stats;  ///< entries/bytes maintained on the fly
+
+    void unlink(Node& node);
+    void push_warmest(Node& node);
   };
 
   /// Inserts into \p shard (caller holds its mutex), evicting LRU entries
   /// past the shard budget.  No-op when the key is present.
   void store_in_shard(Shard& shard, const Fingerprint& key,
-                      std::vector<double>&& distribution);
+                      const std::vector<double>& distribution);
 
   std::size_t max_bytes_;     ///< admission limit (constructor contract)
   std::size_t shard_budget_;  ///< max_bytes / kNumShards (eviction target)

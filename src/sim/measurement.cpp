@@ -31,21 +31,42 @@ std::vector<std::uint64_t> sample_counts(const std::vector<double>& probs,
                                          std::uint64_t shots,
                                          util::Rng& rng) {
   require(!probs.empty(), "empty distribution");
-  // Cumulative distribution + binary search per shot.
-  std::vector<double> cdf(probs.size());
+  const std::size_t n = probs.size();
+  // Cumulative distribution + one search per shot.
+  std::vector<double> cdf(n);
   double acc = 0.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     acc += std::max(0.0, probs[i]);
     cdf[i] = acc;
   }
   require(acc > 0.0, "distribution has zero mass");
-  std::vector<std::uint64_t> counts(probs.size(), 0);
-  for (std::uint64_t s = 0; s < shots; ++s) {
-    const double u = rng.uniform() * acc;
-    const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
-    const std::size_t idx = std::min(
-        static_cast<std::size_t>(it - cdf.begin()), probs.size() - 1);
-    ++counts[idx];
+  // The search halves the same ranges for every shot: precompute them.
+  // The cdf never decreases (a running sum of non-negative terms), so
+  // the entries with !(u < cdf[i]) form a prefix, and its length is what
+  // std::upper_bound(cdf, u) returns.
+  std::size_t halves[64] = {};
+  int steps = 0;
+  for (std::size_t len = n; len > 1; len -= halves[steps++])
+    halves[steps] = len / 2;
+  const double* const c = cdf.data();
+  std::vector<std::uint64_t> counts(n, 0);
+  double draws[kShotBlock] = {};
+  for (std::uint64_t done = 0; done < shots;) {
+    const std::size_t m = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kShotBlock, shots - done));
+    rng.fill_uniform(draws, m);
+    for (std::size_t j = 0; j < m; ++j) {
+      const double u = draws[j] * acc;
+      // Fixed trip count and a conditional move per step, no data-dependent
+      // branch: each step keeps the prefix length in [lo, lo + the range
+      // still to halve].
+      std::size_t lo = 0;
+      for (int k = 0; k < steps; ++k)
+        lo += u < c[lo + halves[k]] ? 0 : halves[k];
+      lo += u < c[lo] ? 0 : 1;
+      ++counts[std::min(lo, n - 1)];
+    }
+    done += m;
   }
   return counts;
 }

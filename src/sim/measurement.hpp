@@ -9,6 +9,7 @@
 /// noise floor of a 32,000-shot hardware run, which is central to the
 /// paper's multi-reversal story.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -29,7 +30,18 @@ struct ReadoutError {
 void apply_readout_error(std::vector<double>& probs,
                          const std::vector<ReadoutError>& errors);
 
+/// Shots sample_counts() draws per Rng::fill_uniform() call.
+inline constexpr std::size_t kShotBlock = 1024;
+
 /// Multinomially samples \p shots outcomes; returns dense counts.
+///
+/// Contract: shot s takes the s-th rng.uniform() draw u, scaled by the
+/// total mass acc = sum of max(0, p), and lands on the first outcome whose
+/// running sum of max(0, p) exceeds u * acc (std::upper_bound over that
+/// cdf), clamped to the last outcome.  The draws come in blocks of
+/// kShotBlock through Rng::fill_uniform() and the search is branchless,
+/// but the draws, the counts and the Rng state afterwards are exactly
+/// those of one uniform() call and one upper_bound per shot.
 std::vector<std::uint64_t> sample_counts(const std::vector<double>& probs,
                                          std::uint64_t shots, util::Rng& rng);
 

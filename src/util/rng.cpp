@@ -17,6 +17,24 @@ namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
+
+/// One xoshiro256++ step: advances \p s, returns the output word.
+inline std::uint64_t xoshiro_step(std::array<std::uint64_t, 4>& s) {
+  const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// 53 high bits -> double in [0,1).
+inline double unit_double(std::uint64_t x) {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_(seed) {
@@ -26,24 +44,18 @@ Rng::Rng(std::uint64_t seed) : seed_(seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x1ULL;
 }
 
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
+std::uint64_t Rng::next_u64() { return xoshiro_step(s_); }
 
-double Rng::uniform() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return unit_double(next_u64()); }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
+
+void Rng::fill_uniform(double* out, std::size_t n) {
+  // A local copy of the state stays in registers across the loop.
+  std::array<std::uint64_t, 4> s = s_;
+  for (std::size_t i = 0; i < n; ++i) out[i] = unit_double(xoshiro_step(s));
+  s_ = s;
+}
 
 std::uint64_t Rng::uniform_int(std::uint64_t n) {
   CHARTER_ASSERT(n > 0, "uniform_int requires n > 0");

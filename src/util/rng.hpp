@@ -11,6 +11,7 @@
 /// distributions (we implement our own uniform/normal transforms).
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace charter::util {
@@ -32,6 +33,11 @@ class Rng {
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
+
+  /// Writes the next \p n uniform() draws to \p out, in order, in one
+  /// loop with the generator state in registers; afterwards the state is
+  /// exactly where n uniform() calls would have left it.
+  void fill_uniform(double* out, std::size_t n);
 
   /// Uniform integer in [0, n); requires n > 0.
   std::uint64_t uniform_int(std::uint64_t n);

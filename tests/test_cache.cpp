@@ -12,9 +12,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <list>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +28,7 @@
 
 #include "exec/cache.hpp"
 #include "exec/disk_cache.hpp"
+#include "util/rng.hpp"
 
 namespace ex = charter::exec;
 namespace fs = std::filesystem;
@@ -347,3 +354,110 @@ TEST(RunCacheLru, ClearDiskWipesEntriesButKeepsTheTier) {
   cache.clear();
   EXPECT_TRUE(cache.lookup(key_of(2)).has_value()) << "tier still writable";
 }
+
+namespace {
+
+/// A sampled distribution as counts_to_distribution() returns it: \p n
+/// outcomes, \p shots shots.
+std::vector<double> sampled(std::size_t n, std::uint64_t shots,
+                            charter::util::Rng& rng) {
+  std::vector<std::uint64_t> counts(n, 0);
+  for (std::uint64_t s = 0; s < shots; ++s) ++counts[rng.uniform_int(n)];
+  std::vector<double> p(n);
+  for (std::size_t i = 0; i < n; ++i)
+    p[i] = static_cast<double>(counts[i]) / static_cast<double>(shots);
+  return p;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(),
+                                   a.size() * sizeof(double)) == 0);
+}
+
+}  // namespace
+
+TEST(RunCacheLru, CompactEntriesRoundTripBitIdentical) {
+  charter::util::Rng rng(29);
+  ex::RunCache cache(64ull << 20);
+  std::uint64_t next_key = 0;
+  const auto round_trip = [&](const std::vector<double>& p, bool inline_form,
+                              const std::string& what) {
+    EXPECT_EQ(ex::RunCache::stores_inline(p), inline_form) << what;
+    const ex::Fingerprint key = key_of(next_key++);
+    cache.store(key, p);
+    const auto got = cache.lookup(key);
+    ASSERT_TRUE(got.has_value()) << what;
+    EXPECT_TRUE(same_bits(*got, p)) << what;
+  };
+
+  // Inline: dyadic results of 1..32 outcomes, sampled or concentrated on
+  // one outcome (1.0 needs e = 0).
+  for (std::size_t n = 1; n <= ex::RunCache::kInlineOutcomes; ++n) {
+    for (const std::uint64_t shots : {4096u, 8192u}) {
+      round_trip(sampled(n, shots, rng), true,
+                 "n=" + std::to_string(n) + " shots=" + std::to_string(shots));
+    }
+    std::vector<double> one(n, 0.0);
+    one[n - 1] = 1.0;
+    round_trip(one, true, "all mass on one outcome, n=" + std::to_string(n));
+  }
+
+  // Raw fallbacks.
+  for (const std::size_t n : {2u, 8u, 32u})
+    round_trip(sampled(n, 1000, rng), false, "1000 shots");
+  round_trip({0.1, 0.2, 0.7}, false, "exact probabilities");
+  round_trip({std::cos(0.3) * std::cos(0.3), std::sin(0.3) * std::sin(0.3)},
+             false, "exact probabilities (cos^2, sin^2)");
+  round_trip(sampled(33, 8192, rng), false, "33 outcomes");
+  round_trip(sampled(64, 4096, rng), false, "64 outcomes");
+  round_trip({0.5, -0.0, 0.5}, false, "-0.0");
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  round_trip({tiny, 0.0}, false, "a lone denormal");
+  round_trip({0.5, tiny, 0.5}, false, "a denormal beside normal values");
+  round_trip({0.25, 70000.0}, false, "k >= 2^16");
+
+  // Eviction over mixed inline and raw entries follows LRU order.  Every
+  // payload is 8 outcomes (64 decoded bytes) and the stripe holds three.
+  ex::RunCache small(ex::RunCache::kNumShards * 3 * 8 * sizeof(double));
+  std::vector<ex::Fingerprint> keys;
+  std::vector<std::vector<double>> payloads;
+  const std::size_t stripe = ex::RunCache::shard_index(key_of(1000));
+  for (std::uint64_t i = 1000; keys.size() < 12; ++i) {
+    if (ex::RunCache::shard_index(key_of(i)) != stripe) continue;
+    keys.push_back(key_of(i));
+    payloads.push_back(sampled(8, keys.size() % 2 == 0 ? 8192 : 1000, rng));
+    ASSERT_EQ(ex::RunCache::stores_inline(payloads.back()),
+              keys.size() % 2 == 0);
+  }
+  std::list<std::size_t> model;  // front = coldest
+  std::size_t evictions = 0;
+  const auto use = [&](std::size_t i) {
+    model.remove(i);
+    model.push_back(i);
+  };
+  for (int step = 0; step < 300; ++step) {
+    const std::size_t i = rng.uniform_int(keys.size());
+    const bool present =
+        std::find(model.begin(), model.end(), i) != model.end();
+    if (rng.bernoulli(0.5)) {
+      small.store(keys[i], payloads[i]);
+      if (!present && model.size() == 3) {
+        model.pop_front();
+        ++evictions;
+      }
+      use(i);
+    } else {
+      const auto got = small.lookup(keys[i]);
+      ASSERT_EQ(got.has_value(), present) << "step " << step << " key " << i;
+      if (present) {
+        EXPECT_TRUE(same_bits(*got, payloads[i]));
+        use(i);
+      }
+    }
+    ASSERT_EQ(small.stats().memory.evictions, evictions) << "step " << step;
+    ASSERT_EQ(small.stats().memory.entries, model.size()) << "step " << step;
+    ASSERT_EQ(small.stats().memory.bytes, model.size() * 8 * sizeof(double));
+  }
+}
+

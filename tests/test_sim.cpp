@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 
 #include "circuit/circuit.hpp"
 #include "math/simd_dispatch.hpp"
@@ -1079,6 +1081,81 @@ TEST(Measurement, SampleCountsMatchDistribution) {
   EXPECT_EQ(total, 100000u);
   EXPECT_NEAR(static_cast<double>(counts[0]) / 100000.0, 0.5, 0.01);
   EXPECT_NEAR(static_cast<double>(counts[3]) / 100000.0, 0.125, 0.01);
+}
+
+namespace {
+
+/// The historical sampling loop: one uniform() and one upper_bound per
+/// shot.
+std::vector<std::uint64_t> upper_bound_counts(const std::vector<double>& probs,
+                                              std::uint64_t shots,
+                                              charter::util::Rng& rng) {
+  std::vector<double> cdf(probs.size());
+  double acc = 0.0;
+  for (std::size_t i = 0; i < probs.size(); ++i) {
+    acc += std::max(0.0, probs[i]);
+    cdf[i] = acc;
+  }
+  std::vector<std::uint64_t> counts(probs.size(), 0);
+  for (std::uint64_t s = 0; s < shots; ++s) {
+    const double u = rng.uniform() * acc;
+    const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+    const std::size_t idx = std::min(
+        static_cast<std::size_t>(it - cdf.begin()), probs.size() - 1);
+    ++counts[idx];
+  }
+  return counts;
+}
+
+}  // namespace
+
+TEST(Measurement, SampleCountsByteIdenticalToUpperBoundLoop) {
+  const std::uint64_t block = cs::kShotBlock;
+  const std::vector<std::uint64_t> shot_counts = {
+      1, 7, block - 1, block, block + 1, 4096, 8192, 100000};
+  charter::util::Rng gen(2024);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double huge = std::numeric_limits<double>::max();
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 8u, 9u, 31u, 32u, 33u, 128u,
+                              1000u, 16384u}) {
+    std::vector<std::pair<const char*, std::vector<double>>> dists;
+    std::vector<double> p(n);
+    // Zeros (a quarter of the entries) and negative entries, which the
+    // cdf clamps to zero.
+    for (double& v : p) {
+      const double r = gen.uniform();
+      v = r < 0.25 ? 0.0 : r < 0.4 ? -r : r;
+    }
+    p[n / 2] = 0.7;  // some positive mass in every case
+    dists.emplace_back("zeros_negatives", p);
+    // Trailing zero entries: the last third holds no mass.
+    for (std::size_t i = 0; i < n; ++i)
+      p[i] = 3 * i >= 2 * n && i > 0 ? 0.0 : 0.1 + gen.uniform();
+    dists.emplace_back("trailing_zeros", p);
+    // A single non-zero entry, last (every shot lands on it).
+    std::fill(p.begin(), p.end(), 0.0);
+    p[n - 1] = 0.3;
+    dists.emplace_back("single_last", p);
+    // Subnormal masses: u rounds onto the cdf entries and onto acc itself,
+    // so ties (<= against <) and the n - 1 clamp are both reached.
+    for (std::size_t i = 0; i < n; ++i) p[i] = i % 3 == 1 ? 0.0 : tiny;
+    p[0] = tiny;
+    dists.emplace_back("subnormal", p);
+    // Overflowing mass: for n > 1 acc is +inf, u is inf (or NaN for a zero
+    // draw) and every shot reaches the clamp.
+    std::fill(p.begin(), p.end(), huge);
+    dists.emplace_back("overflow", p);
+    for (const auto& [name, probs] : dists) {
+      for (const std::uint64_t shots : shot_counts) {
+        charter::util::Rng want_rng(n * 131 + shots), got_rng(n * 131 + shots);
+        const auto want = upper_bound_counts(probs, shots, want_rng);
+        const auto got = cs::sample_counts(probs, shots, got_rng);
+        ASSERT_EQ(got, want) << name << " n=" << n << " shots=" << shots;
+        ASSERT_EQ(got_rng.next_u64(), want_rng.next_u64())
+            << name << " n=" << n << " shots=" << shots;
+      }
+    }
+  }
 }
 
 TEST(Measurement, CountsToDistributionNormalizes) {

@@ -108,6 +108,25 @@ TEST(Rng, SplitStreamsIndependentAndDeterministic) {
   EXPECT_GT(seen.size(), 60u);  // no collisions expected
 }
 
+TEST(Rng, FillUniformMatchesUniformCalls) {
+  // Same values bit for bit, and the state left where the calls leave it:
+  // the next raw draw agrees, also after runs of mixed lengths.
+  for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 64u, 1023u, 1024u, 1025u}) {
+    cu::Rng filled(n + 5), called(n + 5);
+    for (int round = 0; round < 3; ++round) {
+      std::vector<double> got(n + 1, -1.0);
+      filled.fill_uniform(got.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double want = called.uniform();
+        ASSERT_EQ(std::memcmp(&want, &got[i], sizeof(double)), 0)
+            << "n=" << n << " i=" << i;
+      }
+      EXPECT_EQ(got[n], -1.0) << "wrote past n=" << n;
+      ASSERT_EQ(filled.next_u64(), called.next_u64()) << "n=" << n;
+    }
+  }
+}
+
 TEST(KernelPool, RunsEveryIndexExactlyOnce) {
   // Lengths around the cut.  The caller starts at index 0 and waits there
   // for a worker, since it would take over every unclaimed slice.

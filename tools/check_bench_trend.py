@@ -168,6 +168,27 @@ def check_kernels(path, data):
         absent = {s for s in shapes if (lane_path, s) not in covered}
         if absent:
             ok = fail(path, f"lane_sweep rows on {lane_path} missing: {absent}")
+    # Shot sampling: sample_counts against the historical upper_bound
+    # loop, which must agree on the counts and the next draw, at every
+    # outcome count.
+    samples = data.get("sampling")
+    if not isinstance(samples, list):
+        ok = fail(path, "'sampling' rows missing")
+        samples = []
+    outcomes = set()
+    for row in samples:
+        outcomes.add(row.get("outcomes"))
+        for key in ("upper_bound_us", "sample_us", "speedup"):
+            ok &= require_number(path, row, key, minimum=0.0)
+        if row.get("identical") is not True:
+            ok = fail(
+                path,
+                f"sampling at {row.get('outcomes')} outcomes not identical "
+                "to the upper_bound loop",
+            )
+    absent = {8, 32, 128, 512, 16384} - outcomes
+    if absent:
+        ok = fail(path, f"sampling rows missing outcomes: {absent}")
     ok &= require_number(path, data, "kernel_pair_speedup", minimum=0.0)
     ok &= require_number(path, data, "tape_ops_exact", minimum=1)
     return ok
@@ -422,6 +443,7 @@ def summarize(path, data):
             for r in data["lane_sweep"]
             if r["path"] == data["simd_active"]
         }
+        samples = {r["outcomes"]: r["speedup"] for r in data["sampling"]}
         print(
             f"{path}: sim_kernels simd={data['simd_active']} "
             f"1q={rows.get('unitary_1q', 0):.2f}x "
@@ -435,7 +457,8 @@ def summarize(path, data):
             f"lane_thermal={lanes.get(data['simd_active'], 0):.2f}x "
             f"lane_sweep={sweeps.get('damp_sums', 0):.2f}x/"
             f"{sweeps.get('diag_sums', 0):.2f}x/"
-            f"{sweeps.get('damp_diag3', 0):.2f}x"
+            f"{sweeps.get('damp_diag3', 0):.2f}x "
+            f"sampling_8={samples.get(8, 0):.2f}x"
         )
 
 
