@@ -83,13 +83,14 @@ class ExecutionConfig {
 
   // -- variance reduction -------------------------------------------------
   /// Share one seed across the original and every reversed run
-  /// (common-random-numbers variance reduction; also what makes
-  /// trajectory checkpoint sharing exact).
+  /// (common-random-numbers variance reduction).  Changes the numbers, not
+  /// the execution route.
   ExecutionConfig& common_random_numbers(bool on) { crn_ = on; return *this; }
 
   // -- checkpointing / caching --------------------------------------------
-  /// Resume jobs from prefix-state snapshots when exact (needs a backend
-  /// with supports_lowering()).
+  /// Resume density-matrix jobs from prefix-state snapshots when exact
+  /// (drift == 0; needs a backend with supports_lowering()).  Trajectory
+  /// jobs always run in full.
   ExecutionConfig& checkpointing(bool on) { checkpointing_ = on; return *this; }
   /// Serve and populate the process-wide run cache (needs a backend with
   /// a cache identity).

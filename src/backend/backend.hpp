@@ -108,7 +108,7 @@ std::string run_environment_summary();
 
 /// Seed salts separating the independent random streams one RunOptions::seed
 /// drives.  Shared with the exec layer, whose pooled trajectory fan-out and
-/// trajectory checkpoint plan must reproduce FakeBackend::run bit for bit.
+/// adaptive trajectory sweep must reproduce FakeBackend::run bit for bit.
 inline constexpr std::uint64_t kTrajectorySeedSalt = 0x7ca3bULL;
 inline constexpr std::uint64_t kShotSeedSalt = 0x51a9eULL;
 inline constexpr std::uint64_t kDriftSeedSalt = 0xd21f7ULL;

@@ -66,8 +66,7 @@ struct CharacterizeOptions {
   /// quantity the cross-validation compares against the Charter ranking.
   int severity_reversals = 5;
   /// Share one seed across the original and every sequence (variance
-  /// reduction for the decay curve, and what makes trajectory-engine
-  /// checkpoint sharing possible).  On by default: the decay curve is a
+  /// reduction for the decay curve).  On by default: the decay curve is a
   /// within-experiment comparison, unlike the paper's independent runs.
   bool common_random_numbers = true;
   /// Execution options for every run (seed is re-derived per circuit).

@@ -1,7 +1,9 @@
 #include "characterize/report_io.hpp"
 
 #include <cctype>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -41,6 +43,18 @@ void append_ci(std::string& out, const stats::BootstrapCI& ci) {
   out += ',';
   append_double(out, ci.upper);
   out += ']';
+}
+
+/// Largest double below which every integer is exact (2^53).
+constexpr double kMaxWhole = 9007199254740992.0;
+
+/// \p v as a whole number in [0, max]; a negative, fractional, non-finite
+/// or larger value throws InvalidArgument before any integer cast sees it.
+double whole(double v, double max = kMaxWhole) {
+  require(std::isfinite(v) && v >= 0.0 && v <= max && v == std::floor(v),
+          "characterization report: expected a whole number in [0, " +
+              std::to_string(static_cast<std::uint64_t>(max)) + "]");
+  return v;
 }
 
 /// Strict cursor over the writer's own output format (the same
@@ -91,7 +105,8 @@ class Parser {
     return v;
   }
 
-  std::size_t size() { return static_cast<std::size_t>(number()); }
+  std::size_t size() { return static_cast<std::size_t>(whole(number())); }
+  int integer() { return static_cast<int>(whole(number(), INT_MAX)); }
 
   std::vector<double> doubles() {
     std::vector<double> out;
@@ -230,17 +245,17 @@ CharacterizationReport characterization_from_json(const std::string& json) {
   Parser p(json);
   p.expect('{');
   require(p.key() == "schema", "characterization report: missing schema");
-  require(static_cast<int>(p.number()) == kSchemaVersion,
+  require(p.integer() == kSchemaVersion,
           "characterization report: schema version mismatch (regenerate "
           "the fixture)");
   p.expect(',');
   require(p.key() == "depths", "characterization report: missing depths");
   for (const double d : p.doubles())
-    out.depths.push_back(static_cast<int>(d));
+    out.depths.push_back(static_cast<int>(whole(d, INT_MAX)));
   p.expect(',');
   require(p.key() == "severity_reversals",
           "characterization report: missing severity_reversals");
-  out.severity_reversals = static_cast<int>(p.number());
+  out.severity_reversals = p.integer();
   p.expect(',');
   require(p.key() == "total_sequences",
           "characterization report: missing total_sequences");
@@ -274,7 +289,7 @@ CharacterizationReport characterization_from_json(const std::string& json) {
               "characterization report: too many qubits");
       g.num_qubits = static_cast<int>(qs.size());
       for (std::size_t q = 0; q < qs.size(); ++q)
-        g.qubits[q] = static_cast<std::int16_t>(qs[q]);
+        g.qubits[q] = static_cast<std::int16_t>(whole(qs[q], INT16_MAX));
       p.expect(',');
       require(p.key() == "charter_tvd",
               "characterization report: missing charter_tvd");
@@ -291,7 +306,8 @@ CharacterizationReport characterization_from_json(const std::string& json) {
               "characterization report: decay depth/tvd length mismatch");
       g.decay.reserve(depths.size());
       for (std::size_t i = 0; i < depths.size(); ++i)
-        g.decay.push_back({static_cast<int>(depths[i]), tvds[i]});
+        g.decay.push_back(
+            {static_cast<int>(whole(depths[i], INT_MAX)), tvds[i]});
       p.expect(',');
       require(p.key() == "rho", "characterization report: missing rho");
       g.fit.rho = p.number();

@@ -43,10 +43,10 @@ struct CharterOptions {
   /// variance reduction: each per-gate TVD then compares distributions that
   /// share their sampling noise (drift draw, trajectory unravellings, shot
   /// sampling), so score differences reflect the inserted pairs rather than
-  /// seed-to-seed fluctuation.  It is also what makes trajectory-engine
-  /// checkpoint sharing possible — the exec layer resumes unravellings from
-  /// engine clones only when every run agrees on the seed.  Off by default:
-  /// the paper's protocol treats every run as an independent experiment.
+  /// seed-to-seed fluctuation.  It changes only the seeds, never the
+  /// execution route: trajectory runs stay independent full runs.  Off by
+  /// default: the paper's protocol treats every run as an independent
+  /// experiment.
   bool common_random_numbers = false;
   /// Execution options for every run (seed is re-derived per circuit).
   /// run.opt selects the tape level of trajectory runs: kExact (default) is
@@ -57,10 +57,10 @@ struct CharterOptions {
   /// Execution strategy: prefix-state checkpointing, run caching, and the
   /// worker-pool width (see exec/batch.hpp; exec.threads is the knob the
   /// CLI's --threads flag sets).  Checkpointing engages when exact-sharing
-  /// applies — density-matrix engine with drift == 0, or trajectory engine
-  /// with common_random_numbers — by lowering the base circuit to a tape
-  /// once and splicing every reversed circuit's tape from it.  Other
-  /// configurations fall back to independent full runs automatically.
+  /// applies — density-matrix engine with drift == 0 — by lowering the base
+  /// circuit to a tape once and splicing every reversed circuit's tape from
+  /// it.  Other configurations, the trajectory engine included, run
+  /// independent full runs.
   /// Reports are bit-identical at every exec.threads value.
   exec::BatchOptions exec;
   /// Execution strategy for the sweep (exec/strategy.hpp).  A fixed kind

@@ -1,6 +1,9 @@
 #include "core/report_io.hpp"
 
 #include <cctype>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -35,6 +38,18 @@ void append_doubles(std::string& out, const std::vector<double>& vs) {
     append_double(out, vs[i]);
   }
   out += ']';
+}
+
+/// Largest double below which every integer is exact (2^53).
+constexpr double kMaxWhole = 9007199254740992.0;
+
+/// \p v as a whole number in [0, max]; a negative, fractional, non-finite
+/// or larger value throws InvalidArgument before any integer cast sees it.
+double whole(double v, double max = kMaxWhole) {
+  require(std::isfinite(v) && v >= 0.0 && v <= max && v == std::floor(v),
+          "golden report: expected a whole number in [0, " +
+              std::to_string(static_cast<std::uint64_t>(max)) + "]");
+  return v;
 }
 
 /// Strict cursor over the writer's own output format.
@@ -83,7 +98,8 @@ class Parser {
     return v;
   }
 
-  std::size_t size() { return static_cast<std::size_t>(number()); }
+  std::size_t size() { return static_cast<std::size_t>(whole(number())); }
+  int integer() { return static_cast<int>(whole(number(), INT_MAX)); }
 
   std::vector<double> doubles() {
     std::vector<double> out;
@@ -184,7 +200,7 @@ GoldenReport report_from_json(const std::string& json) {
   Parser p(json);
   p.expect('{');
   require(p.key() == "schema", "golden report: missing schema");
-  require(static_cast<int>(p.number()) == kSchemaVersion,
+  require(p.integer() == kSchemaVersion,
           "golden report: schema version mismatch (regenerate the fixture)");
   p.expect(',');
   require(p.key() == "total_gates", "golden report: missing total_gates");
@@ -221,10 +237,10 @@ GoldenReport report_from_json(const std::string& json) {
       require(qs.size() <= g.qubits.size(), "golden report: too many qubits");
       g.num_qubits = static_cast<int>(qs.size());
       for (std::size_t q = 0; q < qs.size(); ++q)
-        g.qubits[q] = static_cast<std::int16_t>(qs[q]);
+        g.qubits[q] = static_cast<std::int16_t>(whole(qs[q], INT16_MAX));
       p.expect(',');
       require(p.key() == "layer", "golden report: missing layer");
-      g.layer = static_cast<int>(p.number());
+      g.layer = p.integer();
       p.expect(',');
       require(p.key() == "tvd", "golden report: missing tvd");
       g.tvd = p.number();

@@ -12,7 +12,6 @@
 
 #include "exec/checkpoint.hpp"
 #include "exec/sharding.hpp"
-#include "exec/trajectory_plan.hpp"
 #include "exec/worker.hpp"
 #include "noise/executor.hpp"
 #include "noise/serialize.hpp"
@@ -51,17 +50,6 @@ class WorkerEngines {
  private:
   std::vector<std::unique_ptr<sim::DensityMatrixEngine>> engines_;
 };
-
-/// The trajectory tape-sharing key: sharers must agree on the optimization
-/// level AND, for fused-wide tapes, on the resolved fusion width — a
-/// width-2 and a width-3 run lower to different tapes, so letting them
-/// share would splice suffixes into a tape fused at the wrong width.  Exact
-/// runs ignore the width knob and must not fork on it.
-std::pair<noise::OptLevel, int> tape_key(const backend::RunOptions& run) {
-  return {run.opt, run.opt == noise::OptLevel::kFusedWide
-                       ? backend::resolve_fusion_width(run)
-                       : 0};
-}
 
 void count_strategy(BatchRunner::Stats::StrategyCount& counts,
                     StrategyKind kind, std::size_t n) {
@@ -117,20 +105,14 @@ std::vector<std::vector<double>> BatchRunner::run(
     }
   }
 
-  // Partition the remaining jobs into three routes.
+  // Partition the remaining jobs into two routes.
   //
   //  - Density-matrix checkpoint sharers: deterministic given the model, so
   //    drift == 0 and a verified prefix suffice for exactness (the
   //    density-matrix path always runs the exact tape).
-  //  - Trajectory checkpoint sharers: unravellings re-randomize per run
-  //    seed, so sharing additionally requires every job to carry the *same*
-  //    (seed, trajectory count) as the base sweep — then each trajectory's
-  //    prefix consumes identical random draws and an engine clone (state +
-  //    RNG stream) resumes it exactly.
-  //  - Everything else (drifted models, mismatched footprints or seeds):
-  //    independent full runs, still scheduled on the pool.
+  //  - Everything else (trajectory jobs, drifted models, mismatched
+  //    footprints): independent full runs, still scheduled on the pool.
   std::vector<std::size_t> dm_idx;
-  std::vector<std::size_t> traj_idx;
   std::vector<std::size_t> plain_idx;
   // Checkpoint sharing (and the lowered trajectory fan-out below) needs the
   // backend's lower/finalize decomposition; backends without it run every
@@ -141,7 +123,6 @@ std::vector<std::vector<double>> BatchRunner::run(
   std::vector<int> base_kept;
   if (base_usable) base_kept = backend::used_qubits(*base);
   const int base_width = static_cast<int>(base_kept.size());
-  std::vector<std::size_t> traj_candidates;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (done[i]) continue;
     const AnalysisJob& job = jobs[i];
@@ -150,52 +131,11 @@ std::vector<std::vector<double>> BatchRunner::run(
         job.program->physical.num_qubits() ==
             base->physical.num_qubits() &&
         (job.program == base || backend::used_qubits(*job.program) == base_kept);
-    const EngineKind engine =
-        prefix_ok ? backend::resolve_engine(job.run, base_width)
-                  : EngineKind::kAuto;
-    if (prefix_ok && engine == EngineKind::kDensityMatrix &&
-        base_width <= sim::DensityMatrixEngine::kMaxQubits) {
-      dm_idx.push_back(i);
-    } else if (prefix_ok && engine == EngineKind::kTrajectory) {
-      traj_candidates.push_back(i);
-    } else {
-      plain_idx.push_back(i);
-    }
-  }
-
-  // Trajectory sharing only pays when at least two candidates agree on
-  // (seed, trajectory count, tape key) — the base sweep costs a full run's
-  // worth of simulation, so a lone job is cheaper cold, and mixing exact
-  // with fused-wide sharers (or fused-wide sharers at different resolved
-  // widths) would hand part of the group a tape lowered the wrong way.
-  // Pick the plurality config; candidates outside it run plain.
-  bool have_traj_group = false;
-  std::uint64_t group_seed = 0;
-  int group_trajectories = 0;
-  std::pair<noise::OptLevel, int> group_tape{noise::OptLevel::kExact, 0};
-  if (traj_candidates.size() >= 2) {
-    std::size_t best_count = 0;
-    for (const std::size_t i : traj_candidates) {
-      std::size_t count = 0;
-      for (const std::size_t j : traj_candidates)
-        count += (jobs[j].run.seed == jobs[i].run.seed &&
-                  jobs[j].run.trajectories == jobs[i].run.trajectories &&
-                  tape_key(jobs[j].run) == tape_key(jobs[i].run));
-      if (count > best_count) {
-        best_count = count;
-        group_seed = jobs[i].run.seed;
-        group_trajectories = jobs[i].run.trajectories;
-        group_tape = tape_key(jobs[i].run);
-      }
-    }
-    have_traj_group = best_count >= 2;
-  }
-  for (const std::size_t i : traj_candidates) {
-    const bool in_group = have_traj_group &&
-                          jobs[i].run.seed == group_seed &&
-                          jobs[i].run.trajectories == group_trajectories &&
-                          tape_key(jobs[i].run) == group_tape;
-    (in_group ? traj_idx : plain_idx).push_back(i);
+    const bool dm = prefix_ok &&
+                    backend::resolve_engine(job.run, base_width) ==
+                        EngineKind::kDensityMatrix &&
+                    base_width <= sim::DensityMatrixEngine::kMaxQubits;
+    (dm ? dm_idx : plain_idx).push_back(i);
   }
 
   // The pool spawns lazily: a fully cache-served batch (the warm re-analysis
@@ -463,46 +403,6 @@ std::vector<std::vector<double>> BatchRunner::run(
                      1);
   }
 
-  if (!traj_idx.empty()) {
-    const auto traj_t0 = std::chrono::steady_clock::now();
-    backend::RunOptions lower_options;
-    lower_options.drift = 0.0;
-    const backend::LoweredRun lowered = backend_.lower(*base, lower_options);
-    // kFusedWide keeps channels as in-order barriers, so the group may
-    // share a fused-wide lowering — at the group's agreed fusion width.
-    const noise::NoisyExecutor executor(lowered.model, group_tape.first,
-                                        group_tape.second);
-    std::vector<std::size_t> prefix_lens;
-    for (const std::size_t i : traj_idx)
-      if (jobs[i].program != base) prefix_lens.push_back(jobs[i].shared_prefix);
-    const TrajectoryCheckpointPlan plan(
-        executor, lowered.local, std::move(prefix_lens), group_trajectories,
-        group_seed, options_.checkpoint_memory_bytes, pool());
-
-    pool().run(static_cast<std::int64_t>(traj_idx.size()),
-             [&](std::int64_t k, int /*worker*/) {
-               const std::size_t i = traj_idx[static_cast<std::size_t>(k)];
-               const AnalysisJob& job = jobs[i];
-               std::vector<double> probs =
-                   job.program == base
-                       ? plan.base_probabilities()
-                       : plan.run_shared(
-                             backend::compact_to(job.program->physical,
-                                                 lowered.kept),
-                             job.shared_prefix);
-               results[i] = backend_.finalize(std::move(probs), lowered,
-                                              *job.program, job.run);
-               notify_done(i);
-             }, cancel);
-    throw_if_cancelled();
-    stats_.checkpoint_fallbacks += plan.stats().fallbacks;
-    stats_.trajectory_checkpointed = traj_idx.size() - plan.stats().fallbacks;
-
-    stats_.actual_ns += route_ns(traj_t0);
-    count_strategy(stats_.strategy_jobs, StrategyKind::kTrajectory,
-                   traj_idx.size());
-  }
-
   if (!plain_idx.empty()) {
     const auto plain_t0 = std::chrono::steady_clock::now();
     // Independent full runs.  Trajectory jobs fan their unravelling groups
@@ -615,8 +515,8 @@ std::vector<std::vector<double>> BatchRunner::run(
     stats_.full_runs = plain_idx.size();
 
     stats_.actual_ns += route_ns(plain_t0);
-    // Plain jobs are heterogeneous (that is why they are plain), so each is
-    // classified on its own width.
+    // Plain jobs may differ from the base footprint, so each is classified
+    // on its own width.
     for (const std::size_t i : plain_idx)
       count_strategy(
           stats_.strategy_jobs,

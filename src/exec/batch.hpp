@@ -8,7 +8,7 @@
 /// (one reversed circuit per gate).  BatchRunner accepts the whole family as
 /// AnalysisJobs and schedules them across a util::ThreadPool sized by
 /// BatchOptions::threads — partitioned into checkpoint-segment shards
-/// (sharding.hpp), one cloned scratch engine per worker, with every result
+/// (sharding.hpp), one scratch engine per worker, with every result
 /// written by submission index so the reduction order never depends on
 /// completion order.  The numbers are bit-identical at every thread count:
 /// task bodies run under util::SerialKernels (nested util::parallel_*
@@ -31,21 +31,14 @@
 ///    (program, device, options), so repeated submissions — bench sweeps,
 ///    the mitigation workflow's re-analysis — skip the simulator entirely.
 ///
-/// Checkpoint sharing covers both engines.  Density-matrix jobs resume from
-/// vec(rho) snapshots (checkpoint.hpp).  Trajectory jobs resume from
-/// per-unravelling engine clones that carry the RNG stream
-/// (trajectory_plan.hpp) — exact only when every sharer also agrees on
-/// (seed, trajectory count) with the base sweep, which the analyzer opts
-/// into via common random numbers.  Jobs that cannot share exactly (drifted
-/// calibration, differing qubit footprints, or trajectory jobs whose seed or
-/// tape level differs from the group's) fall back to independent full runs
-/// on the same pool — trajectory full runs fan their unravelling groups out
-/// as individual tasks; every exact-mode result is bit-identical to a
-/// standalone FakeBackend::run with the same options.  Fused-wide trajectory
-/// (RunOptions::opt == OptLevel::kFusedWide) checkpointed results agree with
-/// standalone fused-wide runs to the fusion tolerance (~1e-12): resumed
-/// suffixes fuse from the snapshot position while a standalone run fuses
-/// the whole tape.
+/// Checkpoint sharing covers the density-matrix engine.  Jobs that cannot
+/// share exactly (drifted calibration, differing qubit footprints) and
+/// every trajectory job, whether or not it shares a seed with the base,
+/// run as independent full runs on the same pool; trajectory full runs fan
+/// their unravelling groups out as individual tasks, each a lane batch of
+/// up to four unravellings (sim/trajectory.hpp).  Every result, at either
+/// tape level, is bit-identical to a standalone FakeBackend::run with the
+/// same options.
 
 #include <cstddef>
 #include <functional>
@@ -73,9 +66,9 @@ struct AnalysisJob {
 
 /// Execution-strategy knobs.
 struct BatchOptions {
-  /// Resume jobs from prefix-state snapshots when exact (density matrix or
-  /// seed-aligned trajectories, drift == 0).  Off: every job is an
-  /// independent full run.
+  /// Resume density-matrix jobs from prefix-state snapshots when exact
+  /// (drift == 0).  Off: every job is an independent full run.  Trajectory
+  /// jobs always run in full.
   bool checkpointing = true;
   /// Serve and populate the process-wide RunCache.
   bool caching = true;
@@ -124,11 +117,12 @@ struct RunHooks {
 
 /// Schedules a family of jobs over one backend.
 ///
-/// Any backend::Backend works.  The checkpoint/trajectory sharing paths
-/// additionally require Backend::supports_lowering(); a backend without it
-/// (a custom device wrapper) has every job executed as an independent
-/// Backend::run on the pool.  Caching requires Backend::cache_identity();
-/// backends without one simply never hit the RunCache.
+/// Any backend::Backend works.  Checkpoint sharing and the trajectory
+/// group fan-out additionally require Backend::supports_lowering(); a
+/// backend without it (a custom device wrapper) has every job executed as
+/// an independent Backend::run on the pool.  Caching requires
+/// Backend::cache_identity(); backends without one simply never hit the
+/// RunCache.
 class BatchRunner {
  public:
   explicit BatchRunner(const backend::Backend& backend,
@@ -155,7 +149,8 @@ class BatchRunner {
     std::size_t cache_memory_hits = 0;
     std::size_t cache_disk_hits = 0;
     std::size_t checkpointed = 0;  ///< jobs served via the DM checkpoint plan
-    /// Jobs served via the trajectory checkpoint plan (clone resumption).
+    /// Names the retired trajectory checkpoint route: always 0, kept for
+    /// report compatibility.
     std::size_t trajectory_checkpointed = 0;
     std::size_t full_runs = 0;     ///< independent full simulations
     /// Checkpoint-eligible jobs whose prefix could not be proven exact at

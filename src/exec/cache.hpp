@@ -16,12 +16,6 @@
 /// NoiseProgram schema fingerprint, which invalidates every entry if the
 /// lowering pipeline's semantics change.
 ///
-/// Fused-wide caveat: with OptLevel::kFusedWide, a checkpointed trajectory
-/// run and a standalone run of the same job agree to the fusion tolerance
-/// (~1e-12) rather than bit-for-bit, so a fused-wide cache entry is
-/// canonical only to that tolerance.  Exact-mode entries remain
-/// bit-reproducible.
-///
 /// Two tiers:
 ///
 ///  - Memory: thread-safe and bounded.  Since the sharded analysis driver

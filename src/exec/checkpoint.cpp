@@ -10,6 +10,12 @@ namespace charter::exec {
 
 using noise::NoisyExecutor;
 
+namespace {
+
+/// Evenly spaced subset of \p lens (sorted ascending, deduped) with at most
+/// \p cap entries, biased toward the deepest prefixes (they save the most
+/// replay work; shallow gaps are cheap to replay from earlier snapshots or
+/// from scratch).  The deepest prefix is always kept.
 std::vector<std::size_t> select_checkpoints_within_budget(
     std::vector<std::size_t> lens, std::size_t cap) {
   if (cap == 0) return {};
@@ -28,6 +34,8 @@ std::vector<std::size_t> select_checkpoints_within_budget(
   picked.erase(std::unique(picked.begin(), picked.end()), picked.end());
   return picked;
 }
+
+}  // namespace
 
 CheckpointPlan::CheckpointPlan(const NoisyExecutor& executor,
                                circ::Circuit base,

@@ -63,14 +63,6 @@
 
 namespace charter::exec {
 
-/// Evenly spaced subset of \p lens (sorted ascending, deduped) with at most
-/// \p cap entries, biased toward the deepest prefixes (they save the most
-/// replay work; shallow gaps are cheap to replay from earlier snapshots or
-/// from scratch).  The deepest prefix is always kept.  Shared by the
-/// density-matrix and trajectory checkpoint plans.
-std::vector<std::size_t> select_checkpoints_within_budget(
-    std::vector<std::size_t> lens, std::size_t cap);
-
 /// Checkpointed execution plan over one base circuit (density-matrix only).
 /// The base is swept once; afterwards (inline) or while it runs
 /// (pipelined), the plan is shared across worker threads.

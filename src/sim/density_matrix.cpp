@@ -49,10 +49,6 @@ void DensityMatrixEngine::reset() {
   rho_[0] = 1.0;
 }
 
-std::unique_ptr<NoisyEngine> DensityMatrixEngine::clone() const {
-  return std::make_unique<DensityMatrixEngine>(*this);
-}
-
 void DensityMatrixEngine::load_state(const std::vector<cplx>& in) {
   require(in.size() == dim2(), "snapshot width does not match engine");
   rho_ = in;

@@ -60,8 +60,6 @@ class DensityMatrixEngine final : public NoisyEngine {
 
   std::vector<double> probabilities() const override;
 
-  std::unique_ptr<NoisyEngine> clone() const override;
-
   /// Copies vec(rho) into \p out (cheap snapshot for checkpointing; the
   /// scratch buffers are transient and excluded).
   void save_state(std::vector<math::cplx>& out) const { out = rho_; }

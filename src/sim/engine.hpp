@@ -10,7 +10,6 @@
 /// kernel work each call performs.
 
 #include <array>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -84,16 +83,6 @@ class NoisyEngine {
 
   /// Measurement probabilities over all 2^n outcomes (before readout error).
   virtual std::vector<double> probabilities() const = 0;
-
-  // ---- checkpointing ----
-
-  /// Deep copy of this engine: quantum state plus, for stochastic engines,
-  /// the random stream.  Evolving the clone and the original with the same
-  /// operations produces bit-identical results.  (The exec layer's
-  /// density-matrix checkpointing uses the cheaper concrete
-  /// save_state()/load_state(); clone() is the engine-agnostic form for
-  /// callers that hold only the interface.)
-  virtual std::unique_ptr<NoisyEngine> clone() const = 0;
 };
 
 }  // namespace charter::sim

@@ -101,10 +101,10 @@ constexpr int kMaxLanes = 4;
 
 /// Lane count of the next batch at width \p n with \p remaining
 /// unravellings left in the group: the largest power of two <= remaining,
-/// and 4 at most while the block stays within 1 MiB (n <= 14), fewer above.
+/// and 4 at most while the block stays within 4 MiB (n <= 16), fewer above.
 int batch_lanes(int n, int remaining) {
   int lanes = kMaxLanes;
-  while (lanes > 1 && ((std::uint64_t{16} << n) * lanes > (1u << 20) ||
+  while (lanes > 1 && ((std::uint64_t{16} << n) * lanes > (1u << 22) ||
                        lanes > remaining))
     lanes /= 2;
   return lanes;
@@ -114,8 +114,8 @@ int batch_lanes(int n, int remaining) {
 /// of n + log2(lanes) pseudo-qubits (see run_trajectory_group in
 /// trajectory.hpp for the layout, the deferred element-local ops and the
 /// bit-identity argument).  The program callback drives it once per batch
-/// through the NoisyEngine interface; only the probability readout and
-/// clone() have no meaning for a batch of unravellings.
+/// through the NoisyEngine interface; only the probability readout has no
+/// meaning for a batch of unravellings.
 class LaneBatch final : public NoisyEngine {
  public:
   /// A batch of up to \p max_lanes (1, 2 or 4) unravellings.
@@ -283,9 +283,6 @@ class LaneBatch final : public NoisyEngine {
   std::vector<double> probabilities() const override {
     throw Error("a trajectory lane batch has no single distribution");
   }
-  std::unique_ptr<NoisyEngine> clone() const override {
-    throw Error("a trajectory lane batch cannot be cloned");
-  }
 
  private:
   cplx* data() { return block_; }
@@ -403,10 +400,6 @@ void TrajectoryEngine::apply_kraus_1q(std::span<const Mat2> kraus, int q) {
 
 std::vector<double> TrajectoryEngine::probabilities() const {
   return state_.probabilities();
-}
-
-std::unique_ptr<NoisyEngine> TrajectoryEngine::clone() const {
-  return std::make_unique<TrajectoryEngine>(*this);
 }
 
 std::vector<double> run_trajectory_group(

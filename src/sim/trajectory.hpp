@@ -54,10 +54,6 @@ class TrajectoryEngine final : public NoisyEngine {
 
   std::vector<double> probabilities() const override;
 
-  /// Clones state *and* RNG stream: the copy replays the exact stochastic
-  /// branches the original would take.
-  std::unique_ptr<NoisyEngine> clone() const override;
-
   /// Underlying pure state (tests).
   const Statevector& state() const { return state_; }
 
@@ -71,7 +67,7 @@ class TrajectoryEngine final : public NoisyEngine {
 /// distribution, bit for bit — never depends on which thread produced which
 /// group.  The group size is part of the numeric contract: every code path
 /// that averages unravellings (run_trajectories, the exec layer's pooled
-/// fan-out, and the trajectory checkpoint plan) must fold with this size or
+/// fan-out, and the adaptive trajectory sweep) must fold with this size or
 /// its results drift from a standalone run by reassociation.
 inline constexpr int kTrajectoryGroupSize = 8;
 
@@ -99,7 +95,7 @@ inline std::uint64_t trajectory_engine_seed(const util::Rng& seeder,
 ///
 /// Below amp_parallel_min_qubits() the unravellings run in lane batches.
 /// Up to four of them (4 while the block is
-/// <= 1 MiB, i.e. n <= 14; 2 at n = 15; 1 above) share one statevector of
+/// <= 4 MiB, i.e. n <= 16; 2 at n = 17; 1 above) share one statevector of
 /// n + log2(lanes) pseudo-qubits: lane t of amplitude i sits at index
 /// i * lanes + t, and each lane draws from its own Rng stream, seeded as a
 /// lone TrajectoryEngine's.  A batch covers the largest power-of-two run of
@@ -148,7 +144,7 @@ inline std::uint64_t trajectory_engine_seed(const util::Rng& seeder,
 /// (serial on exec pool workers, on the kernel pool off it), which moves no
 /// bit because they are element-wise.  The program callback drives the
 /// batch through the NoisyEngine interface once per batch; the batch cannot
-/// be read out (probabilities()) or cloned, which no program callback does.
+/// be read out (probabilities()), which no program callback does.
 /// At and above amp_parallel_min_qubits() the unravellings run one at a
 /// time on TrajectoryEngine, whose kernels and chunked sums fan out over
 /// threads (a 4-lane block there would be >= 64 MiB).  Either way the

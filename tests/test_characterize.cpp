@@ -420,6 +420,34 @@ TEST(CharacterizationIo, RejectsCorruptedDocuments) {
   const std::size_t depol = inconsistent.find("\"depol_per_application\":");
   inconsistent.replace(depol, 25, "\"depol_per_application\":0.43,\"");
   expect_rejected(inconsistent, "depol inconsistent with rho");
+
+  // A count or index that no integer cast can hold is rejected before the
+  // cast: swap the first number after \p key (up to the next ',' or ']').
+  const auto with_number = [&](const std::string& key,
+                               const std::string& value) {
+    std::string doc = json;
+    const std::size_t at = doc.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key;
+    if (at == std::string::npos) return doc;
+    std::size_t begin = at + key.size() + 3;
+    if (doc[begin] == '[') ++begin;
+    const std::size_t end = doc.find_first_of(",]}", begin);
+    doc.replace(begin, end - begin, value);
+    return doc;
+  };
+  const auto expect_invalid = [](const std::string& doc,
+                                 const std::string& what) {
+    EXPECT_THROW(ch::characterization_from_json(doc),
+                 charter::InvalidArgument)
+        << what;
+  };
+  for (const char* jobs : {"-1", "1e300", "nan", "2.5", "9007199254740994"})
+    expect_invalid(with_number("jobs", jobs), std::string("jobs ") + jobs);
+  expect_invalid(with_number("qubits", "40000"), "oversized qubit");
+  expect_invalid(with_number("qubits", "-1"), "negative qubit");
+  expect_invalid(with_number("decay_depths", "1e10"), "oversized depth");
+  expect_invalid(with_number("severity_reversals", "-2"),
+                 "negative reversals");
 }
 
 // ---------------------------------------------------------------------------
@@ -453,6 +481,44 @@ TEST(CharacterizationDeterminism, ThreadsAndWorkersMatrix) {
                                 " workers=" + std::to_string(workers);
       expect_reports_identical(baseline, characterize(threads, workers),
                                label);
+    }
+  }
+}
+
+TEST(CharacterizationDeterminism, TrajectoryEngineJsonMatrix) {
+  // Characterization always runs with common random numbers; on the
+  // trajectory engine every sequence is a full run on the lane-batched
+  // group fan-out.  The whole document, exec counters included (the
+  // wall-clock field zeroed), is byte-identical at every threads x workers
+  // point.
+  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
+  const cb::CompiledProgram program = qft3_program(backend);
+  const co::CharterReport charter = analyze(backend, program);
+
+  const auto characterize_json = [&](int threads, int workers) {
+    ch::CharacterizeOptions options = quick_options();
+    options.top_k = 1;
+    options.run.engine = cb::EngineKind::kTrajectory;
+    options.run.trajectories = 12;
+    options.exec.threads = threads;
+    options.exec.workers = workers;  // empty worker_exe: plain-fork workers
+    ex::RunCache::global().clear();
+    ch::CharacterizationReport report =
+        ch::GateCharacterizer(backend, options).characterize(program,
+                                                             charter);
+    ex::RunCache::global().clear();
+    EXPECT_GT(report.exec_stats.strategy_jobs.trajectory, 0u);
+    EXPECT_EQ(report.exec_stats.checkpointed, 0u);
+    report.exec_stats.actual_ns = 0.0;
+    return ch::characterization_to_json(report);
+  };
+
+  const std::string baseline = characterize_json(1, 0);
+  for (const int threads : {1, 2}) {
+    for (const int workers : {0, 2}) {
+      if (threads == 1 && workers == 0) continue;
+      EXPECT_EQ(baseline, characterize_json(threads, workers))
+          << "threads=" << threads << " workers=" << workers;
     }
   }
 }

@@ -1,9 +1,9 @@
 // Tests for the batched execution subsystem: prefix-state checkpointing is
 // bit-identical to naive per-gate runs, the run cache returns identical
 // results on hits, non-exact configurations fall back to independent full
-// runs, engine clone/save/load round-trips, the checkpoint memory budget
-// degrades to replay instead of wrong answers, trajectory jobs resume from
-// RNG-carrying engine clones, shards partition by checkpoint segment, the
+// runs, engine save/load round-trips, the checkpoint memory budget
+// degrades to replay instead of wrong answers, seed-sharing trajectory jobs
+// equal standalone runs, shards partition by checkpoint segment, the
 // striped cache survives concurrent hammering, and — the parallel driver's
 // headline contract — full CharterReports are bit-identical at every worker
 // pool width.
@@ -29,7 +29,6 @@
 #include "exec/cache.hpp"
 #include "exec/checkpoint.hpp"
 #include "exec/sharding.hpp"
-#include "exec/trajectory_plan.hpp"
 #include "exec/worker.hpp"
 #include "noise/executor.hpp"
 #include "noise/serialize.hpp"
@@ -116,27 +115,6 @@ TEST(EngineCheckpoint, DensityMatrixSaveLoadRoundTrips) {
   ASSERT_EQ(before.size(), after.size());
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_EQ(before[i], after[i]);
-}
-
-TEST(EngineCheckpoint, CloneEvolvesBitIdentically) {
-  cs::TrajectoryEngine original(4, 0xfeedULL);
-  // Burn some stochastic branches so the RNG stream is mid-flight.
-  original.apply_bitflip(0, 0.4);
-  original.apply_unitary_1q(
-      cc::gate_unitary_1q(cc::make_gate(GateKind::SX, {1})), 1);
-  original.apply_depolarizing_1q(1, 0.3);
-
-  const std::unique_ptr<cs::NoisyEngine> copy = original.clone();
-  for (cs::NoisyEngine* e :
-       {static_cast<cs::NoisyEngine*>(&original), copy.get()}) {
-    e->apply_depolarizing_2q(1, 2, 0.5);
-    e->apply_thermal_relaxation(2, 0.2, 0.3);
-    e->apply_cx(2, 3);
-  }
-  const std::vector<double> a = original.probabilities();
-  const std::vector<double> b = copy->probabilities();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
 
 // ---------------------------------------------------------------------------
@@ -561,100 +539,10 @@ TEST(RunCacheStriping, PerShardBudgetEvictsOldestWithinStripe) {
 }
 
 // ---------------------------------------------------------------------------
-// Trajectory checkpoint plan
+// Common-random-numbers trajectory jobs
 // ---------------------------------------------------------------------------
 
-TEST(TrajectoryCheckpointPlan, ResumedUnravellingsMatchColdRunsBitExactly) {
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram program = compiled_program(backend, 2);
-  cb::RunOptions opts;
-  opts.drift = 0.0;
-  const cb::LoweredRun lowered = backend.lower(program, opts);
-  const cn::NoisyExecutor executor(lowered.model);
-  const int width = lowered.local.num_qubits();
-  constexpr int kTrajectories = 6;
-  constexpr std::uint64_t kSeed = 123;
-
-  const std::vector<std::size_t> eligible =
-      co::reversible_ops(lowered.local, true);
-  ASSERT_GE(eligible.size(), 10u);
-  std::vector<std::size_t> lens;
-  for (const std::size_t g : eligible) lens.push_back(g + 1);
-
-  cu::ThreadPool pool(2);
-  const ex::TrajectoryCheckpointPlan plan(executor, lowered.local, lens,
-                                          kTrajectories, kSeed,
-                                          512ull << 20, pool);
-  EXPECT_EQ(plan.num_checkpoints(), lens.size());
-
-  // The base sweep reproduces a standalone trajectory run of the base.
-  {
-    const cn::NoiseProgram tape = executor.lower(lowered.local);
-    const std::vector<double> cold = cs::run_trajectories(
-        width, kTrajectories, kSeed ^ cb::kTrajectorySeedSalt,
-        [&](cs::NoisyEngine& e) { tape.execute(e); });
-    ASSERT_EQ(plan.base_probabilities().size(), cold.size());
-    for (std::size_t i = 0; i < cold.size(); ++i)
-      EXPECT_EQ(plan.base_probabilities()[i], cold[i]) << "outcome " << i;
-  }
-
-  for (const std::size_t g : {eligible.front(), eligible[eligible.size() / 2],
-                              eligible.back()}) {
-    const cc::Circuit derived =
-        co::insert_reversed_pairs(lowered.local, g, 2, true);
-    const std::vector<double> resumed = plan.run_shared(derived, g + 1);
-
-    const cn::NoiseProgram tape = executor.lower(derived);
-    const std::vector<double> cold = cs::run_trajectories(
-        width, kTrajectories, kSeed ^ cb::kTrajectorySeedSalt,
-        [&](cs::NoisyEngine& e) { tape.execute(e); });
-
-    ASSERT_EQ(resumed.size(), cold.size());
-    for (std::size_t i = 0; i < cold.size(); ++i)
-      EXPECT_EQ(resumed[i], cold[i]) << "outcome " << i << " gate " << g;
-  }
-  EXPECT_EQ(plan.stats().fallbacks, 0u);
-  EXPECT_EQ(plan.stats().resumed, 3u);
-}
-
-TEST(TrajectoryCheckpointPlan, TinyBudgetReplaysGapsExactly) {
-  const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
-  const cb::CompiledProgram program = compiled_program(backend, 2);
-  const cb::LoweredRun lowered = backend.lower(program, cb::RunOptions{});
-  const cn::NoisyExecutor executor(lowered.model);
-  const int width = lowered.local.num_qubits();
-  constexpr int kTrajectories = 5;
-  constexpr std::uint64_t kSeed = 9;
-
-  const std::vector<std::size_t> eligible =
-      co::reversible_ops(lowered.local, true);
-  std::vector<std::size_t> lens;
-  for (const std::size_t g : eligible) lens.push_back(g + 1);
-
-  // Budget for roughly two clone sets: everything else must replay.
-  const std::size_t per_snapshot =
-      ((std::size_t{16} << width) + 64) * kTrajectories;
-  cu::ThreadPool pool(1);
-  const ex::TrajectoryCheckpointPlan plan(executor, lowered.local, lens,
-                                          kTrajectories, kSeed,
-                                          2 * per_snapshot, pool);
-  EXPECT_LE(plan.num_checkpoints(), 2u);
-  EXPECT_GE(plan.num_checkpoints(), 1u);
-
-  const std::size_t g = eligible[eligible.size() / 3];
-  const cc::Circuit derived =
-      co::insert_reversed_pairs(lowered.local, g, 2, true);
-  const std::vector<double> resumed = plan.run_shared(derived, g + 1);
-
-  const cn::NoiseProgram tape = executor.lower(derived);
-  const std::vector<double> cold = cs::run_trajectories(
-      width, kTrajectories, kSeed ^ cb::kTrajectorySeedSalt,
-      [&](cs::NoisyEngine& e) { tape.execute(e); });
-  for (std::size_t i = 0; i < cold.size(); ++i)
-    EXPECT_EQ(resumed[i], cold[i]);
-}
-
-TEST(BatchRunner, SeedAlignedTrajectoryJobsShareCheckpoints) {
+TEST(BatchRunner, SeedAlignedTrajectoryJobsMatchStandaloneRuns) {
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   const cb::CompiledProgram program = compiled_program(backend, 2);
   const std::vector<std::size_t> eligible =
@@ -666,14 +554,14 @@ TEST(BatchRunner, SeedAlignedTrajectoryJobsShareCheckpoints) {
   run.seed = 5;
   run.engine = cb::EngineKind::kTrajectory;
   run.trajectories = 8;
-  // All jobs share the seed, so the prefix draws are identical per
-  // unravelling and clone resumption is exact.
+  // All jobs share the seed and declare a prefix against the base; with
+  // checkpointing on they still run in full on the trajectory fan-out.
   JobSet set = make_jobs(program, gates, run, 2, /*common_seed=*/true);
 
   const ex::BatchRunner runner(backend, {true, false, 512ull << 20});
   const std::vector<std::vector<double>> dists = runner.run(set.jobs, &program);
-  EXPECT_EQ(runner.last_stats().trajectory_checkpointed, set.jobs.size());
-  EXPECT_EQ(runner.last_stats().full_runs, 0u);
+  EXPECT_EQ(runner.last_stats().full_runs, set.jobs.size());
+  EXPECT_EQ(runner.last_stats().trajectory_checkpointed, 0u);
   EXPECT_EQ(runner.last_stats().checkpointed, 0u);
 
   for (std::size_t k = 0; k < set.jobs.size(); ++k) {
@@ -685,7 +573,7 @@ TEST(BatchRunner, SeedAlignedTrajectoryJobsShareCheckpoints) {
   }
 }
 
-TEST(AnalyzerEquivalence, CommonRandomNumbersTrajectorySharingMatchesNaive) {
+TEST(AnalyzerEquivalence, CommonRandomNumbersTrajectoryMatchesNaive) {
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   const cb::CompiledProgram program = compiled_program(backend, 1);
 
@@ -702,7 +590,8 @@ TEST(AnalyzerEquivalence, CommonRandomNumbersTrajectorySharingMatchesNaive) {
   options.exec.checkpointing = true;
   const co::CharterAnalyzer fast_analyzer(backend, options);
   const co::CharterReport fast = fast_analyzer.analyze(program);
-  EXPECT_GT(fast.exec_stats.trajectory_checkpointed, 0u);
+  EXPECT_EQ(fast.exec_stats.full_runs, fast.exec_stats.jobs);
+  EXPECT_EQ(fast.exec_stats.trajectory_checkpointed, 0u);
 
   options.exec.checkpointing = false;
   const co::CharterReport naive =
@@ -801,8 +690,7 @@ TEST(DeterminismMatrix, ReportsBitIdenticalAcrossThreadCounts) {
     configs.push_back({"trajectory_independent_seeds", traj});
     traj.common_random_numbers = true;
     configs.push_back({"trajectory_common_random_numbers", traj});
-    // Common random numbers share the checkpointed trajectory route, whose
-    // resumed suffixes are re-fused past each snapshot.
+    // Fused-wide tapes under common random numbers.
     traj.run.opt = cn::OptLevel::kFusedWide;
     configs.push_back({"trajectory_fused_wide", traj});
   }

@@ -192,6 +192,40 @@ TEST(ReportIo, RejectsMalformedAndMismatchedSchema) {
   EXPECT_THROW(co::report_from_json("not json"), charter::InvalidArgument);
   EXPECT_THROW(co::report_from_json("{\"schema\":999}"),
                charter::InvalidArgument);
+
+  // A count or index that no integer cast can hold is rejected before the
+  // cast: the qft3 fixture with one number corrupted at a time.
+  std::ifstream in(fixture_path("qft3"));
+  ASSERT_TRUE(in.good()) << "missing fixture " << fixture_path("qft3");
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string json = buffer.str();
+  ASSERT_NO_THROW(co::report_from_json(json));
+  const auto corrupted = [&](const std::string& from, const std::string& to) {
+    std::string doc = json;
+    const std::size_t at = doc.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) doc.replace(at, from.size(), to);
+    return doc;
+  };
+  for (const char* jobs : {"-1", "1e300", "nan", "2.5", "9007199254740994"})
+    EXPECT_THROW(
+        co::report_from_json(corrupted("\"jobs\":11", "\"jobs\":" +
+                                                          std::string(jobs))),
+        charter::InvalidArgument)
+        << "jobs " << jobs;
+  EXPECT_THROW(co::report_from_json(
+                   corrupted("\"qubits\":[6]", "\"qubits\":[40000]")),
+               charter::InvalidArgument);
+  EXPECT_THROW(co::report_from_json(
+                   corrupted("\"qubits\":[6]", "\"qubits\":[-1]")),
+               charter::InvalidArgument);
+  EXPECT_THROW(co::report_from_json(
+                   corrupted("\"layer\":1", "\"layer\":1e10")),
+               charter::InvalidArgument);
+  EXPECT_THROW(co::report_from_json(
+                   corrupted("\"schema\":4", "\"schema\":-4294967292")),
+               charter::InvalidArgument);
 }
 
 TEST(GoldenReports, Qft3) { check_against_fixture("qft3", ca::qft(3, 0)); }

@@ -843,7 +843,7 @@ TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
   for (const ms::SimdPath path : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
                                   ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
     if (!ms::set_path(path)) continue;
-    for (int n = 1; n <= 14; ++n) {
+    for (int n = 1; n <= 17; ++n) {
       const cn::NoiseProgram exact = random_tape(n, 44, rng);
       const cn::NoiseProgram runs = run_heavy_tape(n, 20, rng);
       std::vector<const cn::NoiseProgram*> tapes = {&exact, &runs};
@@ -861,9 +861,11 @@ TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
       tapes.push_back(&thermal);
       const cn::NoiseProgram qaoa = qaoa_shaped_tape(n, n > 10 ? 2 : 4, rng);
       tapes.push_back(&qaoa);
-      // Every group size at small widths, one per width above.
-      for (int size = n <= 6 ? 1 : 1 + n % 8; size <= 8;
-           size += n <= 6 ? 1 : 8) {
+      // Every group size at small widths, one per width above; above 14
+      // qubits a group of four, so the widest batch there runs (four lanes
+      // at 15-16 qubits, two at 17).
+      const int first_size = n <= 6 ? 1 : n <= 14 ? 1 + n % 8 : 4;
+      for (int size = first_size; size <= 8; size += n <= 6 ? 1 : 8) {
         const int begin = cs::kTrajectoryGroupSize * (n % 3);
         const charter::util::Rng seeder(100 + n);
         for (const cn::NoiseProgram* tape : tapes) {

@@ -194,16 +194,14 @@ TEST(PlanFamily, AdaptiveArmsOnlyForTrajectoryFamilies) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused-wide tape sharing: width is part of the group key
+// Fused-wide trajectory jobs: each lowers at its own fusion width
 // ---------------------------------------------------------------------------
 
 TEST(FusedWideGrouping, MixedFusionWidthJobsNeverShareATape) {
   // A width-2 and a width-3 fused-wide trajectory run lower to different
-  // tapes; before the tape key mixed the resolved width, a mixed batch
-  // could splice one job's suffix into a tape fused at the other width.
-  // The jobs share a seed, so the width-3 plurality forms a checkpointed
-  // trajectory group and the width-2 job runs plain.  Every job must match
-  // its own standalone run to the fusion tolerance.
+  // tapes.  The jobs share a seed and declare prefixes against the base,
+  // yet every one runs in full on its own tape and matches its own
+  // standalone run bit for bit.
   const cb::FakeBackend backend = cb::FakeBackend::lagos(7);
   const cb::CompiledProgram program = compiled_program(backend, 2);
   const std::vector<std::size_t> eligible =
@@ -236,12 +234,12 @@ TEST(FusedWideGrouping, MixedFusionWidthJobsNeverShareATape) {
   const std::vector<std::vector<double>> results =
       runner.run(jobs, &program);
   ASSERT_EQ(results.size(), jobs.size());
-  EXPECT_EQ(runner.last_stats().trajectory_checkpointed, 3u);
-  EXPECT_EQ(runner.last_stats().full_runs, 1u);
+  EXPECT_EQ(runner.last_stats().trajectory_checkpointed, 0u);
+  EXPECT_EQ(runner.last_stats().full_runs, jobs.size());
 
   for (std::size_t k = 0; k < jobs.size(); ++k)
     expect_distributions_close(
-        results[k], backend.run(reversed[k], jobs[k].run), 1e-12,
+        results[k], backend.run(reversed[k], jobs[k].run), 0.0,
         "fusion_width=" + std::to_string(jobs[k].run.fusion_width) + " job " +
             std::to_string(k));
 }
