@@ -32,11 +32,16 @@
 //     kind on its own (diagonal runs through apply_diag_run on the shifted
 //     block).  The block, P(1) and the norm must agree byte for byte; any
 //     mismatch exits 1.
-//  6. sampling[]: sim::sample_counts against the historical loop (one
+//  6. dm_align[]: the density-matrix kernels (diag rowcol, CX pair, 1q
+//     pair, thermal and two-qubit depolarizing blocks) at n = 7, 8 and 9,
+//     serial, on every available path, once on a 64-byte-aligned vec(rho)
+//     (an engine's math::AmpBuffer) and once on a 16-mod-64 one.  The two
+//     must agree byte for byte; any mismatch exits 1.
+//  7. sampling[]: sim::sample_counts against the historical loop (one
 //     uniform() and one std::upper_bound per shot), copied below, at 8, 32,
 //     128, 512 and 16384 outcomes with 8192 shots.  The counts and the
 //     next draw of the Rng must agree; any mismatch exits 1.
-//  7. Exact-tape end-to-end execution on the density-matrix engine.
+//  8. Exact-tape end-to-end execution on the density-matrix engine.
 //
 // Emits JSON (like bench_exec_batching) so the perf trajectory can be
 // tracked across commits; CI uploads the --smoke output as the
@@ -58,6 +63,7 @@
 #include "bench/common.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/gate.hpp"
+#include "math/amp_buffer.hpp"
 #include "math/simd_dispatch.hpp"
 #include "noise/calibration.hpp"
 #include "noise/program.hpp"
@@ -278,6 +284,39 @@ void one_sweep(cplx* a, std::uint64_t dim, const SweepShape& shape,
   cs::kernels::lane_sweep(a, dim, kLanes, shape.ops.data(),
                           static_cast<int>(shape.ops.size()), shape.sums_mask,
                           keep, p1, norm);
+}
+
+/// Kernels of the dm_align rows, each in its density-matrix engine form at
+/// width \p n: a static-ZZ diagonal through its factor tables \p row /
+/// \p col, a CX pair, an SX pair, thermal relaxation and the two-qubit
+/// depolarizing block, on the middle row qubit and its neighbour.
+constexpr const char* kAlignKernels[] = {"diag_rowcol", "cx_pair",
+                                         "unitary_1q_pair", "thermal_block",
+                                         "depol2q_block"};
+
+void dm_align_kernel(int kernel, cplx* a, int n, const cplx* row,
+                     const cplx* col, const Mat2& u, const Mat2& v) {
+  const std::uint64_t dim = 1ULL << (2 * n);
+  const int qa = n / 2;
+  const int qb = qa + n;
+  switch (kernel) {
+    case 0:
+      cs::kernels::apply_diag_rowcol(a, n, row, col);
+      return;
+    case 1:
+      cs::kernels::apply_cx_pair(a, dim, qa, qa + 1, qb, qb + 1);
+      return;
+    case 2:
+      cs::kernels::apply_1q_pair(a, dim, qa, u, qb, v);
+      return;
+    case 3:
+      simd::active().thermal_block(a, dim, 1ULL << qa, 1ULL << qb, 0.01, 0.98);
+      return;
+    default:
+      simd::active().depol2q_block(a, dim, 1ULL << qa, 1ULL << (qa + 1),
+                                   1ULL << qb, 1ULL << (qb + 1), 0.01);
+      return;
+  }
 }
 
 /// The historical shot sampler: one uniform() and one upper_bound per shot.
@@ -626,6 +665,85 @@ int main(int argc, char** argv) {
                        "separate passes\n",
                        shape.name, simd::path_name(path));
           std::exit(1);
+        }
+      }
+    }
+  }
+  json += "\n  ],\n";
+
+  // ---- DM kernels on a line-aligned vs. a 16-mod-64 vec(rho) -----------
+  json += "  \"dm_align\": [\n";
+  {
+    // Serial, as the checkpoint base sweep and the exec pool workers run.
+    const charter::util::SerialKernels serial;
+    bool first = true;
+    for (const simd::SimdPath path :
+         {simd::SimdPath::kScalar, simd::SimdPath::kWidth2,
+          simd::SimdPath::kAvx2, simd::SimdPath::kAvx512}) {
+      if (!simd::set_path(path)) continue;
+      for (const int n : {7, 8, 9}) {
+        const std::uint64_t rho_dim = 1ULL << (2 * n);
+        const std::uint64_t len = 1ULL << n;
+        const std::vector<cplx> rho_input =
+            random_state(rho_dim, /*seed=*/17 + n);
+        // Layout 0 starts vec(rho) and the factor tables on a 64-byte
+        // line (an engine's math::AmpBuffer); layout 1 starts them one
+        // amplitude in, at 16 mod 64, where glibc put a plain
+        // std::vector's large blocks.
+        charter::math::AmpBuffer rho_buf[2] = {
+            charter::math::AmpBuffer(rho_dim + 1),
+            charter::math::AmpBuffer(rho_dim + 1)};
+        charter::math::AmpBuffer table_buf[2] = {
+            charter::math::AmpBuffer(2 * len + 1),
+            charter::math::AmpBuffer(2 * len + 1)};
+        cplx* rho[2];
+        for (int l = 0; l < 2; ++l) {
+          rho[l] = rho_buf[l].data() + l;
+          cplx* row = table_buf[l].data() + l;
+          cs::kernels::fill_diag_tables(
+              n, {std::exp(cplx(0.0, -0.01)), std::exp(cplx(0.0, 0.01)),
+                  std::exp(cplx(0.0, 0.01)), std::exp(cplx(0.0, -0.01))},
+              1ULL << (n / 2), 1ULL << (n / 2 + 1), row, row + len);
+        }
+        const auto run = [&](int kernel, int l) {
+          const cplx* row = table_buf[l].data() + l;
+          dm_align_kernel(kernel, rho[l], n, row, row + len, u, v);
+        };
+        for (int kernel = 0; kernel < 5; ++kernel) {
+          for (int l = 0; l < 2; ++l) {
+            std::copy(rho_input.begin(), rho_input.end(), rho[l]);
+            run(kernel, l);
+          }
+          const bool identical =
+              std::memcmp(rho[0], rho[1], rho_dim * sizeof(cplx)) == 0;
+          // The two layouts alternate rep by rep, each from the input.
+          double ms[2] = {1e300, 1e300};
+          for (int rep = 0; rep < reps; ++rep)
+            for (int l = 0; l < 2; ++l) {
+              std::copy(rho_input.begin(), rho_input.end(), rho[l]);
+              ms[l] = std::min(ms[l], 1e3 * best_seconds(1, [&] {
+                for (int r = 0; r < kernel_rounds; ++r) run(kernel, l);
+              }));
+            }
+          char buf[320];
+          std::snprintf(buf, sizeof(buf),
+                        "%s    {\"path\": \"%s\", \"kernel\": \"%s\", "
+                        "\"n\": %d, \"aligned_ms\": %.4f, "
+                        "\"offset16_ms\": %.4f, \"speedup\": %.3f, "
+                        "\"identical\": %s}",
+                        first ? "" : ",\n", simd::path_name(path),
+                        kAlignKernels[kernel], n, ms[0], ms[1],
+                        ms[0] > 0.0 ? ms[1] / ms[0] : 0.0,
+                        identical ? "true" : "false");
+          json += buf;
+          first = false;
+          if (!identical) {
+            std::fprintf(stderr,
+                         "FAIL: dm_align %s n=%d on path %s differs between "
+                         "a line-aligned and a 16-mod-64 vec(rho)\n",
+                         kAlignKernels[kernel], n, simd::path_name(path));
+            std::exit(1);
+          }
         }
       }
     }

@@ -128,7 +128,7 @@ bool CheckpointPlan::publish(const sim::DensityMatrixEngine& engine,
     return false;
   }
   lock.unlock();
-  auto rho = std::make_shared<std::vector<math::cplx>>();
+  auto rho = std::make_shared<math::AmpBuffer>();
   engine.save_state(*rho);
   lock.lock();
   Checkpoint& cp = checkpoints_[k];

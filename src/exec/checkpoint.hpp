@@ -140,7 +140,7 @@ class CheckpointPlan {
   struct PreparedResume {
     noise::NoiseProgram tape;
     std::size_t resume_pos = 0;
-    std::shared_ptr<const std::vector<math::cplx>> snapshot;
+    std::shared_ptr<const math::AmpBuffer> snapshot;
     /// Index of the snapshot (ascending prefix length): the identity a
     /// cache of its serialization keys on.
     std::size_t checkpoint = 0;
@@ -182,7 +182,7 @@ class CheckpointPlan {
   }
 
  private:
-  using Snapshot = std::shared_ptr<const std::vector<math::cplx>>;
+  using Snapshot = std::shared_ptr<const math::AmpBuffer>;
   // rho, claims_left and claimed are hand-off state, guarded by mu_.
   struct Checkpoint {
     std::size_t prefix_len = 0;  ///< circuit ops applied before the snapshot

@@ -14,6 +14,7 @@
 #ifdef _WIN32
 #error "DiskCacheTier uses POSIX pid/rename semantics"
 #else
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -113,6 +114,12 @@ std::optional<std::vector<double>> DiskCacheTier::load(const Fingerprint& key) {
     // An absurd count means a corrupt header; don't let it drive a huge
     // allocation.  1 << 28 doubles = 2 GiB, far beyond any distribution.
     if (header.count > (std::uint64_t{1} << 28)) return false;
+    // Nor a count the file does not hold: size it before allocating.
+    struct stat st {};
+    if (::fstat(::fileno(f), &st) != 0 ||
+        static_cast<std::uint64_t>(st.st_size) !=
+            entry_file_bytes(static_cast<std::size_t>(header.count)))
+      return false;
     payload.resize(static_cast<std::size_t>(header.count));
     if (!payload.empty() &&
         std::fread(payload.data(), sizeof(double), payload.size(), f) !=

@@ -49,9 +49,9 @@ void DensityMatrixEngine::reset() {
   rho_[0] = 1.0;
 }
 
-void DensityMatrixEngine::load_state(const std::vector<cplx>& in) {
+void DensityMatrixEngine::load_state(std::span<const cplx> in) {
   require(in.size() == dim2(), "snapshot width does not match engine");
-  rho_ = in;
+  std::copy(in.begin(), in.end(), rho_.begin());
 }
 
 void DensityMatrixEngine::apply_unitary_1q(const Mat2& u, int q) {

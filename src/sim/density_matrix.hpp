@@ -22,9 +22,17 @@
 ///
 /// Memory is 16 bytes * 4^n: n=10 -> 16 MiB, n=11 -> 64 MiB; the backend
 /// switches to the trajectory engine above kMaxQubits.
+///
+/// vec(rho), the Kraus scratch and accumulator and the diagonal factor
+/// tables are math::AmpBuffer, so each starts on a 64-byte line and no
+/// AVX-512 access of a pass spans two lines (math/amp_buffer.hpp).  The
+/// buffers keep that through reset(), load_state() and the Kraus path's
+/// buffer swap.
 
-#include <vector>
+#include <array>
+#include <span>
 
+#include "math/amp_buffer.hpp"
 #include "sim/engine.hpp"
 
 namespace charter::sim {
@@ -62,10 +70,10 @@ class DensityMatrixEngine final : public NoisyEngine {
 
   /// Copies vec(rho) into \p out (cheap snapshot for checkpointing; the
   /// scratch buffers are transient and excluded).
-  void save_state(std::vector<math::cplx>& out) const { out = rho_; }
+  void save_state(math::AmpBuffer& out) const { out = rho_; }
 
   /// Restores a state saved by save_state(); width must match.
-  void load_state(const std::vector<math::cplx>& in);
+  void load_state(std::span<const math::cplx> in);
 
   /// Bytes one saved snapshot occupies (16 bytes * 4^n).
   std::size_t state_bytes() const {
@@ -79,7 +87,15 @@ class DensityMatrixEngine final : public NoisyEngine {
   double purity() const;
 
   /// Raw vec(rho) access for tests.
-  const std::vector<math::cplx>& raw() const { return rho_; }
+  const math::AmpBuffer& raw() const { return rho_; }
+
+  /// Start of every buffer a kernel walks, for alignment tests: vec(rho),
+  /// the row and column factor tables, and the Kraus scratch and
+  /// accumulator (null until the first apply_kraus_1q).
+  std::array<const math::cplx*, 5> buffers() const {
+    return {rho_.data(), diag_row_.data(), diag_col_.data(), scratch_.data(),
+            accum_.data()};
+  }
 
  private:
   std::uint64_t dim() const { return std::uint64_t{1} << num_qubits_; }
@@ -91,13 +107,13 @@ class DensityMatrixEngine final : public NoisyEngine {
                   std::uint64_t bmask);
 
   int num_qubits_;
-  std::vector<math::cplx> rho_;
+  math::AmpBuffer rho_;
   // 2^n-entry row / column factor tables of the current diagonal op.
-  std::vector<math::cplx> diag_row_;
-  std::vector<math::cplx> diag_col_;
+  math::AmpBuffer diag_row_;
+  math::AmpBuffer diag_col_;
   // Scratch buffers for the generic Kraus path.
-  std::vector<math::cplx> scratch_;
-  std::vector<math::cplx> accum_;
+  math::AmpBuffer scratch_;
+  math::AmpBuffer accum_;
 };
 
 }  // namespace charter::sim

@@ -74,6 +74,13 @@
 ///
 /// All kernels are in-place, and, apart from a lane sweep with sums, fan out
 /// on the kernel pool above a size threshold (util/parallel.hpp).
+///
+/// Alignment.  The kernels accept any 16-byte-aligned array and give the
+/// same bytes on any address, but every engine hands them a
+/// math::AmpBuffer, which starts on a 64-byte line (math/amp_buffer.hpp):
+/// vec(rho) and the density-matrix scratch and factor tables, the
+/// statevector amplitudes and the trajectory lane block.  Then no AVX-512
+/// load or store of a pass spans two cache lines.
 
 #include <array>
 #include <cstdint>

@@ -23,7 +23,7 @@ constexpr std::uint64_t kMaxCount = std::uint64_t{1} << 28;
 }  // namespace
 
 std::vector<std::uint8_t> serialize_snapshot(
-    int num_qubits, const std::vector<math::cplx>& state) {
+    int num_qubits, std::span<const math::cplx> state) {
   util::ByteWriter w;
   for (const std::uint8_t b : kMagic) w.u8(b);
   w.u32(kFormatVersion);
@@ -61,6 +61,17 @@ SnapshotData deserialize_snapshot(std::span<const std::uint8_t> bytes) {
   if (count > kMaxCount)
     reject("state count " + std::to_string(count) +
            " exceeds the sanity bound");
+  // Everything about count is checked before it sizes an allocation.
+  const int n = out.num_qubits;
+  const bool statevector = n < 64 && count == std::uint64_t{1} << n;
+  const bool density = n < 32 && count == std::uint64_t{1} << (2 * n);
+  if (!statevector && !density)
+    reject("state count " + std::to_string(count) + " is neither 2^" +
+           std::to_string(n) + " nor 4^" + std::to_string(n));
+  if (r.remaining() != count * 2 * sizeof(double))
+    reject("state count " + std::to_string(count) + " needs " +
+           std::to_string(count * 2 * sizeof(double)) + " bytes, " +
+           std::to_string(r.remaining()) + " present");
   out.state.resize(static_cast<std::size_t>(count));
   for (auto& v : out.state) {
     const double re = r.f64();

@@ -22,14 +22,18 @@
 ///   state      count x (re f64, im f64)
 ///   check      u64 over every preceding byte
 ///
+/// count must be 2^n (a statevector) or 4^n (vec(rho)) for the header's
+/// width n, and the state must hold exactly count entries.
+///
 /// deserialize_snapshot() throws charter::InvalidArgument on truncated,
-/// corrupt, wrong-magic, or wrong-version input — never UB.
+/// corrupt, wrong-magic, or wrong-version input — never UB — and checks the
+/// count against the width and the bytes present before it allocates.
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "math/matrix.hpp"
+#include "math/amp_buffer.hpp"
 
 namespace charter::sim {
 
@@ -37,12 +41,12 @@ namespace charter::sim {
 /// plus the flat state vector save_state() produced.
 struct SnapshotData {
   int num_qubits = 0;
-  std::vector<math::cplx> state;
+  math::AmpBuffer state;
 };
 
 /// Serializes one engine snapshot to the "CHS\1" byte format.
 std::vector<std::uint8_t> serialize_snapshot(
-    int num_qubits, const std::vector<math::cplx>& state);
+    int num_qubits, std::span<const math::cplx> state);
 
 /// Parses a "CHS\1" blob.  Throws InvalidArgument on malformed input.
 SnapshotData deserialize_snapshot(std::span<const std::uint8_t> bytes);

@@ -7,11 +7,16 @@
 /// the transpiler's semantics tests compare against it.  It supports every
 /// GateKind directly (including CCX and SWAP without decomposition), so
 /// logical circuits can be simulated before transpilation.
+///
+/// The amplitudes are a math::AmpBuffer, so they start on a 64-byte line
+/// (math/amp_buffer.hpp); that holds for the lone trajectory engines and
+/// for the lane batch's per-lane scratch state alike.
 
 #include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "math/amp_buffer.hpp"
 #include "math/matrix.hpp"
 
 namespace charter::sim {
@@ -37,8 +42,8 @@ class Statevector {
 
   int num_qubits() const { return num_qubits_; }
   std::uint64_t dim() const { return std::uint64_t{1} << num_qubits_; }
-  const std::vector<math::cplx>& amplitudes() const { return amps_; }
-  std::vector<math::cplx>& mutable_amplitudes() { return amps_; }
+  const math::AmpBuffer& amplitudes() const { return amps_; }
+  math::AmpBuffer& mutable_amplitudes() { return amps_; }
 
   /// Resets to |0...0>.
   void reset();
@@ -80,7 +85,7 @@ class Statevector {
 
  private:
   int num_qubits_;
-  std::vector<math::cplx> amps_;
+  math::AmpBuffer amps_;
 };
 
 /// Convenience: ideal output distribution of a circuit from |0...0>.

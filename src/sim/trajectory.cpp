@@ -80,7 +80,7 @@ void apply_pauli_2q(Statevector& sv, int pick, int qa, int qb) {
 void apply_kraus(Statevector& sv, double u, std::span<const Mat2> kraus,
                  int q) {
   double acc = 0.0;
-  const std::vector<cplx> backup = sv.amplitudes();
+  const math::AmpBuffer backup = sv.amplitudes();
   for (std::size_t i = 0; i < kraus.size(); ++i) {
     std::copy(backup.begin(), backup.end(), sv.mutable_amplitudes().begin());
     sv.apply_unitary_1q(kraus[i], q);  // kernels accept non-unitary K
@@ -123,11 +123,7 @@ class LaneBatch final : public NoisyEngine {
       : n_(num_qubits), dim_(std::uint64_t{1} << num_qubits) {
     require(num_qubits >= 1 && num_qubits <= 28,
             "statevector supports 1..28 qubits");
-    // Three spare amplitudes let the block start on a 64-byte line, so no
-    // AVX-512 register of a pass straddles two lines.
-    storage_.resize(dim_ * static_cast<std::uint64_t>(max_lanes) + 3);
-    block_ = storage_.data();
-    while (reinterpret_cast<std::uintptr_t>(block_) % 64 != 0) ++block_;
+    block_.resize(dim_ * static_cast<std::uint64_t>(max_lanes));
   }
   LaneBatch(const LaneBatch&) = delete;
   LaneBatch& operator=(const LaneBatch&) = delete;
@@ -146,7 +142,7 @@ class LaneBatch final : public NoisyEngine {
   /// local[i] += |a_i|^2 of each lane, in lane (= unravelling) order.
   void accumulate(std::vector<double>& local) {
     flush();
-    const cplx* a = block_;
+    const cplx* a = block_.data();
     const std::uint64_t lanes = static_cast<std::uint64_t>(lanes_);
     for (std::uint64_t i = 0; i < dim_; ++i)
       for (std::uint64_t t = 0; t < lanes; ++t)
@@ -157,7 +153,7 @@ class LaneBatch final : public NoisyEngine {
 
   void reset() override {
     pending_ = 0;
-    std::fill(block_, block_ + size(), cplx(0.0));
+    std::fill_n(block_.begin(), size(), cplx(0.0));
     for (int t = 0; t < lanes_; ++t) block_[t] = 1.0;
   }
 
@@ -285,7 +281,7 @@ class LaneBatch final : public NoisyEngine {
   }
 
  private:
-  cplx* data() { return block_; }
+  cplx* data() { return block_.data(); }
   std::uint64_t size() const {
     return dim_ * static_cast<std::uint64_t>(lanes_);
   }
@@ -318,8 +314,7 @@ class LaneBatch final : public NoisyEngine {
   std::uint64_t dim_;
   int lanes_ = 1;
   int shift_ = 0;
-  std::vector<cplx> storage_;
-  cplx* block_;  ///< the lane block: storage_ from its first 64-byte line
+  math::AmpBuffer block_;  ///< the lane block, sized for max_lanes
   /// Deferred element-local ops, in tape order: ops_[0, pending_).
   std::array<math::LaneOp, math::kMaxLaneOps> ops_;
   int pending_ = 0;

@@ -139,6 +139,8 @@ inline std::uint64_t trajectory_engine_seed(const util::Rng& seeder,
 ///    branches) copy that lane into a contiguous n-qubit scratch state,
 ///    allocated at the first event, and run a lone engine's arithmetic on
 ///    it.
+/// The block and the scratch state are math::AmpBuffer, like every engine
+/// state, so both start on a 64-byte line (math/amp_buffer.hpp).
 /// The lane sums and a lone engine's reductions below the threshold are
 /// plain serial loops; the block's kernels keep the calling thread's policy
 /// (serial on exec pool workers, on the kernel pool off it), which moves no

@@ -9,6 +9,7 @@
 // sharing one directory (fork, not threads: rename-based publish is the
 // only coordination), and byte-budget eviction in LRU order.
 
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -154,6 +155,31 @@ TEST(DiskCache, TruncatedEntryIsAMissNotAFailure) {
   fs::resize_file(entry_path(dir, key_of(4)), 48);  // mid-payload
   EXPECT_FALSE(tier.load(key_of(4)).has_value());
   EXPECT_EQ(tier.stats().corrupt_skipped, 1u);
+}
+
+// A header whose count the file does not hold is a miss before anything
+// is sized by it: a 2^24-entry claim on an 8-entry file used to resize the
+// payload to 128 MiB of doubles first.
+TEST(DiskCache, OversizedCountIsAMissBeforeAllocating) {
+  ScratchDir dir("count");
+  ex::DiskCacheTier tier(dir.path(), 1ull << 20);
+  tier.store(key_of(7), payload_of(7));
+  {
+    std::fstream f(entry_path(dir, key_of(7)),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const std::uint64_t count = std::uint64_t{1} << 24;
+    f.seekp(24);  // EntryHeader::count
+    f.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+  rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  EXPECT_FALSE(tier.load(key_of(7)).has_value());
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  EXPECT_EQ(tier.stats().corrupt_skipped, 1u);
+  // ru_maxrss is in KiB; the payload would have been 131072 KiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
 }
 
 TEST(DiskCache, WrongMagicVersionOrKeyIsAMiss) {

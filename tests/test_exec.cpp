@@ -104,7 +104,7 @@ TEST(EngineCheckpoint, DensityMatrixSaveLoadRoundTrips) {
                           0);
   engine.apply_cx(0, 1);
   engine.apply_depolarizing_2q(0, 1, 0.05);
-  std::vector<charter::math::cplx> snap;
+  charter::math::AmpBuffer snap;
   engine.save_state(snap);
   const std::vector<double> before = engine.probabilities();
 
@@ -1084,7 +1084,7 @@ TEST(PipelinedCheckpointPlan, LastClaimFreesTheSnapshotAndOverClaimingThrows) {
   std::optional<ex::CheckpointPlan::PreparedResume> first =
       plan.prepare_shared(derived, g + 1);
   ASSERT_TRUE(first.has_value());
-  const std::weak_ptr<const std::vector<charter::math::cplx>> buffer =
+  const std::weak_ptr<const charter::math::AmpBuffer> buffer =
       first->snapshot;
   first.reset();
   EXPECT_FALSE(buffer.expired());  // one declared claim is still to come

@@ -4,6 +4,7 @@
 // bit-exactly, and fingerprints separate exact from fused-wide tapes.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cmath>
@@ -80,8 +81,8 @@ cc::Circuit random_basis_circuit(int n, int num_gates, std::uint64_t seed) {
   return c;
 }
 
-double max_abs_diff(const std::vector<charter::math::cplx>& a,
-                    const std::vector<charter::math::cplx>& b) {
+double max_abs_diff(std::span<const charter::math::cplx> a,
+                    std::span<const charter::math::cplx> b) {
   EXPECT_EQ(a.size(), b.size());
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i)
@@ -130,9 +131,9 @@ TEST(NoiseProgram, ExactTapeIsBitIdenticalOnTheKernelPoolAndMarked) {
       tape.execute(engine);
       return engine.raw();
     };
-    const std::vector<charter::math::cplx> pooled = run();
+    const charter::math::AmpBuffer pooled = run();
     const charter::util::SerialKernels mark;
-    const std::vector<charter::math::cplx> marked = run();
+    const charter::math::AmpBuffer marked = run();
     ASSERT_EQ(std::memcmp(pooled.data(), marked.data(),
                           marked.size() * sizeof(charter::math::cplx)),
               0)
@@ -602,7 +603,7 @@ TEST(SnapshotSerialization, RoundTripsEngineStateBitExactly) {
   cs::DensityMatrixEngine engine(3);
   cn::lower(m, c).execute(engine);
 
-  std::vector<charter::math::cplx> state;
+  charter::math::AmpBuffer state;
   engine.save_state(state);
   const std::vector<std::uint8_t> bytes = cs::serialize_snapshot(3, state);
   const cs::SnapshotData back = cs::deserialize_snapshot(bytes);
@@ -615,6 +616,39 @@ TEST(SnapshotSerialization, RoundTripsEngineStateBitExactly) {
   cs::DensityMatrixEngine restored(3);
   restored.load_state(back.state);
   EXPECT_EQ(max_abs_diff(restored.raw(), engine.raw()), 0.0);
+}
+
+// The count is checked against the width and the bytes present before it
+// sizes the state: a checksummed 28-byte blob claiming 2^24 entries used to
+// value-initialize 256 MiB before the reader noticed the missing body.
+TEST(SnapshotSerialization, RejectsAnOversizedCountBeforeAllocating) {
+  charter::util::ByteWriter w;
+  for (const char c : {'C', 'H', 'S', '\1'}) w.u8(static_cast<std::uint8_t>(c));
+  w.u32(1);
+  w.i32(12);                        // 4^12 = 2^24, so the count fits the width
+  w.u64(std::uint64_t{1} << 24);    // ... but no state follows
+  w.u64(charter::util::checksum(w.data()));
+  const std::vector<std::uint8_t> blob = w.take();
+  ASSERT_EQ(blob.size(), 28u);
+  rusage before{};
+  ::getrusage(RUSAGE_SELF, &before);
+  EXPECT_THROW(cs::deserialize_snapshot(blob), charter::InvalidArgument);
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &after);
+  // ru_maxrss is in KiB; the state would have been 262144 KiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
+
+  // A count that is neither 2^n nor 4^n is rejected even when the blob
+  // holds that many entries; both shapes of a real state round-trip.
+  EXPECT_THROW(cs::deserialize_snapshot(cs::serialize_snapshot(
+                   3, std::vector<charter::math::cplx>(65))),
+               charter::InvalidArgument);
+  for (const std::size_t count : {8u, 64u})
+    EXPECT_EQ(cs::deserialize_snapshot(
+                  cs::serialize_snapshot(
+                      3, std::vector<charter::math::cplx>(count, 0.5)))
+                  .state.size(),
+              count);
 }
 
 TEST(SnapshotSerialization, RejectsMalformedBlobs) {

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <span>
 
 #include "circuit/circuit.hpp"
 #include "math/simd_dispatch.hpp"
@@ -17,6 +19,7 @@
 #include "sim/density_matrix.hpp"
 #include "sim/kernels.hpp"
 #include "sim/measurement.hpp"
+#include "sim/snapshot.hpp"
 #include "sim/statevector.hpp"
 #include "sim/trajectory.hpp"
 #include "stats/stats.hpp"
@@ -435,6 +438,71 @@ TEST(DensityMatrix, BitflipIsExact) {
   EXPECT_NEAR(p[0], 0.75, 1e-12);
 }
 
+// Every engine state buffer starts on a 64-byte line (math/amp_buffer.hpp),
+// on every width and after every operation that can reallocate or swap
+// one.  The CTest smoke label runs this on each CHARTER_SIMD leg.
+TEST(EngineAlignment, EveryStateBufferStartsOnACacheLine) {
+  const auto on_line = [](const cplx* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % cm::kCacheLine == 0;
+  };
+  charter::util::Rng rng(64);
+  Mat2 k0, k1, k2;
+  k0(0, 0) = k0(1, 1) = std::sqrt(0.8);
+  k1(0, 1) = k1(1, 0) = std::sqrt(0.1);
+  k2(0, 0) = std::sqrt(0.1);
+  k2(1, 1) = -std::sqrt(0.1);
+  const std::vector<Mat2> kraus = {k0, k1, k2};
+  for (int n = 1; n <= 9; ++n) {
+    cs::DensityMatrixEngine dm(n);
+    const auto dm_lined = [&](const char* when) {
+      for (const cplx* p : dm.buffers())
+        if (p != nullptr) EXPECT_TRUE(on_line(p)) << when << " n=" << n;
+    };
+    dm_lined("construction");
+    dm.apply_diag_2q({1.0, -1.0, -1.0, 1.0}, 0, n - 1);
+    dm.reset();
+    dm_lined("reset");
+    // Three terms: the first swaps scratch into the accumulator, the
+    // others add into it, and the accumulator swaps with vec(rho).
+    for (int rep = 0; rep < 3; ++rep) {
+      dm.apply_kraus_1q(kraus, rep % n);
+      ASSERT_NE(dm.buffers()[3], nullptr);
+      ASSERT_NE(dm.buffers()[4], nullptr);
+      dm_lined("kraus");
+    }
+    cm::AmpBuffer snap;
+    dm.save_state(snap);
+    EXPECT_TRUE(on_line(snap.data())) << "save_state n=" << n;
+    dm.reset();
+    dm.load_state(snap);
+    dm_lined("load_state of a snapshot");
+    // A source on any address still lands on the engine's own buffer.
+    const std::vector<cplx> plain = random_state(snap.size(), rng);
+    dm.load_state(plain);
+    dm_lined("load_state of a plain vector");
+    const cs::SnapshotData back =
+        cs::deserialize_snapshot(cs::serialize_snapshot(n, snap));
+    EXPECT_TRUE(on_line(back.state.data())) << "deserialized n=" << n;
+  }
+  for (int n = 1; n <= 16; ++n) {
+    cs::Statevector sv(n);
+    EXPECT_TRUE(on_line(sv.amplitudes().data())) << "statevector n=" << n;
+    sv.set_basis_state(sv.dim() - 1);
+    sv.reset();
+    EXPECT_TRUE(on_line(sv.amplitudes().data())) << "reset n=" << n;
+    cs::TrajectoryEngine te(n, 7);
+    te.apply_thermal_relaxation(0, 0.5, 0.1);
+    te.reset();
+    EXPECT_TRUE(on_line(te.state().amplitudes().data())) << "traj n=" << n;
+    // The lane block is internal to sim/trajectory.cpp: an AmpBuffer of 1,
+    // 2 or 4 lanes of 2^n amplitudes.  Check every size it takes.
+    for (const std::uint64_t lanes : {1u, 2u, 4u}) {
+      cm::AmpBuffer block(lanes << n);
+      EXPECT_TRUE(on_line(block.data())) << lanes << " lanes n=" << n;
+    }
+  }
+}
+
 TEST(DensityMatrix, ChannelsPreserveTrace) {
   charter::util::Rng rng(41);
   cs::DensityMatrixEngine dm(3);
@@ -833,6 +901,58 @@ bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// The lane-group rows of one width on the active path: every tape kind,
+/// group size and the reset-with-pending-ops program, each a lane-batched
+/// group against one unravelling at a time, byte for byte.
+void check_lane_groups(int n, charter::util::Rng& rng, int& checked) {
+  const char* path = charter::math::simd::path_name(
+      charter::math::simd::active_path());
+  const cn::NoiseProgram exact = random_tape(n, 44, rng);
+  const cn::NoiseProgram runs = run_heavy_tape(n, 20, rng);
+  std::vector<const cn::NoiseProgram*> tapes = {&exact, &runs};
+  std::vector<cn::NoiseProgram> wide;
+  if (n >= 2) wide.push_back(cn::fused_wide(exact, 0, 2));
+  if (n >= 3) wide.push_back(cn::fused_wide(exact, 0, 3));
+  for (const cn::NoiseProgram& w : wide) tapes.push_back(&w);
+  // Above 10 qubits one tape per width, rotating through the four kinds,
+  // keeps the sanitizer legs fast.
+  if (n > 10) tapes = {tapes[static_cast<std::size_t>(n) % tapes.size()]};
+  // Every width runs the thermal-heavy tape, one round above 10 qubits,
+  // and the qaoa-shaped one, two layers above 10 qubits.
+  const cn::NoiseProgram thermal = thermal_heavy_tape(n, n > 10 ? 1 : 3, rng);
+  tapes.push_back(&thermal);
+  const cn::NoiseProgram qaoa = qaoa_shaped_tape(n, n > 10 ? 2 : 4, rng);
+  tapes.push_back(&qaoa);
+  // Every group size at small widths, one per width above; above 14
+  // qubits a group of four, so the widest batch there runs (four lanes
+  // at 15-16 qubits, two at 17).
+  const int first_size = n <= 6 ? 1 : n <= 14 ? 1 + n % 8 : 4;
+  for (int size = first_size; size <= 8; size += n <= 6 ? 1 : 8) {
+    const int begin = cs::kTrajectoryGroupSize * (n % 3);
+    const charter::util::Rng seeder(100 + n);
+    for (const cn::NoiseProgram* tape : tapes) {
+      const std::vector<double> want =
+          one_at_a_time(n, begin, begin + size, seeder, *tape);
+      const std::vector<double> got = cs::run_trajectory_group(
+          n, begin, begin + size, seeder,
+          [&](cs::NoisyEngine& e) { tape->execute(e); });
+      EXPECT_TRUE(same_bytes(got, want)) << path << " n=" << n << " size="
+                                         << size << " ops=" << tape->size();
+      ++checked;
+    }
+    // A program that resets with ops still deferred: the qaoa tape
+    // ends on a diagonal run, and its second run starts from a reset.
+    const auto twice = [&](cs::NoisyEngine& e) {
+      qaoa.execute(e);
+      qaoa.execute(e);
+    };
+    EXPECT_TRUE(same_bytes(
+        cs::run_trajectory_group(n, begin, begin + size, seeder, twice),
+        one_at_a_time(n, begin, begin + size, seeder, twice)))
+        << path << " n=" << n << " size=" << size << " twice";
+  }
+}
+
 }  // namespace
 
 TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
@@ -843,59 +963,49 @@ TEST(TrajectoryLanes, GroupMatchesOneAtATimeByteForByte) {
   for (const ms::SimdPath path : {ms::SimdPath::kScalar, ms::SimdPath::kWidth2,
                                   ms::SimdPath::kAvx2, ms::SimdPath::kAvx512}) {
     if (!ms::set_path(path)) continue;
-    for (int n = 1; n <= 17; ++n) {
-      const cn::NoiseProgram exact = random_tape(n, 44, rng);
-      const cn::NoiseProgram runs = run_heavy_tape(n, 20, rng);
-      std::vector<const cn::NoiseProgram*> tapes = {&exact, &runs};
-      std::vector<cn::NoiseProgram> wide;
-      if (n >= 2) wide.push_back(cn::fused_wide(exact, 0, 2));
-      if (n >= 3) wide.push_back(cn::fused_wide(exact, 0, 3));
-      for (const cn::NoiseProgram& w : wide) tapes.push_back(&w);
-      // Above 10 qubits one tape per width, rotating through the four
-      // kinds, keeps the sanitizer legs fast.
-      if (n > 10) tapes = {tapes[static_cast<std::size_t>(n) % tapes.size()]};
-      // Every width runs the thermal-heavy tape, one round above 10 qubits,
-      // and the qaoa-shaped one, two layers above 10 qubits.
-      const cn::NoiseProgram thermal =
-          thermal_heavy_tape(n, n > 10 ? 1 : 3, rng);
-      tapes.push_back(&thermal);
-      const cn::NoiseProgram qaoa = qaoa_shaped_tape(n, n > 10 ? 2 : 4, rng);
-      tapes.push_back(&qaoa);
-      // Every group size at small widths, one per width above; above 14
-      // qubits a group of four, so the widest batch there runs (four lanes
-      // at 15-16 qubits, two at 17).
-      const int first_size = n <= 6 ? 1 : n <= 14 ? 1 + n % 8 : 4;
-      for (int size = first_size; size <= 8; size += n <= 6 ? 1 : 8) {
-        const int begin = cs::kTrajectoryGroupSize * (n % 3);
-        const charter::util::Rng seeder(100 + n);
-        for (const cn::NoiseProgram* tape : tapes) {
-          const std::vector<double> want =
-              one_at_a_time(n, begin, begin + size, seeder, *tape);
-          const std::vector<double> got = cs::run_trajectory_group(
-              n, begin, begin + size, seeder,
-              [&](cs::NoisyEngine& e) { tape->execute(e); });
-          EXPECT_TRUE(same_bytes(got, want))
-              << ms::path_name(path) << " n=" << n << " size=" << size
-              << " ops=" << tape->size();
-          ++checked;
-        }
-        // A program that resets with ops still deferred: the qaoa tape
-        // ends on a diagonal run, and its second run starts from a reset.
-        const auto twice = [&](cs::NoisyEngine& e) {
-          qaoa.execute(e);
-          qaoa.execute(e);
-        };
-        EXPECT_TRUE(same_bytes(
-            cs::run_trajectory_group(n, begin, begin + size, seeder, twice),
-            one_at_a_time(n, begin, begin + size, seeder, twice)))
-            << ms::path_name(path) << " n=" << n << " size=" << size
-            << " twice";
-      }
-    }
+    for (int n = 1; n <= 14; ++n) check_lane_groups(n, rng, checked);
   }
   ms::set_path(original);
   EXPECT_GT(checked, 0);
 }
+
+// The widest rows (n = 15..17: four lanes at 15-16 qubits, two at 17) of
+// the test above, one instance per SIMD path.  CMakeLists.txt registers
+// each instance as its own CTest entry and filters them out of the main
+// test_sim entry, so a sanitizer leg runs them beside everything else.
+class TrajectoryLanesWide
+    : public ::testing::TestWithParam<charter::math::simd::SimdPath> {};
+
+TEST_P(TrajectoryLanesWide, GroupMatchesOneAtATimeByteForByte) {
+  namespace ms = charter::math::simd;
+  const ms::SimdPath original = ms::active_path();
+  if (!ms::set_path(GetParam()))
+    GTEST_SKIP() << ms::path_name(GetParam()) << " is not available";
+  charter::util::Rng rng(2037);
+  int checked = 0;
+  for (int n = 15; n <= 17; ++n) check_lane_groups(n, rng, checked);
+  ms::set_path(original);
+  EXPECT_GT(checked, 0);
+}
+
+namespace {
+
+/// Instance names the CTest filters select: scalar, width2, avx2, avx512.
+std::string simd_path_label(
+    const ::testing::TestParamInfo<charter::math::simd::SimdPath>& info) {
+  constexpr const char* kNames[] = {"scalar", "width2", "avx2", "avx512"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+}  // namespace
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, TrajectoryLanesWide,
+    ::testing::Values(charter::math::simd::SimdPath::kScalar,
+                      charter::math::simd::SimdPath::kWidth2,
+                      charter::math::simd::SimdPath::kAvx2,
+                      charter::math::simd::SimdPath::kAvx512),
+    simd_path_label);
 
 // A region boundary ends a diagonal run, so splitting a tape anywhere
 // changes no byte: run(0, m) then run(m, size) equals one run over the
@@ -923,15 +1033,14 @@ TEST(DiagonalRuns, SplitPointsAndPerOpCallsAreByteIdentical) {
         drive(e);
         return e.state().amplitudes();
       };
-      const auto same = [](const std::vector<cplx>& a,
-                           const std::vector<cplx>& b) {
+      const auto same = [](std::span<const cplx> a, std::span<const cplx> b) {
         return a.size() == b.size() &&
                std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
       };
       const auto whole = [&](cs::NoisyEngine& e) { tape.run(e, 0, size); };
       const auto per_op = [&](cs::NoisyEngine& e) { execute_op_by_op(tape, e); };
-      const std::vector<cplx> dm = dm_bytes(whole);
-      const std::vector<cplx> sv = sv_bytes(whole);
+      const cm::AmpBuffer dm = dm_bytes(whole);
+      const cm::AmpBuffer sv = sv_bytes(whole);
       EXPECT_TRUE(same(dm_bytes(per_op), dm)) << ms::path_name(path);
       EXPECT_TRUE(same(sv_bytes(per_op), sv)) << ms::path_name(path);
 

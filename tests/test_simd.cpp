@@ -36,6 +36,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -331,7 +332,7 @@ double max_abs_diff(const std::vector<cplx>& a, const std::vector<cplx>& b) {
   return worst;
 }
 
-bool bit_identical(const std::vector<cplx>& a, const std::vector<cplx>& b) {
+bool bit_identical(std::span<const cplx> a, std::span<const cplx> b) {
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(cplx)) == 0;
 }
 
@@ -872,7 +873,7 @@ TEST(SimdKernels, ExactTapesBitIdenticalOnAvx2AndAvx512) {
         dev.lower(program, charter::backend::RunOptions{});
     const charter::noise::NoiseProgram tape =
         charter::noise::lower(lowered.model, lowered.local);
-    std::vector<cplx> states[2];
+    charter::math::AmpBuffer states[2];
     const ms::SimdPath paths[2] = {ms::SimdPath::kAvx2, ms::SimdPath::kAvx512};
     for (int k = 0; k < 2; ++k) {
       ASSERT_TRUE(ms::set_path(paths[k]));

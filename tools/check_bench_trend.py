@@ -168,6 +168,43 @@ def check_kernels(path, data):
         absent = {s for s in shapes if (lane_path, s) not in covered}
         if absent:
             ok = fail(path, f"lane_sweep rows on {lane_path} missing: {absent}")
+    # DM alignment: each density-matrix kernel at n = 7..9 on a line-aligned
+    # and on a 16-mod-64 vec(rho), which must agree byte for byte; the
+    # scalar and the active path must both have every (kernel, n) row.
+    # The timings are recorded, not gated.
+    aligns = data.get("dm_align")
+    if not isinstance(aligns, list):
+        ok = fail(path, "'dm_align' rows missing")
+        aligns = []
+    covered = set()
+    for row in aligns:
+        covered.add((row.get("path"), row.get("kernel"), row.get("n")))
+        for key in ("aligned_ms", "offset16_ms", "speedup"):
+            ok &= require_number(path, row, key, minimum=0.0)
+        if row.get("identical") is not True:
+            ok = fail(
+                path,
+                f"dm_align {row.get('kernel')} n={row.get('n')} on "
+                f"{row.get('path')} not byte-identical",
+            )
+    kernels = {
+        "diag_rowcol",
+        "cx_pair",
+        "unitary_1q_pair",
+        "thermal_block",
+        "depol2q_block",
+    }
+    for align_path in {"scalar", data.get("simd_active")}:
+        absent = {
+            (k, n)
+            for k in kernels
+            for n in (7, 8, 9)
+            if (align_path, k, n) not in covered
+        }
+        if absent:
+            ok = fail(
+                path, f"dm_align rows on {align_path} missing: {sorted(absent)}"
+            )
     # Shot sampling: sample_counts against the historical upper_bound
     # loop, which must agree on the counts and the next draw, at every
     # outcome count.
@@ -444,6 +481,11 @@ def summarize(path, data):
             if r["path"] == data["simd_active"]
         }
         samples = {r["outcomes"]: r["speedup"] for r in data["sampling"]}
+        aligns = {
+            r["kernel"]: r["speedup"]
+            for r in data["dm_align"]
+            if r["path"] == data["simd_active"] and r["n"] == 8
+        }
         print(
             f"{path}: sim_kernels simd={data['simd_active']} "
             f"1q={rows.get('unitary_1q', 0):.2f}x "
@@ -458,7 +500,8 @@ def summarize(path, data):
             f"lane_sweep={sweeps.get('damp_sums', 0):.2f}x/"
             f"{sweeps.get('diag_sums', 0):.2f}x/"
             f"{sweeps.get('damp_diag3', 0):.2f}x "
-            f"sampling_8={samples.get(8, 0):.2f}x"
+            f"sampling_8={samples.get(8, 0):.2f}x "
+            f"dm_align_diag_8={aligns.get('diag_rowcol', 0):.2f}x"
         )
 
 
